@@ -29,6 +29,7 @@ from .evolution import (
     evolve_z,
     init_first_step,
     steady_state_volatility,
+    trace_volatility,
     volatility_pdf,
     warp_step,
 )
@@ -61,7 +62,7 @@ __all__ = [
     "convolve_gridded",
     "EvolutionConfig", "EvolutionTrace", "StepRecord", "VolatilityReport",
     "init_first_step", "warp_step", "evolve_z", "evolve_y", "volatility_pdf",
-    "steady_state_volatility", "default_z_grid", "default_y_grid",
+    "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
     "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",
     "sigma_recursion_step", "sigma_dz_narrow",

@@ -10,8 +10,7 @@ Subcommands:
 Exit codes: 0 success, 2 usage error, 3 numerical-invariant failure,
 4 domain-validity failure. Every run writes a manifest.json listing the
 produced files plus convergence and truncation diagnostics; data files are
-written atomically (temp file + rename). CUMVOL_THREADS caps the number of
-worker threads used for sweep points.
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +31,7 @@ from .evolution import (
     evolve_y,
     evolve_z,
     steady_state_volatility,
+    trace_volatility,
     volatility_pdf,
 )
 from .montecarlo import empirical_cdf_distance, simulate
@@ -46,6 +44,16 @@ DEFAULT_GRID_POINTS = 8192
 # ----------------------------------------------------------------------
 # argument helpers
 # ----------------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _noise_arg(text: str):
@@ -93,14 +101,6 @@ def _sweep_arg(text: str):
     if any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("--sigma-sweep variances must be positive")
     return values
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CUMVOL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -195,10 +195,8 @@ def cmd_volatility(args) -> int:
             "y_l1_prev": rec.l1_prev,
         })
 
-    report = None
     if args.g > 0.0 and trace.converged_at is not None:
-        report = steady_state_volatility(config).to_dict()
-        _write_json(out_dir / "volatility_report.json", report)
+        _write_json(out_dir / "volatility_report.json", trace_volatility(trace).to_dict())
         outputs.append("volatility_report.json")
 
     _manifest("volatility", _echo(args), outputs, {
@@ -223,6 +221,7 @@ def _sweep_point(g: float, sigma_sq: float, tol: float, horizon: int) -> dict:
         "narrow_variance": rep.narrow_variance,
         "converged_at": rep.converged_at,
         "truncated_mass": rep.truncated_mass,
+        "solver": rep.solver,
     }
 
 
@@ -232,16 +231,7 @@ def cmd_compare_saddle(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = min(_thread_count(), len(args.sigma_sweep))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda s2: _sweep_point(args.g, s2, args.tol, args.max_steps),
-                args.sigma_sweep,
-            ))
-    else:
-        rows = [_sweep_point(args.g, s2, args.tol, args.max_steps)
-                for s2 in args.sigma_sweep]
+    rows = [_sweep_point(args.g, s2, args.tol, args.max_steps) for s2 in args.sigma_sweep]
 
     lines = ["sigma_a_sq,ratio,variance,narrow_variance,truncated_mass\n"]
     for r in rows:
@@ -323,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--g", type=float, required=True, help="drift per time step")
+    common.add_argument("--g", type=_finite_float, required=True, help="drift per time step")
     common.add_argument("--noise", type=_noise_arg, required=True,
                         help="gaussian:sigma=S | lorentzian:gamma=G | table:PATH")
     common.add_argument("--out", required=True, help="output directory")
@@ -350,12 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-saddle",
                        help="ratio of exact steady-state volatility to the narrow-noise formula")
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--g", type=_finite_float, required=True)
     p.add_argument("--sigma-sweep", type=_sweep_arg, required=True,
                    help="comma-separated noise variances sigma_a^2")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-steps", type=_positive_int, default=10_000)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative eigenvalue tolerance of the steady-state eigensolve")
+    p.add_argument("--max-steps", type=_positive_int, default=10_000,
+                   help="cap on step-operator applications per sweep point")
     p.set_defaults(func=cmd_compare_saddle)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo path oracle")

@@ -18,31 +18,44 @@ variable y = log(Z_t / (Z_t - Z_{t-1})) whose density converges to a genuine
 fixed point for g > 0; the one-step growth increment dz then follows from
 
     rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
+
+One step is a linear map P on node masses (``StepOperator``), built once per
+run. Per-step outputs apply it repeatedly and renormalise (power iteration).
+The reversed variable's fixed point is P's Perron vector, which
+``steady_state_volatility`` finds directly with ARPACK's implicitly
+restarted Arnoldi method (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+1998) in tens of applications, where power iteration needs of the order of
+sigma_a^2/g^2 steps. The Perron root lambda is the mass one step keeps, so
+1 - lambda is the per-step leak through the grid's edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .analytic import sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .noise import NoiseModel
-from .pdfgrid import GriddedPdf, GridSpec, cell_grid, conv_mass_arrays
+from .pdfgrid import GriddedPdf, GridSpec, cell_grid
 
 __all__ = [
     "EvolutionConfig",
     "StepRecord",
     "EvolutionTrace",
     "VolatilityReport",
+    "StepOperator",
     "init_first_step",
     "warp_step",
     "evolve_z",
     "evolve_y",
     "volatility_pdf",
     "steady_state_volatility",
+    "trace_volatility",
     "default_z_grid",
     "default_y_grid",
     "default_y_config",
@@ -57,6 +70,13 @@ MAX_STEP_DEFECT = 1e-3
 _KERNEL_MARGIN = 25.0
 
 _REPORT_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+# Krylov subspace size of the steady-state eigensolve.
+_ARNOLDI_NCV = 40
+
+# The Perron vector is nonnegative; an eigenvector carrying more negative mass
+# than this (after normalisation to unit mass) is not it.
+_MAX_NEGATIVE_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -232,7 +252,8 @@ def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
     if not captured > 0.0:
         raise MassDefectError("no probability mass fell inside the grid domain")
     values = cells / grid.node_weights() / captured
-    total_trunc = 1.0 - (1.0 - prev_trunc) * (1.0 - new_trunc)
+    # the linear step can leave a roundoff-sized negative truncation
+    total_trunc = 1.0 - (1.0 - prev_trunc) * (1.0 - max(new_trunc, 0.0))
     return GriddedPdf(grid, values, min(total_trunc, 1.0 - 1e-15)), StepDiag(
         mass_defect=defect, new_truncation=new_trunc, captured_mass=captured
     )
@@ -262,32 +283,54 @@ def init_first_step(noise: NoiseModel, g: float, grid: GridSpec) -> GriddedPdf:
     return pdf
 
 
-def _growth_step(p: GriddedPdf, noise: NoiseModel, g: float,
-                 tail_tol: float) -> tuple[GriddedPdf, StepDiag]:
-    grid = p.grid
-    h = grid.h
-    edges = _validated_edges(grid)
-    _check_normalized(p)
+class StepOperator:
+    """One convolve-then-warp step as a linear map on node masses.
 
-    span = float(edges[-1])
-    kern = noise.cell_masses(h, tail_tol=tail_tol, max_halfwidth=span + _KERNEL_MARGIN)
-    conv = conv_mass_arrays(p.node_masses(), kern.masses, method="fft")
-    cdf_at, total_c = _node_cdf(grid.x_min - kern.halfcells * h, h, conv)
+    Everything that stays fixed during a run is built once from
+    ``(g, noise, grid, tail_tol)``: the noise kernel's cell masses and their
+    real FFT, the warped cell edges and the nodes of the convolved density's
+    CDF. ``apply`` clips nothing, so it is strictly linear in its input and
+    serves both as the power-iteration step and as the eigensolve's operator.
+    """
 
-    warped = _growth_edges(edges, g)
-    cw = cdf_at(warped)
-    cells = np.maximum(np.diff(cw), 0.0)
-    new_trunc = kern.clip_right + max(total_c - float(cw[-1]), 0.0)
-    if kern.capped:
-        # Heavy-tail window: jumps past the capped left edge overshoot the
-        # whole domain and collapse onto x ~ 0+, so (thanks to the kernel
-        # margin) their mass belongs in the first cell to sub-cell accuracy.
-        cells[0] += kern.clip_left
-    else:
-        # Light tails: the clip is below tail_tol and its destination is not
-        # resolved; count it as truncated rather than misplace it.
-        new_trunc += kern.clip_left
-    return _assemble(grid, cells, p.truncated_mass, new_trunc)
+    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec, tail_tol: float):
+        edges = _validated_edges(grid)
+        h = grid.h
+        kern = noise.cell_masses(h, tail_tol=tail_tol,
+                                 max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
+        self.grid = grid
+        self.kernel = kern
+        self._conv_len = grid.n_points + kern.masses.size - 1
+        self._fft_len = next_fast_len(self._conv_len, real=True)
+        self._kernel_fft = rfft(kern.masses, self._fft_len)
+        self._nodes = grid.x_min - kern.halfcells * h + h * np.arange(self._conv_len)
+        self._warped = _growth_edges(edges, g)
+
+    def apply(self, masses: np.ndarray) -> tuple[np.ndarray, float]:
+        """Output cell masses and newly truncated mass, both linear in ``masses``.
+
+        For an input of total mass M the two add up to M up to roundoff.
+        """
+        kern = self.kernel
+        total_in = float(masses.sum())
+        conv = irfft(rfft(masses, self._fft_len) * self._kernel_fft,
+                     self._fft_len)[:self._conv_len]
+        # linear-interpolation CDF: half of each node's own mass lies below it
+        cum = np.cumsum(conv) - 0.5 * conv
+        total_c = float(conv.sum())
+        cw = np.interp(self._warped, self._nodes, cum, left=0.0, right=total_c)
+        cells = np.diff(cw)
+        new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
+        if kern.capped:
+            # Heavy-tail window: jumps past the capped left edge overshoot the
+            # whole domain and collapse onto x ~ 0+, so (thanks to the kernel
+            # margin) their mass belongs in the first cell to sub-cell accuracy.
+            cells[0] += kern.clip_left * total_in
+        else:
+            # Light tails: the clip is below tail_tol and its destination is not
+            # resolved; count it as truncated rather than misplace it.
+            new_trunc += kern.clip_left * total_in
+        return cells, new_trunc
 
 
 def warp_step(p: GriddedPdf, noise: NoiseModel, g: float,
@@ -297,7 +340,10 @@ def warp_step(p: GriddedPdf, noise: NoiseModel, g: float,
     The input must be normalised on a grid tiling [0, upper]. The output is
     renormalised; newly clipped mass is folded into ``truncated_mass``.
     """
-    pdf, _ = _growth_step(p, noise, g, tail_tol)
+    op = StepOperator(g, noise, p.grid, tail_tol)
+    _check_normalized(p)
+    cells, new_trunc = op.apply(p.node_masses())
+    pdf, _ = _assemble(p.grid, cells, p.truncated_mass, new_trunc)
     return pdf
 
 
@@ -380,10 +426,12 @@ def _record(t, pdf, diag, l1, l1c) -> StepRecord:
 
 def _evolve(config: EvolutionConfig, raw_convergence: bool) -> EvolutionTrace:
     pdf, diag = _first_step(config.noise, config.g, config.grid)
+    op = StepOperator(config.g, config.noise, config.grid, config.tail_tol)
     steps = [_record(1, pdf, diag, None, None)]
     converged_at = None
     for t in range(2, config.horizon + 1):
-        nxt, diag = _growth_step(pdf, config.noise, config.g, config.tail_tol)
+        cells, new_trunc = op.apply(pdf.node_masses())
+        nxt, diag = _assemble(config.grid, cells, pdf.truncated_mass, new_trunc)
         l1 = pdf.distance(nxt, "L1")
         l1c = _centered_l1(pdf, steps[-1].mean, nxt, nxt.mean())
         steps.append(_record(t, nxt, diag, l1, l1c))
@@ -424,7 +472,16 @@ def evolve_y(config: EvolutionConfig) -> EvolutionTrace:
 
 @dataclass(frozen=True)
 class VolatilityReport:
-    """Steady-state summary of the growth-increment distribution."""
+    """Steady-state summary of the growth-increment distribution.
+
+    ``solver`` records how the reversed variable's fixed point was found:
+    ``method`` ("arnoldi" for the eigensolve, "power" for an iterated trace),
+    ``applications`` of the step operator, the Perron root estimate
+    ``eigenvalue`` (the mass one step keeps) and ``residual_l1``,
+    ``||P v - eigenvalue v||_1`` for the unit-mass vector v. For the
+    eigensolve ``converged_at`` and ``steps_run`` are the application count;
+    for a trace they are its convergence step and its length.
+    """
 
     g: float
     noise_label: str
@@ -440,7 +497,7 @@ class VolatilityReport:
     ratio_to_narrow: float | None
     truncated_mass: float
     variance_reliable: bool
-    per_step: list = field(default_factory=list)
+    solver: dict
 
     def to_dict(self) -> dict:
         return {
@@ -458,67 +515,129 @@ class VolatilityReport:
             "ratio_to_narrow": self.ratio_to_narrow,
             "truncated_mass": self.truncated_mass,
             "variance_reliable": self.variance_reliable,
-            "per_step": self.per_step,
+            "solver": self.solver,
         }
 
 
-def _dz_stats(dz: GriddedPdf) -> dict:
+def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: int,
+                       steps_run: int, solver: dict) -> VolatilityReport:
+    """Report on the growth increment for the reversed variable's fixed point p_y."""
+    dz = volatility_pdf(p_y)
+    variance = dz.variance()
     qs = dz.quantiles(_REPORT_PROBS)
-    return {
-        "variance": dz.variance(),
-        "iqr": float(qs[3] - qs[1]),
-        "width90": float(qs[4] - qs[0]),
-        "quantiles": {f"q{int(100 * p):02d}": float(q) for p, q in zip(_REPORT_PROBS, qs)},
-        "truncated_mass": dz.truncated_mass,
-    }
-
-
-def steady_state_volatility(config: EvolutionConfig, per_step: bool = False) -> VolatilityReport:
-    """Run the reversed recursion to its fixed point and report the volatility.
-
-    Requires g > 0 (otherwise the reversed recursion has no fixed point).
-    Raises ``ConvergenceError`` when the horizon is exhausted first.
-    """
-    if not config.g > 0.0:
-        raise DomainError("steady_state_volatility requires g > 0")
-    trace = evolve_y(config)
-    if trace.converged_at is None:
-        raise ConvergenceError(
-            f"no fixed point within horizon={config.horizon} at "
-            f"tol={config.convergence_tol:g}"
-        )
-    dz = volatility_pdf(trace.final().pdf)
-    stats = _dz_stats(dz)
-
     sigma_sq = config.noise.variance()
     finite_sigma = math.isfinite(sigma_sq)
     narrow = var_dz_saddle(config.g, math.sqrt(sigma_sq)) if finite_sigma else None
-    ratio = stats["variance"] / narrow if narrow else None
-
-    steps = []
-    if per_step:
-        for rec in trace.steps:
-            row = {"t": rec.t, "l1_prev": rec.l1_prev}
-            row.update(_dz_stats(volatility_pdf(rec.pdf)))
-            steps.append(row)
-
     return VolatilityReport(
         g=config.g,
         noise_label=config.noise.label(),
-        converged_at=trace.converged_at,
-        steps_run=len(trace.steps),
-        variance=stats["variance"],
-        std=math.sqrt(max(stats["variance"], 0.0)),
-        iqr=stats["iqr"],
-        width90=stats["width90"],
-        quantiles=stats["quantiles"],
+        converged_at=converged_at,
+        steps_run=steps_run,
+        variance=variance,
+        std=math.sqrt(max(variance, 0.0)),
+        iqr=float(qs[3] - qs[1]),
+        width90=float(qs[4] - qs[0]),
+        quantiles={f"q{int(100 * p):02d}": float(q) for p, q in zip(_REPORT_PROBS, qs)},
         sigma_a_sq=sigma_sq if finite_sigma else None,
         narrow_variance=narrow,
-        ratio_to_narrow=ratio,
-        truncated_mass=stats["truncated_mass"],
-        variance_reliable=finite_sigma and stats["truncated_mass"] < 1e-3,
-        per_step=steps,
+        ratio_to_narrow=variance / narrow if narrow else None,
+        truncated_mass=dz.truncated_mass,
+        variance_reliable=finite_sigma and dz.truncated_mass < 1e-3,
+        solver=solver,
     )
+
+
+def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
+    """Fixed point of the reversed recursion as the step operator's Perron vector.
+
+    ARPACK starts from the first-step density, so repeated solves are
+    bit-identical. The unit-mass eigenvector goes through one more step, whose
+    mass bookkeeping passes the per-step defect check; the resulting density's
+    ``truncated_mass`` is that step's leak, 1 - lambda.
+    """
+    g, noise, grid = -config.g, config.noise.mirror(), config.grid
+    first, _ = _first_step(noise, g, grid)
+    op = StepOperator(g, noise, grid, config.tail_tol)
+    applications = 0
+
+    def counted_apply(v):
+        nonlocal applications
+        applications += 1
+        if applications > config.horizon:
+            raise ConvergenceError(
+                f"no fixed point within horizon={config.horizon} operator applications "
+                f"at tol={config.convergence_tol:g}"
+            )
+        return op.apply(np.ravel(v))
+
+    n = grid.n_points
+    operator = LinearOperator((n, n), matvec=lambda v: counted_apply(v)[0], dtype=float)
+    try:
+        values, vectors = eigs(operator, k=1, ncv=min(_ARNOLDI_NCV, n),
+                               tol=config.convergence_tol, v0=first.node_masses())
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise ConvergenceError(f"steady-state eigensolve failed: {exc}") from exc
+    vec = vectors[:, 0]
+    vec = (vec / vec.sum()).real
+    negative = float(-vec[vec < 0.0].sum())
+    if negative > _MAX_NEGATIVE_MASS:
+        raise ConvergenceError(
+            f"eigenvector carries negative mass {negative:.3e} (budget "
+            f"{_MAX_NEGATIVE_MASS:g}); it is not the stationary density"
+        )
+    vec = np.maximum(vec, 0.0)
+    vec /= vec.sum()
+    eigenvalue = float(values[0].real)
+    cells, new_trunc = counted_apply(vec)
+    pdf, _ = _assemble(grid, cells, 0.0, new_trunc)
+    return pdf, {
+        "method": "arnoldi",
+        "applications": applications,
+        "eigenvalue": eigenvalue,
+        "residual_l1": float(np.abs(cells - eigenvalue * vec).sum()),
+    }
+
+
+def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
+    """Solve the reversed recursion for its fixed point and report the volatility.
+
+    Requires g > 0 (otherwise the reversed recursion has no fixed point).
+    ``convergence_tol`` is ARPACK's relative eigenvalue tolerance and
+    ``horizon`` caps the number of operator applications. Raises
+    ``ConvergenceError`` when ARPACK fails, the cap is exceeded, or the
+    eigenvector is not a density.
+    """
+    if not config.g > 0.0:
+        raise DomainError("steady_state_volatility requires g > 0")
+    p_y, solver = _perron_density(config)
+    n = solver["applications"]
+    return _volatility_report(config, p_y, n, n, solver)
+
+
+def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
+    """Steady-state report from the final density of a converged ``evolve_y`` trace.
+
+    The solver block describes the power iteration that produced the trace:
+    its last step kept ``eigenvalue`` of the mass and moved the normalised
+    density by ``l1_prev``.
+    """
+    config = trace.config
+    if not config.g > 0.0:
+        raise DomainError("trace_volatility requires g > 0")
+    if trace.converged_at is None:
+        raise ConvergenceError(
+            f"trace did not converge within horizon={config.horizon} at "
+            f"tol={config.convergence_tol:g}"
+        )
+    last = trace.final()
+    eigenvalue = 1.0 - last.new_truncation
+    solver = {
+        "method": "power",
+        "applications": len(trace.steps) - 1,
+        "eigenvalue": eigenvalue,
+        "residual_l1": eigenvalue * last.l1_prev,
+    }
+    return _volatility_report(config, last.pdf, trace.converged_at, len(trace.steps), solver)
 
 
 # ----------------------------------------------------------------------

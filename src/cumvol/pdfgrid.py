@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .noise import NoiseModel
 
@@ -313,7 +313,9 @@ def conv_mass_arrays(a: np.ndarray, b: np.ndarray, method: str = "fft") -> np.nd
     if method == "direct":
         out = np.convolve(a, b)
     elif method == "fft":
-        out = fftconvolve(a, b)
+        n = a.size + b.size - 1
+        size = next_fast_len(n, real=True)
+        out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
     else:
         raise ValueError(f"unknown convolution method {method!r}")
     return np.maximum(out, 0.0)

@@ -67,6 +67,12 @@ def test_volatility_until_converged(tmp_path):
     assert manifest["convergence"]["converged_at"] is not None
     report = json.loads((out / "volatility_report.json").read_text(encoding="utf-8"))
     assert report["ratio_to_narrow"] == pytest.approx(1.0, abs=0.05)
+    # the report describes the final density of the iterated trace itself
+    last = manifest["steps"][-1]
+    assert report["converged_at"] == manifest["convergence"]["converged_at"] == last["t"]
+    assert report["variance"] == last["dz_variance"]
+    assert report["solver"]["method"] == "power"
+    assert report["solver"]["applications"] == last["t"] - 1
     # growth-increment densities settle: early steps change far more than late
     l1 = [s["y_l1_prev"] for s in manifest["steps"] if s["y_l1_prev"] is not None]
     assert l1[0] > 100 * l1[-1]
@@ -88,6 +94,12 @@ def test_compare_saddle_sweep(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     assert data.shape[0] == 2
     assert np.all(np.abs(data[:, 1] - 1.0) < 0.05)
+    for point in read_manifest(out)["points"]:
+        solver = point["solver"]
+        assert solver["method"] == "arnoldi"
+        assert point["converged_at"] == solver["applications"] > 0
+        assert solver["residual_l1"] < 1e-8
+        assert 0.0 < 1.0 - solver["eigenvalue"] < 1e-6
 
 
 def test_compare_saddle_empty_sweep_is_usage_error(tmp_path):
@@ -144,15 +156,22 @@ def test_volatility_narrow_noise_report_accuracy(tmp_path):
     assert report["variance"] == pytest.approx(target, rel=0.02)
 
 
-def test_compare_saddle_threaded_matches_serial(tmp_path, monkeypatch):
-    args = ["compare-saddle", "--g", "0.2", "--sigma-sweep", "0.0025,0.01", "--tol", "1e-8"]
-    monkeypatch.delenv("CUMVOL_THREADS", raising=False)
-    assert run(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("CUMVOL_THREADS", "2")
-    assert run(args + ["--out", str(tmp_path / "par")]) == 0
-    serial = (tmp_path / "serial" / "saddle_ratio.csv").read_bytes()
-    par = (tmp_path / "par" / "saddle_ratio.csv").read_bytes()
-    assert serial == par
+def test_nonfinite_drift_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for value in ("inf", "-inf"):
+        assert run(["evolve", f"--g={value}", "--noise", "gaussian:sigma=1", "--steps", "3",
+                    "--out", out]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_nan_drift_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert run(["volatility", "--g", "nan", "--noise", "gaussian:sigma=1",
+                "--until-converged", "--out", out]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert run(["compare-saddle", "--g", "nan", "--sigma-sweep", "0.01", "--out", out]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_trace_write_dir(tmp_path):

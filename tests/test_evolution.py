@@ -21,10 +21,11 @@ from cumvol import (
     lorentzian,
     steady_state_volatility,
     tabulated,
+    trace_volatility,
     volatility_pdf,
     warp_step,
 )
-from cumvol.evolution import _assemble
+from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble
 from cumvol.pdfgrid import GriddedPdf
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
@@ -287,12 +288,17 @@ def test_ratio_crossover_location_at_small_drift():
 
 def test_per_step_reporting():
     cfg = default_y_config(0.2, gaussian(0.1), tol=1e-6, horizon=500)
-    rep = steady_state_volatility(cfg, per_step=True)
-    assert len(rep.per_step) == rep.steps_run
-    l1 = [row["l1_prev"] for row in rep.per_step if row["l1_prev"] is not None]
+    tr = evolve_y(cfg)
+    rep = trace_volatility(tr)
+    assert rep.steps_run == len(tr.steps)
+    assert rep.converged_at == tr.converged_at
+    l1 = [rec.l1_prev for rec in tr.steps if rec.l1_prev is not None]
     # early steps change a lot, later steps barely at all
     assert l1[0] > 10 * l1[-1]
-    assert rep.to_dict()["per_step"][0]["t"] == 1
+    solver = rep.to_dict()["solver"]
+    assert solver["method"] == "power"
+    assert solver["applications"] == len(tr.steps) - 1
+    assert solver["residual_l1"] == pytest.approx(tr.final().l1_prev, rel=1e-6)
 
 
 def test_evolve_z_declares_steady_state_on_centered_density():
@@ -306,3 +312,114 @@ def test_evolve_z_declares_steady_state_on_centered_density():
     assert len(tr.steps) == tr.converged_at
     # raw densities keep translating: raw L1 per step stays finite
     assert tr.final().l1_prev > tr.final().l1_centered_prev
+
+
+# ----------------------------------------------------------------------
+# step operator and steady-state eigensolve
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise", [gaussian(0.4), lorentzian(1.0)], ids=["gaussian", "lorentzian"])
+def test_step_operator_is_linear(noise):
+    # any clipping inside the step (the old np.maximum) breaks linearity and
+    # gives the eigensolve spurious eigenvalues above 1
+    op = StepOperator(-0.2, noise.mirror(), cell_grid(40.0, 800), 1e-8)
+    assert op.kernel.capped == (noise.kind == "lorentzian")
+    rng = np.random.default_rng(5)
+    x, y = rng.random(800), rng.random(800) - 0.5
+    a, b = 0.7, -1.3
+    (cx, tx), (cy, ty) = op.apply(x), op.apply(y)
+    cz, tz = op.apply(a * x + b * y)
+    scale = np.abs(a * cx).sum() + np.abs(b * cy).sum()
+    assert np.abs(cz - (a * cx + b * cy)).sum() <= 1e-13 * scale
+    assert abs(tz - (a * tx + b * ty)) <= 1e-13 * scale
+    # mass accounting: output cells plus new truncation equal the input mass
+    assert cx.sum() + tx == pytest.approx(x.sum(), rel=1e-12)
+
+
+_SOLVER_CASES = {
+    "gaussian-0.01": lambda: default_y_config(0.2, gaussian(0.1), tol=1e-12, horizon=5000,
+                                              n_points=1500),
+    "gaussian-0.16": lambda: default_y_config(0.2, gaussian(0.4), tol=1e-12, horizon=5000,
+                                              n_points=1500),
+    "lorentzian-coarse": lambda: EvolutionConfig(g=0.2, noise=lorentzian(1.0),
+                                                 grid=cell_grid(60.0, 600), horizon=5000,
+                                                 convergence_tol=1e-12),
+    "tabulated-asymmetric": lambda: EvolutionConfig(
+        g=0.25, noise=tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)]),
+        grid=cell_grid(12.0, 1500), horizon=5000, convergence_tol=1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVER_CASES))
+def test_eigensolve_matches_power_iteration(case):
+    cfg = _SOLVER_CASES[case]()
+    tr = evolve_y(cfg)
+    assert tr.converged_at is not None
+    power = trace_volatility(tr)
+    solved = steady_state_volatility(cfg)
+    assert solved.variance == pytest.approx(power.variance, rel=1e-6)
+    assert solved.iqr == pytest.approx(power.iqr, rel=1e-6)
+    solver = solved.solver
+    assert solver["method"] == "arnoldi"
+    assert solved.converged_at == solver["applications"] < tr.converged_at
+    assert solver["eigenvalue"] == pytest.approx(power.solver["eigenvalue"], abs=1e-10)
+    assert solver["residual_l1"] < 1e-9
+    # 1 - lambda is the per-step leak: none for the compact table, but
+    # positive through the grid's edges for the other noises
+    leak = 1.0 - solver["eigenvalue"]
+    assert -1e-12 < leak < 0.02
+    assert (leak > 1e-9) == (cfg.noise.kind != "tabulated")
+
+
+def test_eigensolve_is_bit_identical_on_repeat():
+    cfg = default_y_config(0.1, gaussian(0.5), n_points=2000)
+    assert steady_state_volatility(cfg).to_dict() == steady_state_volatility(cfg).to_dict()
+
+
+def test_eigensolve_application_cap():
+    cfg = default_y_config(0.1, gaussian(1.0), n_points=2000)
+    needed = steady_state_volatility(cfg).solver["applications"]
+    assert needed > 41
+    # the cap holds mid-solve as well as inside ARPACK's first factorisation
+    for horizon in (10, 41, needed - 1):
+        with pytest.raises(ConvergenceError):
+            steady_state_volatility(replace(cfg, horizon=horizon))
+    assert steady_state_volatility(replace(cfg, horizon=needed)).solver["applications"] == needed
+
+
+def _fftconvolve_step(p, noise, g, tail_tol=1e-8):
+    """One step as computed before the step operator: scipy.signal's
+    fftconvolve with the kernel rebuilt per step and every clip in place."""
+    from scipy.signal import fftconvolve
+
+    grid, h = p.grid, p.grid.h
+    edges = grid.cell_edges()
+    edges[0] = 0.0
+    kern = noise.cell_masses(h, tail_tol=tail_tol, max_halfwidth=edges[-1] + _KERNEL_MARGIN)
+    conv = np.maximum(fftconvolve(p.node_masses(), kern.masses), 0.0)
+    nodes = grid.x_min - kern.halfcells * h + h * np.arange(conv.size)
+    cum = np.cumsum(conv) - 0.5 * conv
+    with np.errstate(divide="ignore"):
+        warped = edges + np.log1p(-np.exp(-edges)) - g
+    cw = np.interp(warped, nodes, cum, left=0.0, right=conv.sum())
+    cells = np.maximum(np.diff(cw), 0.0)
+    new_trunc = kern.clip_right + max(conv.sum() - cw[-1], 0.0)
+    if kern.capped:
+        cells[0] += kern.clip_left
+    else:
+        new_trunc += kern.clip_left
+    return _assemble(grid, cells, p.truncated_mass, new_trunc)[0]
+
+
+@pytest.mark.parametrize("noise", [gaussian(0.5), lorentzian(1.0)], ids=["gaussian", "lorentzian"])
+def test_evolve_z_matches_fftconvolve_steps(noise):
+    g = 0.2
+    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 6, n_points=2048),
+                          horizon=6, convergence_tol=1e-300)
+    tr = evolve_z(cfg)
+    ref = tr.density(1)
+    for rec in tr.steps[1:]:
+        ref = _fftconvolve_step(ref, noise, g)
+        assert np.max(np.abs(rec.pdf.values - ref.values)) <= 1e-12 * ref.values.max()
+        assert rec.truncated_mass == pytest.approx(ref.truncated_mass, rel=1e-9, abs=1e-15)
