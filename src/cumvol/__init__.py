@@ -35,10 +35,12 @@ from .evolution import (
 )
 from .montecarlo import (
     McEnsemble,
+    McStream,
     empirical_cdf_distance,
     empirical_volatility,
     reciprocal_increment_gap,
     simulate,
+    simulate_stream,
 )
 from .noise import (
     NoiseModel,
@@ -66,6 +68,6 @@ __all__ = [
     "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",
     "sigma_recursion_step", "sigma_dz_narrow",
-    "McEnsemble", "simulate", "empirical_volatility", "empirical_cdf_distance",
-    "reciprocal_increment_gap",
+    "McEnsemble", "McStream", "simulate", "simulate_stream", "empirical_volatility",
+    "empirical_cdf_distance", "reciprocal_increment_gap",
 ]

@@ -34,7 +34,7 @@ from .evolution import (
     trace_volatility,
     volatility_pdf,
 )
-from .montecarlo import empirical_cdf_distance, simulate
+from .montecarlo import simulate_stream
 from .noise import gaussian, parse_noise_spec
 from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid
 
@@ -246,38 +246,44 @@ def cmd_compare_saddle(args) -> int:
     return 0
 
 
+def _load_against(against: str, t_max: int) -> dict:
+    """Densities of z_t, t <= t_max, written by a previous evolve run, by step."""
+    ref = Path(against) / "manifest.json"
+    if not ref.exists():
+        raise DomainError(f"--against directory {against} has no manifest.json")
+    manifest = json.loads(ref.read_text(encoding="utf-8"))
+    targets = {}
+    for row in manifest.get("steps", []):
+        t = row["t"]
+        if t > t_max or "file" not in row:
+            continue
+        targets[t] = GriddedPdf.from_csv(Path(against) / row["file"],
+                                         truncated_mass=row.get("truncated_mass", 0.0))
+    return targets
+
+
 def cmd_simulate(args) -> int:
+    targets = None if args.against is None else _load_against(args.against, args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensemble = simulate(args.g, args.noise, t_max=args.steps, n_paths=args.paths,
-                        seed=args.seed)
+    cap = min(args.paths, 10_000) if args.paths_csv else 0
+    run = simulate_stream(args.g, args.noise, t_max=args.steps, n_paths=args.paths,
+                          seed=args.seed, targets=targets, head_paths=cap)
     outputs = []
-    _write_json(out_dir / "summary.json", ensemble.summary())
+    _write_json(out_dir / "summary.json", run.summary)
     outputs.append("summary.json")
 
     if args.paths_csv:
-        cap = min(args.paths, 10_000)
         header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1)) + "\n"
         lines = [header]
-        for i in range(cap):
-            lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in ensemble.z[i]) + "\n")
+        for i, row in enumerate(run.head.tolist()):
+            lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
         atomic_write_text(out_dir / "paths.csv", "".join(lines))
         outputs.append("paths.csv")
 
     extra: dict = {"paths_csv_capped_at": 10_000 if args.paths_csv else None}
-    if args.against is not None:
-        ref = Path(args.against) / "manifest.json"
-        if not ref.exists():
-            raise DomainError(f"--against directory {args.against} has no manifest.json")
-        manifest = json.loads(ref.read_text(encoding="utf-8"))
-        ks_rows = []
-        for row in manifest.get("steps", []):
-            t = row["t"]
-            if t > args.steps or "file" not in row:
-                continue
-            pdf = GriddedPdf.from_csv(Path(args.against) / row["file"],
-                                      truncated_mass=row.get("truncated_mass", 0.0))
-            ks_rows.append({"t": t, "ks": empirical_cdf_distance(ensemble, t, pdf)})
+    if targets is not None:
+        ks_rows = [{"t": t, "ks": ks} for t, ks in run.ks.items()]
         _write_json(out_dir / "ks_report.json", {"against": str(args.against),
                                                  "ks_per_step": ks_rows})
         outputs.append("ks_report.json")

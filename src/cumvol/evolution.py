@@ -164,35 +164,6 @@ class EvolutionTrace:
             rows.append(row)
         return rows
 
-    def write_dir(self, out_dir, prefix: str = "rho_z") -> list:
-        """Write one CSV per step plus a trace.json manifest; returns filenames."""
-        import json
-        import os
-
-        from .pdfgrid import atomic_write_text
-
-        os.makedirs(out_dir, exist_ok=True)
-        rows = self.step_rows()
-        names = []
-        for rec, row in zip(self.steps, rows):
-            name = f"{prefix}_t{rec.t:04d}.csv"
-            rec.pdf.to_csv(os.path.join(out_dir, name))
-            row["file"] = name
-            names.append(name)
-        manifest = {
-            "g": self.config.g,
-            "noise": self.config.noise.label(),
-            "grid": {"x_min": self.config.grid.x_min, "x_max": self.config.grid.x_max,
-                     "n_points": self.config.grid.n_points},
-            "horizon": self.config.horizon,
-            "convergence_tol": self.config.convergence_tol,
-            "converged_at": self.converged_at,
-            "steps": rows,
-        }
-        atomic_write_text(os.path.join(out_dir, "trace.json"),
-                          json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return names + ["trace.json"]
-
 
 # ----------------------------------------------------------------------
 # warp maps (cell-edge coordinates)

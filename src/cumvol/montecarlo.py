@@ -6,7 +6,10 @@ which is immune to overflow for any drift, horizon or noise tail.
 
 Paths are generated in fixed-size blocks, each from a seed derived from the
 block index, so the ensemble is reproducible and independent of how blocks
-are scheduled.
+are scheduled. ``simulate`` concatenates the blocks into an in-memory
+``McEnsemble``; ``simulate_stream`` folds each block into per-step moments and
+KS counts and so holds one block at a time. Both reduce through the same
+functions, so their summaries and KS statistics agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from .pdfgrid import GriddedPdf
 
 __all__ = [
     "McEnsemble",
+    "McStream",
     "simulate",
+    "simulate_stream",
     "empirical_volatility",
     "empirical_cdf_distance",
     "reciprocal_increment_gap",
@@ -49,17 +54,12 @@ class McEnsemble:
     draws: np.ndarray | None = None
 
     def summary(self) -> dict:
-        return {
-            "g": self.g,
-            "noise": self.noise.label(),
-            "n_paths": self.n_paths,
-            "t_max": self.t_max,
-            "seed": self.seed,
-            "mean_z": [float(m) for m in self.z[:, 1:].mean(axis=0)],
-            "var_z": [float(v) for v in self.z[:, 1:].var(axis=0, ddof=1)],
-            "mean_dz": [float(m) for m in self.dz.mean(axis=0)],
-            "var_dz": [float(v) for v in self.dz.var(axis=0, ddof=1)],
-        }
+        """Per-step means and variances of z and dz, merged block by block."""
+        zm, dzm = _Moments(self.t_max), _Moments(self.t_max)
+        for lo in range(0, self.n_paths, BLOCK_PATHS):
+            zm.add(self.z[lo:lo + BLOCK_PATHS, 1:])
+            dzm.add(self.dz[lo:lo + BLOCK_PATHS])
+        return _summary(self.g, self.noise, self.n_paths, self.t_max, self.seed, zm, dzm)
 
     def histogram(self, t: int, bins: int = 100, variable: str = "z"):
         """Empirical density histogram of z_t or dz_t (density-normalised)."""
@@ -77,39 +77,158 @@ class McEnsemble:
         raise ValueError(f"unknown variable {variable!r}")
 
 
-def simulate(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
-             keep_draws: bool = False) -> McEnsemble:
-    """Simulate the cumulative-production process path by path."""
+@dataclass(frozen=True)
+class McStream:
+    """What the command line reads from an ensemble, without keeping it.
+
+    For the ensemble ``simulate`` returns from the same arguments, ``summary``
+    equals its ``summary()``, ``ks[t]`` equals ``empirical_cdf_distance`` of
+    its z_t against ``targets[t]``, and ``head`` equals ``z[:head_paths]``,
+    all bit for bit.
+    """
+
+    summary: dict
+    ks: dict
+    head: np.ndarray
+
+
+class _Moments:
+    """Per-column count, mean and sum of squared deviations of a row stream.
+
+    Each block is reduced two-pass and merged into the running totals with
+    the pairwise update of Chan, Golub & LeVeque (1983), so the result does
+    not lose precision with the number of rows.
+    """
+
+    def __init__(self, k: int):
+        self.n = 0
+        self.mean = np.zeros(k)
+        self.m2 = np.zeros(k)
+
+    def add(self, x: np.ndarray) -> None:
+        nb = x.shape[0]
+        mb = x.mean(axis=0)
+        dev = x - mb
+        m2b = np.square(dev, out=dev).sum(axis=0)
+        n = self.n + nb
+        delta = mb - self.mean
+        self.mean = self.mean + delta * (nb / n)
+        self.m2 = self.m2 + m2b + np.square(delta) * (self.n * nb / n)
+        self.n = n
+
+    def variance(self) -> np.ndarray:
+        return self.m2 / (self.n - 1)
+
+
+def _summary(g, noise, n_paths, t_max, seed, zm: _Moments, dzm: _Moments) -> dict:
+    return {
+        "g": g,
+        "noise": noise.label(),
+        "n_paths": n_paths,
+        "t_max": t_max,
+        "seed": seed,
+        "mean_z": zm.mean.tolist(),
+        "var_z": zm.variance().tolist(),
+        "mean_dz": dzm.mean.tolist(),
+        "var_dz": dzm.variance().tolist(),
+    }
+
+
+def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
+    """(cell edges, model CDF at each edge) of a gridded density."""
+    edges, cum = p.edge_cdf()
+    edges = np.where(np.abs(edges) < 1e-9 * p.grid.h, 0.0, edges)  # snap fp residue
+    return edges, (1.0 - p.truncated_mass) * cum / cum[-1]
+
+
+def _ks(below: np.ndarray, n: int, model: np.ndarray) -> float:
+    """KS statistic from the counts of samples strictly below each edge."""
+    return float(np.max(np.abs(below / n - model)))
+
+
+def _check_sizes(t_max: int, n_paths: int) -> None:
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
 
+
+def _blocks(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
+    """Yield (z, draws) block by block, z of shape (block paths, t_max + 1).
+
+    Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
+    i-th child of SeedSequence(seed).
+    """
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-
-    z = np.empty((n_paths, t_max + 1))
-    draws = np.empty((n_paths, t_max)) if keep_draws else None
     jg = g * np.arange(1, t_max + 1)
 
     for bi, child in enumerate(children):
         lo = bi * BLOCK_PATHS
         hi = min(lo + BLOCK_PATHS, n_paths)
-        rng = np.random.default_rng(child)
-        a = noise.sample_with(rng, (hi - lo, t_max))
+        a = noise.sample_with(np.random.default_rng(child), (hi - lo, t_max))
+        s = np.cumsum(a, axis=1) + jg  # log of the t-th product term
+        z = np.empty((hi - lo, t_max + 1))
+        z[:, 0] = 0.0
+        for t in range(1, t_max + 1):
+            np.logaddexp(z[:, t - 1], s[:, t - 1], out=z[:, t])
+        del s  # freed before the consumer allocates its own block-sized temporaries
+        if not np.all(np.isfinite(z)):
+            raise CumvolError("path accumulation overflowed despite log-space arithmetic")
+        yield z, a
+
+
+def simulate(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
+             keep_draws: bool = False) -> McEnsemble:
+    """Simulate the cumulative-production process path by path."""
+    _check_sizes(t_max, n_paths)
+    z = np.empty((n_paths, t_max + 1))
+    draws = np.empty((n_paths, t_max)) if keep_draws else None
+    lo = 0
+    for zb, a in _blocks(g, noise, t_max, n_paths, seed):
+        hi = lo + zb.shape[0]
+        z[lo:hi] = zb
         if keep_draws:
             draws[lo:hi] = a
-        s = np.cumsum(a, axis=1) + jg  # log of the t-th product term
-        zb = z[lo:hi]
-        zb[:, 0] = 0.0
-        for t in range(1, t_max + 1):
-            np.logaddexp(zb[:, t - 1], s[:, t - 1], out=zb[:, t])
-
-    if not np.all(np.isfinite(z)):
-        raise CumvolError("path accumulation overflowed despite log-space arithmetic")
-    dz = np.diff(z, axis=1)
+        lo = hi
     return McEnsemble(g=g, noise=noise, n_paths=n_paths, t_max=t_max, seed=seed,
-                      z=z, dz=dz, draws=draws)
+                      z=z, dz=np.diff(z, axis=1), draws=draws)
+
+
+def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
+                    targets: dict | None = None, head_paths: int = 0) -> McStream:
+    """Simulate like ``simulate`` but hold only one block of paths at a time.
+
+    Each block is folded into per-step moments of z and dz and, for each
+    step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the counts
+    of z_t samples strictly below that density's cell edges. The first
+    ``head_paths`` rows of z are kept.
+    """
+    _check_sizes(t_max, n_paths)
+    targets = {t: _ks_target(p) for t, p in (targets or {}).items()}
+    if any(not 1 <= t <= t_max for t in targets):
+        raise ValueError(f"KS target steps must lie in 1..{t_max}")
+    steps = list(targets)
+    below = {t: 0 for t in steps}
+    zm, dzm = _Moments(t_max), _Moments(t_max)
+    head = []
+    kept = 0
+    for zb, _ in _blocks(g, noise, t_max, n_paths, seed):
+        zm.add(zb[:, 1:])
+        dzm.add(np.diff(zb, axis=1))
+        if steps:
+            columns = zb.T[steps]
+            columns.sort(axis=1)
+            for t, col in zip(steps, columns):
+                below[t] = below[t] + np.searchsorted(col, targets[t][0], side="left")
+        if kept < head_paths:
+            head.append(zb[:head_paths - kept].copy())
+            kept += head[-1].shape[0]
+    return McStream(
+        summary=_summary(g, noise, n_paths, t_max, seed, zm, dzm),
+        ks={t: _ks(below[t], n_paths, targets[t][1]) for t in steps},
+        head=np.concatenate(head) if head else np.empty((0, t_max + 1)),
+    )
 
 
 def empirical_volatility(e: McEnsemble, t: int, n_boot: int = 200) -> tuple[float, float]:
@@ -141,11 +260,8 @@ def empirical_cdf_distance(e: McEnsemble, t: int, p: GriddedPdf,
     to the cell above it.
     """
     samples = np.sort(e._samples(t, variable))
-    edges, cum = p.edge_cdf()
-    edges = np.where(np.abs(edges) < 1e-9 * p.grid.h, 0.0, edges)  # snap fp residue
-    model = (1.0 - p.truncated_mass) * cum / cum[-1]
-    emp = np.searchsorted(samples, edges, side="left") / samples.size
-    return float(np.max(np.abs(emp - model)))
+    edges, model = _ks_target(p)
+    return _ks(np.searchsorted(samples, edges, side="left"), samples.size, model)
 
 
 def reciprocal_increment_gap(e: McEnsemble, t: int) -> float:

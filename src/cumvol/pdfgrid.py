@@ -37,6 +37,9 @@ __all__ = [
     "conv_mass_arrays",
 ]
 
+# Rows formatted per "%" call in GriddedPdf.to_csv.
+_CSV_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -231,18 +234,22 @@ class GriddedPdf:
 
     def to_csv(self, path) -> None:
         """Write (x, density) rows at full double precision, atomically."""
-        lines = ["x,density\n"]
-        for x, v in zip(self.grid.points(), self.values):
-            lines.append(f"{x:.17g},{v:.17g}\n")
-        atomic_write_text(path, "".join(lines))
+        # one "%" per block of rows: no string per row, and no Python float
+        # per value of the whole grid at once (that raised peak memory)
+        cells = np.column_stack((self.grid.points(), self.values))
+        parts = ["x,density\n"]
+        for lo in range(0, cells.shape[0], _CSV_BLOCK_ROWS):
+            block = cells[lo:lo + _CSV_BLOCK_ROWS]
+            parts.append(("%.17g,%.17g\n" * block.shape[0]) % tuple(block.ravel().tolist()))
+        atomic_write_text(path, "".join(parts))
 
     def summary_json(self, path) -> None:
         atomic_write_text(path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_csv(cls, path, truncated_mass: float = 0.0) -> "GriddedPdf":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2 or data.shape[0] < 16:
             raise ValueError(f"{path}: expected two-column CSV with >= 16 rows")
         x, v = data[:, 0], data[:, 1]
         steps = np.diff(x)

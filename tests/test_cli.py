@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import cumvol.cli as cli
+import cumvol.montecarlo as mc
+from cumvol import GriddedPdf, gaussian
 from cumvol.cli import main
 
 
@@ -121,7 +124,7 @@ def test_simulate_rejects_zero_paths(tmp_path):
                 "--paths", "0", "--steps", "5", "--out", str(tmp_path / "s")]) == 2
 
 
-def test_simulate_paths_csv_capped(tmp_path):
+def test_simulate_paths_csv_capped(tmp_path, monkeypatch):
     out = tmp_path / "paths"
     code = run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1",
                 "--paths", "200", "--steps", "3", "--seed", "1", "--paths-csv",
@@ -131,11 +134,28 @@ def test_simulate_paths_csv_capped(tmp_path):
     assert len(lines) == 201
     assert lines[0] == "path,z0,z1,z2,z3"
 
+    # past the cap, the rows are the first paths of the in-memory ensemble,
+    # taken across blocks (the last one partial), and the summary is its summary
+    monkeypatch.setattr(mc, "BLOCK_PATHS", 4096)
+    out = tmp_path / "capped"
+    code = run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1",
+                "--paths", "10050", "--steps", "3", "--seed", "1", "--paths-csv",
+                "--out", str(out)])
+    assert code == 0
+    e = mc.simulate(0.2, gaussian(1.0), t_max=3, n_paths=10_050, seed=1)
+    expected = ["path,z0,z1,z2,z3\n"]
+    for i, row in enumerate(e.z[:10_000]):
+        expected.append(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    assert (out / "paths.csv").read_bytes() == "".join(expected).encode("utf-8")
+    summary = json.dumps(e.summary(), indent=2, sort_keys=True) + "\n"
+    assert (out / "summary.json").read_text(encoding="utf-8") == summary
 
-def test_simulate_against_evolve_run(tmp_path):
+
+def test_simulate_against_evolve_run(tmp_path, monkeypatch):
     ref = tmp_path / "ref"
     assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "5",
                 "--grid", "0,40,4096", "--out", str(ref)]) == 0
+    monkeypatch.setattr(mc, "BLOCK_PATHS", 4096)  # 20000 paths end in a partial block
     out = tmp_path / "mc"
     code = run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1",
                 "--paths", "20000", "--steps", "5", "--seed", "3",
@@ -144,6 +164,26 @@ def test_simulate_against_evolve_run(tmp_path):
     ks = json.loads((out / "ks_report.json").read_text(encoding="utf-8"))
     assert len(ks["ks_per_step"]) == 5
     assert max(r["ks"] for r in ks["ks_per_step"]) < 0.02
+    # the streamed counts give exactly the in-memory ensemble's statistic
+    e = mc.simulate(0.2, gaussian(1.0), t_max=5, n_paths=20_000, seed=3)
+    steps = read_manifest(ref)["steps"]
+    for row, step in zip(ks["ks_per_step"], steps):
+        pdf = GriddedPdf.from_csv(ref / step["file"], truncated_mass=step["truncated_mass"])
+        assert row["ks"] == mc.empirical_cdf_distance(e, row["t"], pdf)
+
+
+def test_simulate_against_without_manifest_fails_before_simulating(tmp_path, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --against")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "mc"
+    code = run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1",
+                "--paths", "1000", "--steps", "5", "--against", str(tmp_path / "empty"),
+                "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
 
 
 def test_volatility_narrow_noise_report_accuracy(tmp_path):
@@ -172,19 +212,6 @@ def test_nan_drift_is_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert run(["compare-saddle", "--g", "nan", "--sigma-sweep", "0.01", "--out", out]) == 2
     assert not (tmp_path / "x").exists()
-
-
-def test_trace_write_dir(tmp_path):
-    import cumvol as cv
-    noise = cv.gaussian(0.5)
-    cfg = cv.EvolutionConfig(g=0.2, noise=noise, grid=cv.cell_grid(10.0, 512),
-                             horizon=3, convergence_tol=1e-300)
-    names = cv.evolve_z(cfg).write_dir(tmp_path / "trace")
-    assert names[-1] == "trace.json"
-    meta = json.loads((tmp_path / "trace" / "trace.json").read_text(encoding="utf-8"))
-    assert len(meta["steps"]) == 3
-    for name in names:
-        assert (tmp_path / "trace" / name).stat().st_size > 0
 
 
 def test_table_noise_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from cumvol import (
     lorentzian,
     reciprocal_increment_gap,
     simulate,
+    simulate_stream,
 )
 from cumvol.montecarlo import BLOCK_PATHS
 
@@ -61,6 +62,31 @@ def test_blocks_independent_of_scheduling(monkeypatch):
     for t in range(1, 5):
         z[:, t] = np.logaddexp(z[:, t - 1], s[:, t - 1])
     assert np.array_equal(split.z, z)
+
+
+def test_stream_matches_in_memory_ensemble(monkeypatch):
+    # 12 345 paths in blocks of 1000 end in a partial block; the streamed KS,
+    # summary and head rows must equal what the in-memory ensemble gives
+    import cumvol.montecarlo as mc
+    monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
+    g, noise, n = 0.2, gaussian(1.0), 12_345
+    cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 4),
+                             horizon=4, convergence_tol=1e-300)
+    tr = cv.evolve_z(cfg)
+    targets = {t: tr.density(t) for t in (4, 1, 3)}
+    run = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, targets=targets,
+                             head_paths=2500)
+    e = mc.simulate(g, noise, t_max=4, n_paths=n, seed=77)
+    assert list(run.ks) == [4, 1, 3]
+    for t, p in targets.items():
+        assert run.ks[t] == empirical_cdf_distance(e, t, p) > 0.0
+    assert run.summary == e.summary()
+    assert np.array_equal(run.head, e.z[:2500])
+    # the blockwise merge against plain two-pass reductions over all paths
+    two_pass = {"mean_z": e.z[:, 1:].mean(axis=0), "var_z": e.z[:, 1:].var(axis=0, ddof=1),
+                "mean_dz": e.dz.mean(axis=0), "var_dz": e.dz.var(axis=0, ddof=1)}
+    for key, values in two_pass.items():
+        np.testing.assert_allclose(run.summary[key], values, rtol=1e-12, atol=0.0)
 
 
 def test_path_monotonicity_and_support():
@@ -205,6 +231,11 @@ def test_input_validation():
         simulate(0.2, gaussian(1.0), t_max=0, n_paths=10, seed=0)
     with pytest.raises(ValueError):
         simulate(0.2, gaussian(1.0), t_max=5, n_paths=0, seed=0)
+    with pytest.raises(ValueError):
+        simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=0, seed=0)
     e = simulate(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0)
     with pytest.raises(ValueError):
         empirical_volatility(e, 6)
+    p = GriddedPdf(cell_grid(8.0, 64), np.ones(64)).normalized()
+    with pytest.raises(ValueError):
+        simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0, targets={6: p})

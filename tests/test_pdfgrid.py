@@ -223,6 +223,24 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "x,density"
 
+    # the text is the row-by-row "%.17g" of each node and value, also for
+    # zeros, subnormals and values that need all 17 digits
+    values = np.linspace(0.0, 1.0, 64)
+    values[:4] = (0.0, 5e-324, 1e-300, 0.1)
+    r = GriddedPdf(cell_grid(3.0, 64), values)
+    r.to_csv(path)
+    rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(r.grid.points(), r.values)]
+    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(rows)
+    assert np.array_equal(GriddedPdf.from_csv(path).values, r.values)
+
+    bad = {"short": "x,density\n" + "0,1\n" * 15,
+           "wide": "x,density,extra\n" + "".join(f"{i},1,2\n" for i in range(20)),
+           "uneven": "x,density\n" + "".join(f"{i * i},1\n" for i in range(20))}
+    for name, body in bad.items():
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError):
+            GriddedPdf.from_csv(path)
+
 
 def test_summary_carries_truncation(tmp_path):
     p = from_function(GridSpec(-50.0, 50.0, 10001), lorentzian(1.0))
