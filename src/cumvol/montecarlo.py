@@ -2,14 +2,18 @@
 
 Simulates Z_t = sum_{j=0..t} e^{g j} e^{a_1} ... e^{a_j} directly. The sum is
 accumulated in log space (z_t = logaddexp(z_{t-1}, g t + a_1 + ... + a_t)),
-which is immune to overflow for any drift, horizon or noise tail.
+which cannot overflow while the log terms themselves fit in float64; a path
+that leaves that range raises ``DomainError``.
 
 Paths are generated in fixed-size blocks, each from a seed derived from the
 block index, so the ensemble is reproducible and independent of how blocks
-are scheduled. ``simulate`` concatenates the blocks into an in-memory
+are scheduled. A block is step-major: row t holds z_t of every path in the
+block, so the recurrence and all per-step reductions run over contiguous
+rows. ``simulate`` transposes the blocks into the path-major in-memory
 ``McEnsemble``; ``simulate_stream`` folds each block into per-step moments and
 KS counts and so holds one block at a time. Both reduce through the same
-functions, so their summaries and KS statistics agree bit for bit.
+functions on step-major rows, so their summaries and KS statistics agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CumvolError
+from .errors import DomainError
 from .noise import NoiseModel
 from .pdfgrid import GriddedPdf
 
@@ -57,8 +61,8 @@ class McEnsemble:
         """Per-step means and variances of z and dz, merged block by block."""
         zm, dzm = _Moments(self.t_max), _Moments(self.t_max)
         for lo in range(0, self.n_paths, BLOCK_PATHS):
-            zm.add(self.z[lo:lo + BLOCK_PATHS, 1:])
-            dzm.add(self.dz[lo:lo + BLOCK_PATHS])
+            zm.add(np.ascontiguousarray(self.z[lo:lo + BLOCK_PATHS, 1:].T))
+            dzm.add(np.ascontiguousarray(self.dz[lo:lo + BLOCK_PATHS].T))
         return _summary(self.g, self.noise, self.n_paths, self.t_max, self.seed, zm, dzm)
 
     def histogram(self, t: int, bins: int = 100, variable: str = "z"):
@@ -93,11 +97,12 @@ class McStream:
 
 
 class _Moments:
-    """Per-column count, mean and sum of squared deviations of a row stream.
+    """Per-step count, mean and sum of squared deviations of a block stream.
 
-    Each block is reduced two-pass and merged into the running totals with
+    Each block is step-major (one row per step, one column per path). It is
+    reduced two-pass along its rows and merged into the running totals with
     the pairwise update of Chan, Golub & LeVeque (1983), so the result does
-    not lose precision with the number of rows.
+    not lose precision with the number of paths.
     """
 
     def __init__(self, k: int):
@@ -106,10 +111,10 @@ class _Moments:
         self.m2 = np.zeros(k)
 
     def add(self, x: np.ndarray) -> None:
-        nb = x.shape[0]
-        mb = x.mean(axis=0)
-        dev = x - mb
-        m2b = np.square(dev, out=dev).sum(axis=0)
+        nb = x.shape[1]
+        mb = x.mean(axis=1)
+        dev = x - mb[:, None]
+        m2b = np.square(dev, out=dev).sum(axis=1)
         n = self.n + nb
         delta = mb - self.mean
         self.mean = self.mean + delta * (nb / n)
@@ -154,27 +159,32 @@ def _check_sizes(t_max: int, n_paths: int) -> None:
 
 
 def _blocks(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
-    """Yield (z, draws) block by block, z of shape (block paths, t_max + 1).
+    """Yield (z, draws) block by block, z step-major of shape (t_max + 1, block paths).
 
     Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
-    i-th child of SeedSequence(seed).
+    i-th child of SeedSequence(seed); ``draws`` is path-major, as sampled.
     """
     n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    jg = g * np.arange(1, t_max + 1)
+    with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
+        jg = g * np.arange(1, t_max + 1)
 
     for bi, child in enumerate(children):
         lo = bi * BLOCK_PATHS
         hi = min(lo + BLOCK_PATHS, n_paths)
         a = noise.sample_with(np.random.default_rng(child), (hi - lo, t_max))
-        s = np.cumsum(a, axis=1) + jg  # log of the t-th product term
-        z = np.empty((hi - lo, t_max + 1))
-        z[:, 0] = 0.0
-        for t in range(1, t_max + 1):
-            np.logaddexp(z[:, t - 1], s[:, t - 1], out=z[:, t])
+        s = np.cumsum(a, axis=1)
+        s += jg  # log of the t-th product term; in place, as a temporary raises peak RSS
+        z = np.empty((t_max + 1, hi - lo))
+        z[0] = 0.0
+        z[1:] = s.T  # the one transpose: row t now holds every path's log t-th term
         del s  # freed before the consumer allocates its own block-sized temporaries
+        for t in range(1, t_max + 1):
+            np.logaddexp(z[t - 1], z[t], out=z[t])
         if not np.all(np.isfinite(z)):
-            raise CumvolError("path accumulation overflowed despite log-space arithmetic")
+            raise DomainError(
+                f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
+                "log cumulative production exceeds the float64 range")
         yield z, a
 
 
@@ -186,8 +196,8 @@ def simulate(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
     draws = np.empty((n_paths, t_max)) if keep_draws else None
     lo = 0
     for zb, a in _blocks(g, noise, t_max, n_paths, seed):
-        hi = lo + zb.shape[0]
-        z[lo:hi] = zb
+        hi = lo + zb.shape[1]
+        z[lo:hi] = zb.T
         if keep_draws:
             draws[lo:hi] = a
         lo = hi
@@ -202,7 +212,7 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
     Each block is folded into per-step moments of z and dz and, for each
     step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the counts
     of z_t samples strictly below that density's cell edges. The first
-    ``head_paths`` rows of z are kept.
+    ``head_paths`` paths of z are kept, path-major.
     """
     _check_sizes(t_max, n_paths)
     targets = {t: _ks_target(p) for t, p in (targets or {}).items()}
@@ -214,15 +224,15 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
     head = []
     kept = 0
     for zb, _ in _blocks(g, noise, t_max, n_paths, seed):
-        zm.add(zb[:, 1:])
-        dzm.add(np.diff(zb, axis=1))
+        zm.add(zb[1:])
+        dzm.add(np.diff(zb, axis=0))
         if steps:
-            columns = zb.T[steps]
-            columns.sort(axis=1)
-            for t, col in zip(steps, columns):
-                below[t] = below[t] + np.searchsorted(col, targets[t][0], side="left")
+            rows = zb[steps]
+            rows.sort(axis=1)
+            for t, row in zip(steps, rows):
+                below[t] = below[t] + np.searchsorted(row, targets[t][0], side="left")
         if kept < head_paths:
-            head.append(zb[:head_paths - kept].copy())
+            head.append(zb[:, :head_paths - kept].T.copy())
             kept += head[-1].shape[0]
     return McStream(
         summary=_summary(g, noise, n_paths, t_max, seed, zm, dzm),

@@ -78,15 +78,17 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0.0:
-            raise ValueError("gaussian noise requires sigma > 0")
-        if self.kind == "lorentzian" and not self.gamma > 0.0:
-            raise ValueError("lorentzian noise requires gamma > 0")
+        if self.kind == "gaussian" and not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"gaussian noise requires a finite sigma > 0, got {self.sigma}")
+        if self.kind == "lorentzian" and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
+            raise ValueError(f"lorentzian noise requires a finite gamma > 0, got {self.gamma}")
         if self.kind == "tabulated":
             xs = np.ascontiguousarray(self.xs, dtype=float)
             ys = np.ascontiguousarray(self.ys, dtype=float)
             if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
                 raise ValueError("tabulated noise needs >= 2 (x, density) points")
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+                raise ValueError("tabulated noise x values and densities must be finite")
             if not np.all(np.diff(xs) > 0):
                 raise ValueError("tabulated noise x values must be strictly increasing")
             if np.any(ys < 0):

@@ -214,6 +214,35 @@ def test_nan_drift_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["evolve", "--steps", "3"],
+    ["volatility", "--steps", "3"],
+    ["simulate", "--paths", "10", "--steps", "3"],
+])
+@pytest.mark.parametrize("family", ["gaussian:sigma=inf", "lorentzian:gamma=inf", "table"])
+def test_nonfinite_noise_parameter_is_usage_error(tmp_path, capsys, command, family):
+    if family == "table":
+        table = tmp_path / "noise.csv"
+        table.write_text("x,density\n-0.5,0.5\n0,inf\n0.5,0.5\n", encoding="utf-8")
+        family = f"table:{table}"
+    out = tmp_path / "x"
+    assert run(command + ["--g", "0.2", "--noise", family, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_overflow_is_domain_error(tmp_path, capsys):
+    # g*t overflows float64 from t=2 on; the log-space guard must report it
+    # as a domain error (exit 4), not escape as a traceback
+    code = run(["simulate", "--g", "1e308", "--noise", "gaussian:sigma=1", "--paths", "10",
+                "--steps", "3", "--out", str(tmp_path / "x")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "domain error" in err and "g=1e+308" in err and "gaussian(sigma=1)" in err
+    assert "Traceback" not in err
+
+
 def test_table_noise_round_trip(tmp_path):
     table = tmp_path / "noise.csv"
     table.write_text("x,density\n-0.5,0.5\n0,1.0\n0.5,0.5\n", encoding="utf-8")

@@ -45,23 +45,26 @@ def test_seed_determinism_and_sensitivity():
 
 def test_blocks_independent_of_scheduling(monkeypatch):
     # paths are produced in fixed-size blocks keyed by block index, so the
-    # ensemble must not depend on how many blocks the path count spans
+    # ensemble must not depend on how many blocks the path count spans; the
+    # step-major blocks must give exactly the paths of a path-major loop
+    # (2500 paths in blocks of 1000 end in a partial block)
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
-    split = mc.simulate(0.2, gaussian(1.0), t_max=4, n_paths=2500, seed=77)
-    blocks = []
-    for bi in range(3):
-        lo = bi * 1000
-        hi = min(lo + 1000, 2500)
-        rng = np.random.default_rng(np.random.SeedSequence(77).spawn(3)[bi])
-        a = gaussian(1.0).sample_with(rng, (hi - lo, 4))
-        blocks.append(a)
-    manual = np.vstack(blocks)
-    s = np.cumsum(manual, axis=1) + 0.2 * np.arange(1, 5)
-    z = np.zeros((2500, 5))
-    for t in range(1, 5):
-        z[:, t] = np.logaddexp(z[:, t - 1], s[:, t - 1])
-    assert np.array_equal(split.z, z)
+    g, t_max, n = 0.2, 32, 2500
+    for noise in (gaussian(1.0), lorentzian(0.5),
+                  cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])):
+        split = mc.simulate(g, noise, t_max=t_max, n_paths=n, seed=77)
+        children = np.random.SeedSequence(77).spawn(3)
+        manual = np.vstack([
+            noise.sample_with(np.random.default_rng(children[bi]),
+                              (min(bi * 1000 + 1000, n) - bi * 1000, t_max))
+            for bi in range(3)])
+        s = np.cumsum(manual, axis=1) + g * np.arange(1, t_max + 1)
+        z = np.zeros((n, t_max + 1))
+        for t in range(1, t_max + 1):
+            z[:, t] = np.logaddexp(z[:, t - 1], s[:, t - 1])
+        assert np.array_equal(split.z, z), noise.label()
+        assert np.array_equal(split.dz, np.diff(z, axis=1)), noise.label()
 
 
 def test_stream_matches_in_memory_ensemble(monkeypatch):

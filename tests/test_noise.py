@@ -35,6 +35,9 @@ def test_tabulated_outside_support_is_zero():
     dict(kind="gaussian", sigma_a=0.0),
     dict(kind="gaussian", sigma_a=-1.0),
     dict(kind="lorentzian", gamma=0.0),
+    dict(kind="gaussian", sigma_a=math.inf),
+    dict(kind="gaussian", sigma_a=math.nan),
+    dict(kind="lorentzian", gamma=math.inf),
 ])
 def test_invalid_widths_rejected(bad):
     with pytest.raises(ValueError):
@@ -48,6 +51,12 @@ def test_invalid_tables_rejected():
         tabulated([(0.0, 1.0), (0.0, 1.0)])  # not increasing
     with pytest.raises(ValueError):
         tabulated([(0.0, 1.0), (1.0, -0.5)])  # negative density
+    with pytest.raises(ValueError, match="finite"):
+        tabulated([(0.0, 1.0), (math.inf, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        tabulated([(0.0, 1.0), (1.0, math.inf)])
+    with pytest.raises(ValueError, match="finite"):
+        tabulated([(0.0, 1.0), (1.0, math.nan)])
     with pytest.raises(ValueError):
         tabulated([(0.0, 0.0), (1.0, 0.0)])  # zero mass
 
