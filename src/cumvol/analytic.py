@@ -33,8 +33,12 @@ def ybar(g: float, t) -> float:
     t = int(t)
     if t < 0:
         raise DomainError("ybar requires t >= 0")
-    exponents = -g * np.arange(t + 1, dtype=float)
-    return float(np.logaddexp.reduce(exponents))
+    with np.errstate(over="ignore"):
+        exponents = -g * np.arange(t + 1, dtype=float)
+    value = float(np.logaddexp.reduce(exponents))
+    if not math.isfinite(value):
+        raise DomainError(f"ybar({g:g}, {t}) overflows float64")
+    return value
 
 
 def var_logZ_saddle(g: float, sigma_a: float, t: int) -> float:
@@ -45,11 +49,15 @@ def var_logZ_saddle(g: float, sigma_a: float, t: int) -> float:
     for g > 0 this affine form differs from it by O(sigma_a^2 t e^{-g t}), not
     O(sigma_a^4), so it is a variance only at large t. It is negative for
     t < (2 e^g + 1)/(e^{2g} - 1), which is why grid sizing clamps it at 0.
-    Singular at g = 0.
+    Singular at g = 0, and its e^{2g} overflows float64 above g ~ 354.9.
     """
     if g == 0.0:
         raise DomainError("var_logZ_saddle is singular at g = 0")
-    return sigma_a * sigma_a * ((2.0 * math.exp(g) + 1.0) / (-math.expm1(2.0 * g)) + t)
+    try:
+        shape = (2.0 * math.exp(g) + 1.0) / (-math.expm1(2.0 * g))
+    except OverflowError:
+        raise DomainError(f"var_logZ_saddle overflows float64 at g={g:g}") from None
+    return sigma_a * sigma_a * (shape + t)
 
 
 def var_dz_saddle(g: float, sigma_a: float) -> float:

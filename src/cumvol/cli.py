@@ -39,6 +39,7 @@ from .noise import gaussian, parse_noise_spec
 from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid
 
 DEFAULT_GRID_POINTS = 8192
+MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +76,8 @@ def _grid_arg(text: str):
         raise argparse.ArgumentTypeError("--grid must start at 0 (densities live on [0, max])")
     if not hi > lo:
         raise argparse.ArgumentTypeError("--grid needs max > min")
-    if n < 16:
-        raise argparse.ArgumentTypeError("--grid needs n >= 16")
+    if not 16 <= n <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"--grid needs 16 <= n <= {MAX_GRID_POINTS}")
     return lo, hi, n
 
 
@@ -103,8 +104,30 @@ def _sweep_arg(text: str):
     return values
 
 
+def _nonfinite_field(value, where: str) -> str | None:
+    """Location of the first non-finite number in a JSON payload, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}", v) for key, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for at, v in items:
+        found = _nonfinite_field(v, at)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON; a non-finite number is a domain error naming its field."""
+    where = _nonfinite_field(payload, path.name)
+    if where is not None:
+        raise DomainError(f"{where} is not finite: the inputs' scale exceeds float64 here")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                      + "\n")
 
 
 def _manifest(command: str, args_dict: dict, outputs: list, extra: dict, out_dir: Path) -> None:

@@ -176,7 +176,8 @@ class GriddedPdf:
         x = self.grid.points()
         if central:
             x = x - self.mean()
-        return float(np.trapezoid(x**order * self.values, self.grid.points()))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
+            return float(np.trapezoid(x**order * self.values, self.grid.points()))
 
     def mean(self) -> float:
         return self.moment(1)

@@ -33,6 +33,10 @@ def test_ybar_domain():
         ybar(-0.1, math.inf)
     with pytest.raises(DomainError):
         ybar(0.2, -1)
+    # a log sum beyond float64 is a domain error, not inf
+    with pytest.raises(DomainError, match="overflows"):
+        ybar(-1e308, 3)
+    assert ybar(1e308, 3) == 0.0
 
 
 def test_var_logZ_saddle():
@@ -44,6 +48,10 @@ def test_var_logZ_saddle():
     assert v11 - v10 == pytest.approx(0.01, rel=1e-12)
     with pytest.raises(DomainError):
         var_logZ_saddle(0.0, 0.1, 10)
+    # e^{2g} overflows float64 above g ~ 354.9: a domain error, not OverflowError
+    for g in (400.0, 1e308):
+        with pytest.raises(DomainError, match="overflows"):
+            var_logZ_saddle(g, 0.1, 10)
 
 
 def test_var_dz_saddle():

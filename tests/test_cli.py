@@ -243,6 +243,45 @@ def test_simulate_overflow_is_domain_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1e300", "--paths", "10",
+      "--steps", "3"], "summary.json.var_z[0]"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,1e308,100"], "manifest.json.steps[0].variance"),
+])
+def test_nonfinite_json_is_domain_error(tmp_path, capsys, argv, field):
+    # numbers beyond float64 must not reach a JSON file as NaN or Infinity
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"domain error: {field} is not finite" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("g, noise", [
+    ("1e308", "gaussian:sigma=1"),    # the drift factors' log sum overflows
+    ("400", "gaussian:sigma=1"),      # the grid-sizing variance's e^{2g} overflows
+    ("1e308", "lorentzian:gamma=1"),
+])
+def test_evolve_overflowing_drift_is_domain_error(tmp_path, capsys, g, noise):
+    out = tmp_path / "x"
+    assert run(["evolve", "--g", g, "--noise", noise, "--steps", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error" in err and "overflows float64" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_grid_point_cap_is_usage_error(tmp_path, capsys):
+    # rejected while parsing, before any array is allocated
+    out = tmp_path / "x"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--grid", "0,5,100000000000", "--out", str(out)]) == 2
+    assert "n <= 4194304" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli._grid_arg(f"0,5,{1 << 22}") == (0.0, 5.0, 1 << 22)
+
+
 def test_table_noise_round_trip(tmp_path):
     table = tmp_path / "noise.csv"
     table.write_text("x,density\n-0.5,0.5\n0,1.0\n0.5,0.5\n", encoding="utf-8")

@@ -16,7 +16,7 @@ from cumvol import (
     simulate,
     simulate_stream,
 )
-from cumvol.montecarlo import BLOCK_PATHS
+from cumvol.montecarlo import BLOCK_PATHS, _logaddexp_into
 
 SPIKE = gaussian(1e-12)
 
@@ -46,8 +46,9 @@ def test_seed_determinism_and_sensitivity():
 def test_blocks_independent_of_scheduling(monkeypatch):
     # paths are produced in fixed-size blocks keyed by block index, so the
     # ensemble must not depend on how many blocks the path count spans; the
-    # step-major blocks must give exactly the paths of a path-major loop
-    # (2500 paths in blocks of 1000 end in a partial block)
+    # step-major blocks must give exactly the paths of a path-major loop over
+    # strided columns that applies the same ufuncs (2500 paths in blocks of
+    # 1000 end in a partial block)
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
     g, t_max, n = 0.2, 32, 2500
@@ -62,9 +63,52 @@ def test_blocks_independent_of_scheduling(monkeypatch):
         s = np.cumsum(manual, axis=1) + g * np.arange(1, t_max + 1)
         z = np.zeros((n, t_max + 1))
         for t in range(1, t_max + 1):
-            z[:, t] = np.logaddexp(z[:, t - 1], s[:, t - 1])
+            x, y = z[:, t - 1], s[:, t - 1]
+            z[:, t] = np.maximum(x, y) + np.log1p(np.exp(np.negative(np.abs(x - y))))
         assert np.array_equal(split.z, z), noise.label()
         assert np.array_equal(split.dz, np.diff(z, axis=1)), noise.label()
+
+
+def _row_logaddexp(x, y):
+    out, buf = np.array(y, dtype=float), np.empty(np.shape(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _logaddexp_into(np.asarray(x, dtype=float), out, buf)
+    return out
+
+
+def test_row_logaddexp_kernel_matches_numpy():
+    # the recurrence's row kernel is np.logaddexp's formula in SIMD ufuncs;
+    # np.logaddexp stays the reference, within a few ulp of the result
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    x = np.abs(rng.normal(0.0, 30.0, n))  # the engine's z_{t-1} >= 0
+    mag = 10.0 ** rng.uniform(0.0, 300.0, n)
+    pairs = [
+        (x, x + rng.normal(0.0, 5.0, n)),
+        (x, x + rng.uniform(40.0, 800.0, n) * rng.choice([-1.0, 1.0], n)),  # gaps > 40
+        (mag, mag + rng.normal(0.0, 3.0, n)),
+        (mag, rng.permutation(mag)),
+        (mag, -mag),
+    ]
+    for a, b in pairs:
+        for u, v in ((a, b), (b, a)):
+            ref = np.logaddexp(u, v)
+            assert np.all(np.abs(_row_logaddexp(u, v) - ref) <= 4 * np.spacing(np.abs(ref)))
+    # signed operands can cancel to a result near 0: a few ulp of the larger magnitude
+    u = rng.normal(0.0, 30.0, n)
+    v = u + rng.normal(0.0, 5.0, n)
+    ref = np.logaddexp(u, v)
+    scale = np.maximum(np.abs(ref), np.maximum(np.abs(u), np.abs(v)))
+    assert np.all(np.abs(_row_logaddexp(u, v) - ref) <= 4 * np.spacing(scale))
+    # exact where logaddexp has a closed form
+    for a in (x, mag, u):
+        assert np.array_equal(_row_logaddexp(a, a), np.logaddexp(a, a))
+        assert np.array_equal(_row_logaddexp(a, np.full(n, -np.inf)), a)
+        assert np.array_equal(_row_logaddexp(np.full(n, -np.inf), a), a)
+    # inf - inf is left non-finite for the finiteness check, without a warning
+    assert not np.isfinite(_row_logaddexp([np.inf], [np.inf])).any()
+    with pytest.raises(cv.DomainError, match="overflowed"):
+        simulate(1e308, gaussian(1.0), t_max=3, n_paths=10, seed=1)
 
 
 def test_stream_matches_in_memory_ensemble(monkeypatch):
