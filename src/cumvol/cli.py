@@ -22,6 +22,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
@@ -36,7 +38,7 @@ from .evolution import (
 )
 from .montecarlo import simulate_stream
 from .noise import gaussian, parse_noise_spec
-from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid
+from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid, write_csv
 
 DEFAULT_GRID_POINTS = 8192
 MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
@@ -121,16 +123,21 @@ def _nonfinite_field(value, where: str) -> str | None:
     return None
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON; a non-finite number is a domain error naming its field."""
-    where = _nonfinite_field(payload, path.name)
+def _check_finite(payload, name: str) -> None:
+    """A non-finite number in a JSON payload is a domain error naming its field."""
+    where = _nonfinite_field(payload, name)
     if where is not None:
         raise DomainError(f"{where} is not finite: the inputs' scale exceeds float64 here")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write strict JSON after ``_check_finite``."""
+    _check_finite(payload, path.name)
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
                       + "\n")
 
 
-def _manifest(command: str, args_dict: dict, outputs: list, extra: dict, out_dir: Path) -> None:
+def _manifest(command: str, args_dict: dict, outputs: list, extra: dict) -> dict:
     payload = {
         "command": command,
         "tool": "cumvol",
@@ -140,8 +147,13 @@ def _manifest(command: str, args_dict: dict, outputs: list, extra: dict, out_dir
         "outputs": outputs,
     }
     payload.update(extra)
+    return payload
+
+
+def _write_manifest(out_dir: Path, payload: dict) -> None:
+    """Write manifest.json, last: it vouches for every output it lists."""
     _write_json(out_dir / "manifest.json", payload)
-    for name in outputs:
+    for name in payload["outputs"]:
         p = out_dir / name
         if not p.exists() or p.stat().st_size == 0:
             raise MassDefectError(f"output file {name} missing or empty")
@@ -164,19 +176,20 @@ def cmd_evolve(args) -> int:
                              horizon=args.steps, convergence_tol=args.tol)
     trace = evolve_z(config)
 
-    outputs = []
+    outputs = [f"rho_z_t{rec.t:04d}.csv" for rec in trace.steps]
     rows = trace.step_rows()
-    for rec, row in zip(trace.steps, rows):
-        name = f"rho_z_t{rec.t:04d}.csv"
-        rec.pdf.to_csv(out_dir / name)
+    for row, name in zip(rows, outputs):
         row["file"] = name
-        outputs.append(name)
-    _manifest("evolve", _echo(args), outputs, {
+    manifest = _manifest("evolve", _echo(args), outputs, {
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
         "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
                         "mode": "mean-centered L1"},
         "steps": rows,
-    }, out_dir)
+    })
+    _check_finite(manifest, "manifest.json")  # before any density is written
+    for rec, name in zip(trace.steps, outputs):
+        rec.pdf.to_csv(out_dir / name)
+    _write_manifest(out_dir, manifest)
     print(f"evolve: wrote {len(outputs)} density files to {out_dir}")
     return 0
 
@@ -222,12 +235,12 @@ def cmd_volatility(args) -> int:
         _write_json(out_dir / "volatility_report.json", trace_volatility(trace).to_dict())
         outputs.append("volatility_report.json")
 
-    _manifest("volatility", _echo(args), outputs, {
+    _write_manifest(out_dir, _manifest("volatility", _echo(args), outputs, {
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
         "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
                         "mode": "raw L1"},
         "steps": rows,
-    }, out_dir)
+    }))
     print(f"volatility: wrote {len(outputs)} files to {out_dir}")
     return 0
 
@@ -263,8 +276,8 @@ def cmd_compare_saddle(args) -> int:
             f"{r['narrow_variance']:.17g},{r['truncated_mass']:.17g}\n"
         )
     atomic_write_text(out_dir / "saddle_ratio.csv", "".join(lines))
-    _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
-              {"points": rows}, out_dir)
+    _write_manifest(out_dir, _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
+                                       {"points": rows}))
     print(f"compare-saddle: wrote saddle_ratio.csv to {out_dir}")
     return 0
 
@@ -297,11 +310,9 @@ def cmd_simulate(args) -> int:
     outputs.append("summary.json")
 
     if args.paths_csv:
-        header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1)) + "\n"
-        lines = [header]
-        for i, row in enumerate(run.head.tolist()):
-            lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-        atomic_write_text(out_dir / "paths.csv", "".join(lines))
+        header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
+        index = np.arange(run.head.shape[0], dtype=float)  # '%.17g' of i is str(i)
+        write_csv(out_dir / "paths.csv", header, np.column_stack((index, run.head)))
         outputs.append("paths.csv")
 
     extra: dict = {"paths_csv_capped_at": 10_000 if args.paths_csv else None}
@@ -312,7 +323,7 @@ def cmd_simulate(args) -> int:
         outputs.append("ks_report.json")
         extra["ks_max"] = max((r["ks"] for r in ks_rows), default=None)
 
-    _manifest("simulate", _echo(args), outputs, extra, out_dir)
+    _write_manifest(out_dir, _manifest("simulate", _echo(args), outputs, extra))
     print(f"simulate: wrote {len(outputs)} files to {out_dir}")
     return 0
 

@@ -78,6 +78,10 @@ _ARNOLDI_NCV = 40
 # than this (after normalisation to unit mass) is not it.
 _MAX_NEGATIVE_MASS = 1e-12
 
+# Upper end of the default dz grids: growth increments beyond it cannot be
+# represented, so inputs that put them there are domain errors.
+_DZ_CAP = 60.0
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -340,11 +344,17 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
 
 
 def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
-    mean_y = p_y.mean()
+    mean_y, std_y = p_y.mean(), p_y.std()
+    if not (math.isfinite(mean_y) and math.isfinite(std_y)):
+        raise DomainError("the reversed variable's mean or width is not finite: "
+                          "its grid's scale exceeds float64 here")
     if not mean_y > 0.0:
         raise DomainError("reversed-variable density must have positive mean")
     center = float(-math.log1p(-math.exp(-mean_y)))
-    width = max((math.exp(center) - 1.0) * p_y.std(), p_y.grid.h)
+    if center > _DZ_CAP:
+        raise DomainError(f"the growth increment's centre {center:g} lies beyond the dz "
+                          f"grid's cap of {_DZ_CAP:g}")
+    width = max((math.exp(center) - 1.0) * std_y, p_y.grid.h)
     upper = center + 30.0 * width
     # The map swaps dz -> infinity with the reversed variable's lower range,
     # so the domain must reach the image of y's low quantile: find the lowest
@@ -359,7 +369,7 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     d0 = float(p_y.values[0])
     if d0 > 1e-12:
         upper = max(upper, math.log(d0 / 1e-14))
-    upper = min(upper, 60.0)
+    upper = min(upper, _DZ_CAP)
     h = min(width / 80.0, 0.002)
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
     return cell_grid(upper, n)
@@ -647,6 +657,10 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
     """Grid sized to hold the reversed variable out to its fixed point (g > 0)."""
     if not g > 0.0:
         raise DomainError("default_y_grid requires g > 0")
+    if g > _DZ_CAP:
+        # the growth increment dz sits near g, past any dz grid
+        raise DomainError(f"g={g:g} puts the growth increment beyond the dz grid's cap "
+                          f"of {_DZ_CAP:g}")
     center = ybar(g, math.inf)
     if noise.kind == "lorentzian":
         upper = center + 12.0 * noise.gamma + 60.0 * noise.gamma / g

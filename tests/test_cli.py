@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,35 @@ def test_nonfinite_json_is_domain_error(tmp_path, capsys, argv, field):
     assert f"domain error: {field} is not finite" in err and "Traceback" not in err
     assert not (out / "manifest.json").exists()
     assert not (out / "summary.json").exists()
+
+
+def test_evolve_nonfinite_manifest_writes_no_density(tmp_path, capsys):
+    # the manifest is checked before any density file is written, so a failed
+    # run leaves no half-written output directory behind
+    out = tmp_path / "x"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--grid", "0,1e308,100", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error" in err and "Traceback" not in err
+    assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,1e308,100"], "mean or width is not finite"),
+    (["volatility", "--g", "1e308", "--noise", "gaussian:sigma=1", "--steps", "2"],
+     "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
+    (["compare-saddle", "--g", "1e308", "--sigma-sweep", "0.1"],
+     "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
+])
+def test_unrepresentable_growth_increment_is_domain_error(tmp_path, capsys, argv, cause):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert run(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error: " in err and cause in err and "Traceback" not in err
+    assert not list(out.glob("*.json"))
 
 
 @pytest.mark.parametrize("g, noise", [

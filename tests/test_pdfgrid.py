@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from cumvol import GriddedPdf, GridSpec, cell_grid, convolve, convolve_gridded, from_function
 from cumvol import gaussian, lorentzian, tabulated
-from cumvol.pdfgrid import conv_mass_arrays
+from cumvol.pdfgrid import conv_mass_arrays, write_csv
 
 
 def gauss_fn(sigma, mu=0.0):
@@ -22,6 +24,16 @@ def test_grid_spec_validation():
     assert g.h == pytest.approx(0.01)
     assert g.cell_edges()[0] == pytest.approx(-0.005)
     assert g.node_weights().sum() == pytest.approx(1.0)
+
+
+def test_grid_points_computed_once_and_read_only():
+    g = GridSpec(-1.0, 2.0, 301)
+    pts = g.points()
+    assert g.points() is pts
+    assert np.array_equal(pts, np.linspace(-1.0, 2.0, 301))
+    with pytest.raises(ValueError):
+        pts[0] = 0.0
+    assert g == GridSpec(-1.0, 2.0, 301)  # the cached array is not a field
 
 
 def test_cell_grid_tiles_domain_exactly():
@@ -249,3 +261,118 @@ def test_summary_carries_truncation(tmp_path):
     out = tmp_path / "summary.json"
     p.summary_json(out)
     assert out.stat().st_size > 0
+
+
+# ----------------------------------------------------------------------
+# CSV text: every number exactly as "%.17g" writes it
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("g17") / "table.csv"
+
+
+def assert_g17(path, values, cols=1):
+    """write_csv's lines are the "%.17g" of each number, comma-separated."""
+    table = np.reshape(np.asarray(values, dtype=float), (-1, cols))
+    write_csv(path, "h", table)
+    got = path.read_text(encoding="utf-8")
+    line = ",".join(["%.17g"] * cols) + "\n"
+    want = "h\n" + (line * table.shape[0]) % tuple(table.ravel().tolist())
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
+        pytest.fail(f"{len(bad)} lines differ from '%.17g', first {bad[:5]}")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_write_csv_matches_percent_g17_on_any_double(csv_path, values):
+    assert_g17(csv_path, values)
+
+
+def test_write_csv_matches_percent_g17_on_every_decade(csv_path):
+    # 1e6 numbers: every decade 1e-320 .. 1e308, densest where the text is
+    # built from whole-array arithmetic (1e-29 .. 1e17), and random bits
+    rng = np.random.default_rng(20240917)
+    decades = np.arange(-320, 309)
+    per_decade = np.where((decades >= -30) & (decades <= 17), 19_000, 100)
+    decades = np.repeat(decades, per_decade)
+    mantissas = rng.uniform(1.0, 10.0, decades.size) * rng.choice([-1.0, 1.0], decades.size)
+    with np.errstate(over="ignore"):
+        values = mantissas * 10.0 ** decades
+    values = values[np.isfinite(values)]
+    bits = rng.integers(0, 1 << 62, 20_000).view(np.float64)
+    values = np.concatenate([values, bits, -bits])
+    assert values.size > 1_000_000
+    assert_g17(csv_path, values[:values.size // 3 * 3], cols=3)
+
+
+def test_write_csv_rounds_exact_ties_to_even(csv_path):
+    # odd / 2**(17 - X) with X = 0..14 lies halfway between two 17-digit
+    # numbers: "%.17g" rounds it to the even one
+    rng = np.random.default_rng(7)
+    ties = []
+    for x in range(15):
+        shift = 17 - x
+        odd = 2 * rng.integers(10 ** x << shift >> 1, 10 ** (x + 1) << shift >> 1, 2000) + 1
+        tie = odd / 2.0 ** shift
+        assert np.all(tie * 2.0 ** shift == odd)  # exact
+        ties.append(tie)
+    # the only ties below 1e-6, where 10**(16 - X) is not a double
+    ties.append([odd * 2.0 ** -24 for odd in range(3, 17, 2)] + [2.0 ** -25, 3 * 2.0 ** -25])
+    ties = np.concatenate(ties)
+    assert_g17(csv_path, np.concatenate([ties, -ties]), cols=2)
+
+
+def test_write_csv_matches_percent_g17_next_to_ties_below_1e_minus_6(csv_path):
+    # v = m 2**s with v 10**k (k = 16 - X) within d / 2**n of a tie, where
+    # 10**k is not a double: m 5**k = 2**(n - 1) + d (mod 2**n), n = -(k + s)
+    near = []
+    for x in range(-29, -6):
+        k = 16 - x
+        for s in range(-160, -40):
+            n = -(k + s)
+            in_decade = 2.0 ** (52 + s) < 10.0 ** (x + 1) and 2.0 ** (53 + s) > 10.0 ** x
+            if n <= 1 or not in_decade:
+                continue
+            inverse = pow(5 ** k, -1, 1 << n)
+            for d in [d for d in range(-40, 41) if d]:
+                m = ((1 << (n - 1)) + d) * inverse % (1 << n)
+                # the least m' = m (mod 2**n) with 53 bits
+                m += max(0, -(-((1 << 52) - m) >> n)) << n
+                if m < 1 << 53:
+                    near.append(m * 2.0 ** s)
+    assert len(near) > 300
+    assert_g17(csv_path, np.concatenate([near, np.negative(near)]))
+
+
+def test_write_csv_matches_percent_g17_at_decade_edges(csv_path):
+    edges = [1e-6, 1e-4, 1e16, 1e17, 1e-29, 1e-5] + [10.0 ** k for k in range(-323, 309)]
+    near = []
+    for edge in edges:
+        x = edge
+        for _ in range(4):
+            x = np.nextafter(x, 0.0)
+        for _ in range(9):
+            near.append(x)
+            x = np.nextafter(x, np.inf)
+    # a 10**k that rounds below the power, such as 1e-4, rounds back up a
+    # decade at 17 digits ("0.0001"); then zeros, subnormals and the extremes
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                99999999999999999.0, 9.9999999999999995e-5, 9.99999999999999999e-7,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.5, 1.0]
+    values = np.array(near + specials)
+    assert_g17(csv_path, np.concatenate([values, -values]), cols=1)
+
+
+def test_to_csv_over_many_blocks(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 70_001
+    values = rng.exponential(1.0, n) * np.where(rng.random(n) < 0.3, 0.0, 1.0)
+    values *= 10.0 ** rng.integers(-40, 3, n)
+    pdf = GriddedPdf(cell_grid(50.0, n), values)
+    path = tmp_path / "many.csv"
+    pdf.to_csv(path)
+    rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(pdf.grid.points(), pdf.values)]
+    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(rows)
