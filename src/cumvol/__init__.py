@@ -47,21 +47,18 @@ from .noise import (
     gaussian,
     load_tabulated_csv,
     lorentzian,
-    make_noise,
     parse_noise_spec,
     tabulated,
 )
-from .pdfgrid import GriddedPdf, GridSpec, cell_grid, convolve, convolve_gridded, from_function
+from .pdfgrid import GriddedPdf, GridSpec, cell_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "CumvolError", "MassDefectError", "ConvergenceError", "DomainError",
-    "NoiseModel", "make_noise", "gaussian", "lorentzian", "tabulated",
-    "parse_noise_spec", "load_tabulated_csv",
-    "GridSpec", "GriddedPdf", "cell_grid", "from_function", "convolve",
-    "convolve_gridded",
+    "NoiseModel", "gaussian", "lorentzian", "tabulated", "parse_noise_spec",
+    "load_tabulated_csv", "GridSpec", "GriddedPdf", "cell_grid",
     "EvolutionConfig", "EvolutionTrace", "StepRecord", "VolatilityReport",
     "init_first_step", "warp_step", "evolve_z", "evolve_y", "volatility_pdf",
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",

@@ -269,13 +269,9 @@ def cmd_compare_saddle(args) -> int:
 
     rows = [_sweep_point(args.g, s2, args.tol, args.max_steps) for s2 in args.sigma_sweep]
 
-    lines = ["sigma_a_sq,ratio,variance,narrow_variance,truncated_mass\n"]
-    for r in rows:
-        lines.append(
-            f"{r['sigma_a_sq']:.17g},{r['ratio']:.17g},{r['variance']:.17g},"
-            f"{r['narrow_variance']:.17g},{r['truncated_mass']:.17g}\n"
-        )
-    atomic_write_text(out_dir / "saddle_ratio.csv", "".join(lines))
+    columns = ("sigma_a_sq", "ratio", "variance", "narrow_variance", "truncated_mass")
+    write_csv(out_dir / "saddle_ratio.csv", ",".join(columns),
+              [[r[c] for c in columns] for r in rows])
     _write_manifest(out_dir, _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
                                        {"points": rows}))
     print(f"compare-saddle: wrote saddle_ratio.csv to {out_dir}")

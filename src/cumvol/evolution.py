@@ -32,7 +32,7 @@ sigma_a^2/g^2 steps. The Perron root lambda is the mass one step keeps, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -65,6 +65,10 @@ __all__ = [
 # the actual defect at roundoff level, so exceeding this means broken inputs.
 MAX_STEP_DEFECT = 1e-3
 
+# Noise mass beyond the kernel window that a light-tailed kernel may drop
+# (counted as truncated); heavy tails hit the window cap first.
+TAIL_TOL = 1e-8
+
 # Extra kernel halfwidth beyond the grid span, so that mass clipped on the
 # kernel's left lands provably inside the first output cell (e^{-margin} << h).
 _KERNEL_MARGIN = 25.0
@@ -96,38 +100,47 @@ class EvolutionConfig:
     grid: GridSpec
     horizon: int
     convergence_tol: float = 1e-8
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not self.convergence_tol > 0.0:
             raise ValueError("convergence_tol must be positive")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be positive")
-
-
-@dataclass(frozen=True)
-class StepDiag:
-    mass_defect: float
-    new_truncation: float
-    captured_mass: float
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Density and summary statistics of one time step."""
+    """One time step: its density and what the step loop measured.
+
+    ``mass_defect`` and ``new_truncation`` are the step's mass bookkeeping,
+    ``l1_prev`` the L1 distance from the previous density and
+    ``l1_centered_prev`` the same after centring both on their means
+    (``evolve_z`` only). The statistics ``mean``, ``variance``,
+    ``quantiles`` and ``truncated_mass`` are read from ``pdf`` when asked for.
+    """
 
     t: int
     pdf: GriddedPdf
-    mean: float
-    variance: float
-    quantiles: dict
-    truncated_mass: float
     mass_defect: float
     new_truncation: float
     l1_prev: float | None
-    l1_centered_prev: float | None
+    l1_centered_prev: float | None = None
+
+    @property
+    def mean(self) -> float:
+        return self.pdf.mean()
+
+    @property
+    def variance(self) -> float:
+        return self.pdf.variance()
+
+    @property
+    def quantiles(self) -> dict:
+        return _quantile_fields(self.pdf)
+
+    @property
+    def truncated_mass(self) -> float:
+        return self.pdf.truncated_mass
 
 
 @dataclass(frozen=True)
@@ -152,7 +165,7 @@ class EvolutionTrace:
         return np.array([s.variance for s in self.steps])
 
     def step_rows(self) -> list:
-        """Per-step diagnostics as plain dicts (JSON-ready)."""
+        """Per-step statistics and diagnostics as plain dicts (JSON-ready)."""
         rows = []
         for rec in self.steps:
             row = {
@@ -167,6 +180,12 @@ class EvolutionTrace:
             row.update(rec.quantiles)
             rows.append(row)
         return rows
+
+
+def _quantile_fields(pdf: GriddedPdf) -> dict:
+    """The report quantiles of a density, keyed q05 .. q95."""
+    qs = pdf.quantiles(_REPORT_PROBS)
+    return {f"q{int(100 * p):02d}": float(q) for p, q in zip(_REPORT_PROBS, qs)}
 
 
 # ----------------------------------------------------------------------
@@ -197,17 +216,12 @@ def _validated_edges(grid: GridSpec) -> np.ndarray:
     return edges
 
 
-def _node_cdf(x0: float, h: float, masses: np.ndarray):
-    """Linear-interpolation CDF of per-node masses (half of each node's own
-    mass counts as below the node), returned as (eval function, total)."""
-    nodes = x0 + h * np.arange(masses.size)
+def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray):
+    """Linear-interpolation CDF of per-node masses at ``at`` (half of each
+    node's own mass counts as below the node), and the total mass."""
     cum = np.cumsum(masses) - 0.5 * masses
     total = float(masses.sum())
-
-    def at(u):
-        return np.interp(u, nodes, cum, left=0.0, right=total)
-
-    return at, total
+    return np.interp(at, nodes, cum, left=0.0, right=total), total
 
 
 def _check_normalized(p: GriddedPdf) -> None:
@@ -216,7 +230,8 @@ def _check_normalized(p: GriddedPdf) -> None:
 
 
 def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
-              new_trunc: float) -> tuple[GriddedPdf, StepDiag]:
+              new_trunc: float) -> tuple[GriddedPdf, float]:
+    """The renormalised density of a step's cell masses, and its mass defect."""
     captured = float(cells.sum())
     defect = abs(1.0 - captured - new_trunc)
     if defect > MAX_STEP_DEFECT:
@@ -229,9 +244,7 @@ def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
     values = cells / grid.node_weights() / captured
     # the linear step can leave a roundoff-sized negative truncation
     total_trunc = 1.0 - (1.0 - prev_trunc) * (1.0 - max(new_trunc, 0.0))
-    return GriddedPdf(grid, values, min(total_trunc, 1.0 - 1e-15)), StepDiag(
-        mass_defect=defect, new_truncation=new_trunc, captured_mass=captured
-    )
+    return GriddedPdf(grid, values, min(total_trunc, 1.0 - 1e-15)), defect
 
 
 # ----------------------------------------------------------------------
@@ -239,13 +252,10 @@ def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
 # ----------------------------------------------------------------------
 
 
-def _first_step(noise: NoiseModel, g: float, grid: GridSpec) -> tuple[GriddedPdf, StepDiag]:
-    edges = _validated_edges(grid)
-    warped = _growth_edges(edges, g)
-    cdf = noise.cdf_at(warped)
-    cells = np.maximum(np.diff(cdf), 0.0)
-    new_trunc = float(1.0 - cdf[-1])
-    return _assemble(grid, cells, 0.0, new_trunc)
+def _first_step(noise: NoiseModel, g: float, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """Cell masses and truncated mass one step from x_0 = 0."""
+    cdf = noise.cdf_at(_growth_edges(_validated_edges(grid), g))
+    return np.maximum(np.diff(cdf), 0.0), float(1.0 - cdf[-1])
 
 
 def init_first_step(noise: NoiseModel, g: float, grid: GridSpec) -> GriddedPdf:
@@ -254,24 +264,24 @@ def init_first_step(noise: NoiseModel, g: float, grid: GridSpec) -> GriddedPdf:
     The point mass at 0 is never discretised: cell masses come directly from
     the noise CDF evaluated at the warped cell edges.
     """
-    pdf, _ = _first_step(noise, g, grid)
-    return pdf
+    cells, new_trunc = _first_step(noise, g, grid)
+    return _assemble(grid, cells, 0.0, new_trunc)[0]
 
 
 class StepOperator:
     """One convolve-then-warp step as a linear map on node masses.
 
     Everything that stays fixed during a run is built once from
-    ``(g, noise, grid, tail_tol)``: the noise kernel's cell masses and their
+    ``(g, noise, grid)``: the noise kernel's cell masses and their
     real FFT, the warped cell edges and the nodes of the convolved density's
     CDF. ``apply`` clips nothing, so it is strictly linear in its input and
     serves both as the power-iteration step and as the eigensolve's operator.
     """
 
-    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec, tail_tol: float):
+    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
         edges = _validated_edges(grid)
         h = grid.h
-        kern = noise.cell_masses(h, tail_tol=tail_tol,
+        kern = noise.cell_masses(h, tail_tol=TAIL_TOL,
                                  max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
         self.grid = grid
         self.kernel = kern
@@ -290,10 +300,7 @@ class StepOperator:
         total_in = float(masses.sum())
         conv = irfft(rfft(masses, self._fft_len) * self._kernel_fft,
                      self._fft_len)[:self._conv_len]
-        # linear-interpolation CDF: half of each node's own mass lies below it
-        cum = np.cumsum(conv) - 0.5 * conv
-        total_c = float(conv.sum())
-        cw = np.interp(self._warped, self._nodes, cum, left=0.0, right=total_c)
+        cw, total_c = _node_cdf(conv, self._nodes, self._warped)
         cells = np.diff(cw)
         new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
         if kern.capped:
@@ -302,24 +309,22 @@ class StepOperator:
             # margin) their mass belongs in the first cell to sub-cell accuracy.
             cells[0] += kern.clip_left * total_in
         else:
-            # Light tails: the clip is below tail_tol and its destination is not
+            # Light tails: the clip is below TAIL_TOL and its destination is not
             # resolved; count it as truncated rather than misplace it.
             new_trunc += kern.clip_left * total_in
         return cells, new_trunc
 
 
-def warp_step(p: GriddedPdf, noise: NoiseModel, g: float,
-              tail_tol: float = 1e-8) -> GriddedPdf:
+def warp_step(p: GriddedPdf, noise: NoiseModel, g: float) -> GriddedPdf:
     """One evolution step: convolve with the noise, then warp coordinates.
 
     The input must be normalised on a grid tiling [0, upper]. The output is
     renormalised; newly clipped mass is folded into ``truncated_mass``.
     """
-    op = StepOperator(g, noise, p.grid, tail_tol)
+    op = StepOperator(g, noise, p.grid)
     _check_normalized(p)
     cells, new_trunc = op.apply(p.node_masses())
-    pdf, _ = _assemble(p.grid, cells, p.truncated_mass, new_trunc)
-    return pdf
+    return _assemble(p.grid, cells, p.truncated_mass, new_trunc)[0]
 
 
 def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
@@ -333,14 +338,13 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     _check_normalized(p_y)
     if grid is None:
         grid = _default_dz_grid(p_y)
-    edges = _validated_edges(grid)
-    cdf_at, total = _node_cdf(p_y.grid.x_min, p_y.grid.h, p_y.node_masses())
-    v = _reciprocal_edges(edges)
-    cv = np.where(np.isinf(v), total, cdf_at(v))
+    masses = p_y.node_masses()
+    nodes = p_y.grid.x_min + p_y.grid.h * np.arange(masses.size)
+    # v = +inf at x = 0, where the CDF is the total mass
+    cv, _ = _node_cdf(masses, nodes, _reciprocal_edges(_validated_edges(grid)))
     cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # v decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
-    pdf, _ = _assemble(grid, cells, p_y.truncated_mass, new_trunc)
-    return pdf
+    return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
 
 
 def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
@@ -389,35 +393,44 @@ def _centered_l1(prev: GriddedPdf, prev_mean: float, cur: GriddedPdf,
     return float(np.trapezoid(np.abs(a - b), axis))
 
 
-def _record(t, pdf, diag, l1, l1c) -> StepRecord:
-    qs = pdf.quantiles(_REPORT_PROBS)
-    return StepRecord(
-        t=t,
-        pdf=pdf,
-        mean=pdf.mean(),
-        variance=pdf.variance(),
-        quantiles={f"q{int(100 * p):02d}": float(q) for p, q in zip(_REPORT_PROBS, qs)},
-        truncated_mass=pdf.truncated_mass,
-        mass_defect=diag.mass_defect,
-        new_truncation=diag.new_truncation,
-        l1_prev=l1,
-        l1_centered_prev=l1c,
-    )
+def _check_drift(g: float) -> None:
+    if g > _DZ_CAP:
+        # the growth increment dz sits near g, past any dz grid
+        raise DomainError(f"g={g:g} puts the growth increment beyond the dz grid's cap "
+                          f"of {_DZ_CAP:g}")
+
+
+def _reversed(config: EvolutionConfig) -> EvolutionConfig:
+    """The reversed recursion's run: drift negated, noise mirrored.
+
+    ``evolve_y`` and the eigensolve both start here, whether their grid was
+    given or defaulted, so the drift cap holds on every route to dz.
+    """
+    _check_drift(config.g)
+    return replace(config, g=-config.g, noise=config.noise.mirror())
 
 
 def _evolve(config: EvolutionConfig, raw_convergence: bool) -> EvolutionTrace:
-    pdf, diag = _first_step(config.noise, config.g, config.grid)
-    op = StepOperator(config.g, config.noise, config.grid, config.tail_tol)
-    steps = [_record(1, pdf, diag, None, None)]
+    """Per-step run; converges on the raw L1 distance, or on the mean-centred
+    one (computed only then)."""
+    grid = config.grid
+    cells, new_trunc = _first_step(config.noise, config.g, grid)
+    pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
+    op = StepOperator(config.g, config.noise, grid)
+    steps = [StepRecord(1, pdf, defect, new_trunc, None)]
+    mean = None if raw_convergence else pdf.mean()
     converged_at = None
     for t in range(2, config.horizon + 1):
         cells, new_trunc = op.apply(pdf.node_masses())
-        nxt, diag = _assemble(config.grid, cells, pdf.truncated_mass, new_trunc)
-        l1 = pdf.distance(nxt, "L1")
-        l1c = _centered_l1(pdf, steps[-1].mean, nxt, nxt.mean())
-        steps.append(_record(t, nxt, diag, l1, l1c))
+        nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
+        gap = l1 = pdf.distance(nxt, "L1")
+        l1c = None
+        if not raw_convergence:
+            nxt_mean = nxt.mean()
+            gap = l1c = _centered_l1(pdf, mean, nxt, nxt_mean)
+            mean = nxt_mean
+        steps.append(StepRecord(t, nxt, defect, new_trunc, l1, l1c))
         pdf = nxt
-        gap = l1 if raw_convergence else l1c
         if gap < config.convergence_tol:
             converged_at = t
             break
@@ -441,8 +454,7 @@ def evolve_y(config: EvolutionConfig) -> EvolutionTrace:
     mirrored; for g > 0 the densities reach a genuine fixed point, detected
     on the raw L1 distance.
     """
-    inner = replace(config, g=-config.g, noise=config.noise.mirror())
-    trace = _evolve(inner, raw_convergence=True)
+    trace = _evolve(_reversed(config), raw_convergence=True)
     return EvolutionTrace(config=config, steps=trace.steps, converged_at=trace.converged_at)
 
 
@@ -481,23 +493,9 @@ class VolatilityReport:
     solver: dict
 
     def to_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "noise": self.noise_label,
-            "converged_at": self.converged_at,
-            "steps_run": self.steps_run,
-            "variance": self.variance,
-            "std": self.std,
-            "iqr": self.iqr,
-            "width90": self.width90,
-            "quantiles": self.quantiles,
-            "sigma_a_sq": self.sigma_a_sq,
-            "narrow_variance": self.narrow_variance,
-            "ratio_to_narrow": self.ratio_to_narrow,
-            "truncated_mass": self.truncated_mass,
-            "variance_reliable": self.variance_reliable,
-            "solver": self.solver,
-        }
+        row = asdict(self)
+        row["noise"] = row.pop("noise_label")
+        return row
 
 
 def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: int,
@@ -505,7 +503,7 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
     """Report on the growth increment for the reversed variable's fixed point p_y."""
     dz = volatility_pdf(p_y)
     variance = dz.variance()
-    qs = dz.quantiles(_REPORT_PROBS)
+    quantiles = _quantile_fields(dz)
     sigma_sq = config.noise.variance()
     finite_sigma = math.isfinite(sigma_sq)
     narrow = var_dz_saddle(config.g, math.sqrt(sigma_sq)) if finite_sigma else None
@@ -516,9 +514,9 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
         steps_run=steps_run,
         variance=variance,
         std=math.sqrt(max(variance, 0.0)),
-        iqr=float(qs[3] - qs[1]),
-        width90=float(qs[4] - qs[0]),
-        quantiles={f"q{int(100 * p):02d}": float(q) for p, q in zip(_REPORT_PROBS, qs)},
+        iqr=quantiles["q75"] - quantiles["q25"],
+        width90=quantiles["q95"] - quantiles["q05"],
+        quantiles=quantiles,
         sigma_a_sq=sigma_sq if finite_sigma else None,
         narrow_variance=narrow,
         ratio_to_narrow=variance / narrow if narrow else None,
@@ -536,9 +534,10 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     mass bookkeeping passes the per-step defect check; the resulting density's
     ``truncated_mass`` is that step's leak, 1 - lambda.
     """
-    g, noise, grid = -config.g, config.noise.mirror(), config.grid
-    first, _ = _first_step(noise, g, grid)
-    op = StepOperator(g, noise, grid, config.tail_tol)
+    rev = _reversed(config)
+    g, noise, grid = rev.g, rev.noise, rev.grid
+    first = init_first_step(noise, g, grid)
+    op = StepOperator(g, noise, grid)
     applications = 0
 
     def counted_apply(v):
@@ -657,10 +656,7 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
     """Grid sized to hold the reversed variable out to its fixed point (g > 0)."""
     if not g > 0.0:
         raise DomainError("default_y_grid requires g > 0")
-    if g > _DZ_CAP:
-        # the growth increment dz sits near g, past any dz grid
-        raise DomainError(f"g={g:g} puts the growth increment beyond the dz grid's cap "
-                          f"of {_DZ_CAP:g}")
+    _check_drift(g)  # the sizing below overflows long before float64 does
     center = ybar(g, math.inf)
     if noise.kind == "lorentzian":
         upper = center + 12.0 * noise.gamma + 60.0 * noise.gamma / g
@@ -676,8 +672,7 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
 
 
 def default_y_config(g: float, noise: NoiseModel, tol: float = 1e-9,
-                     horizon: int = 4000, n_points: int | None = None,
-                     tail_tol: float = 1e-8) -> EvolutionConfig:
+                     horizon: int = 4000, n_points: int | None = None) -> EvolutionConfig:
     """Ready-to-run configuration for the reversed recursion."""
     return EvolutionConfig(
         g=g,
@@ -685,5 +680,4 @@ def default_y_config(g: float, noise: NoiseModel, tol: float = 1e-9,
         grid=default_y_grid(g, noise, n_points),
         horizon=horizon,
         convergence_tol=tol,
-        tail_tol=tail_tol,
     )

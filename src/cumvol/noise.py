@@ -26,7 +26,6 @@ from scipy import special
 __all__ = [
     "NoiseModel",
     "KernelCells",
-    "make_noise",
     "gaussian",
     "lorentzian",
     "tabulated",
@@ -54,9 +53,6 @@ class KernelCells:
     clip_left: float
     clip_right: float
     capped: bool = False
-
-    def offsets(self) -> np.ndarray:
-        return self.step * np.arange(-self.halfcells, self.halfcells + 1)
 
 
 def _as_array(x):
@@ -160,15 +156,8 @@ class NoiseModel:
     # sampling
     # ------------------------------------------------------------------
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """``count`` i.i.d. draws, deterministic for a fixed seed."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        rng = np.random.default_rng(seed)
-        return self.sample_with(rng, (count,))
-
     def sample_with(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draws using a caller-owned generator (shared by the Monte Carlo engine)."""
+        """I.i.d. draws of the given shape from a caller-owned generator."""
         if self.kind == "gaussian":
             return self.sigma * rng.standard_normal(shape)
         if self.kind == "lorentzian":
@@ -239,7 +228,7 @@ class NoiseModel:
             return self.gamma / math.tan(0.5 * math.pi * tail_tol)
         return self.scale()
 
-    def cell_masses(self, step: float, tail_tol: float = 1e-8,
+    def cell_masses(self, step: float, tail_tol: float,
                     max_halfwidth: float | None = None) -> KernelCells:
         """Exact cell masses of the density on a grid of spacing ``step``.
 
@@ -290,24 +279,6 @@ def tabulated(points) -> NoiseModel:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("tabulated points must be (x, density) pairs")
     return NoiseModel(kind="tabulated", xs=pts[:, 0], ys=pts[:, 1])
-
-
-def make_noise(kind: str, *, sigma_a: float | None = None, gamma: float | None = None,
-               points=None) -> NoiseModel:
-    """Factory over the three supported kinds."""
-    if kind == "gaussian":
-        if sigma_a is None:
-            raise ValueError("gaussian noise requires sigma_a")
-        return gaussian(sigma_a)
-    if kind == "lorentzian":
-        if gamma is None:
-            raise ValueError("lorentzian noise requires gamma")
-        return lorentzian(gamma)
-    if kind == "tabulated":
-        if points is None:
-            raise ValueError("tabulated noise requires points")
-        return tabulated(points)
-    raise ValueError(f"unknown noise kind {kind!r}")
 
 
 def load_tabulated_csv(path) -> NoiseModel:

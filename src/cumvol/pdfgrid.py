@@ -1,10 +1,12 @@
-"""Gridded one-dimensional densities and the numeric primitives on them.
+"""Gridded one-dimensional densities: grids, statistics and CSV files.
 
 A ``GriddedPdf`` stores density values on a uniform node grid. Quadrature is
 trapezoidal throughout, interpolation is linear, and every density carries a
 ``truncated_mass`` field recording the probability discarded so far by
 restricting to a finite domain (essential for heavy-tailed runs, where the
-domain cannot hold all the mass).
+domain cannot hold all the mass). Statistics are methods, computed when
+called; the convolve-then-warp step that produces the densities lives in
+``evolution.StepOperator``.
 
 CSV files hold every number exactly as ``'%.17g' % v`` writes it; ``write_csv``
 builds that text with whole-array numpy arithmetic (see its section below).
@@ -19,25 +21,17 @@ integrals, CDFs and moments then see the full mass.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-
-from .noise import NoiseModel
 
 __all__ = [
     "GridSpec",
     "GriddedPdf",
     "cell_grid",
-    "from_function",
-    "convolve",
-    "convolve_gridded",
-    "conv_mass_arrays",
     "write_csv",
 ]
 
@@ -155,12 +149,6 @@ class GriddedPdf:
         cells = 0.5 * (self.values[1:] + self.values[:-1]) * self.grid.h
         return np.concatenate(([0.0], np.cumsum(cells)))
 
-    def cdf_at(self, x):
-        arr = np.asarray(x, dtype=float)
-        cdf = self.cdf_nodes()
-        out = np.interp(arr, self.grid.points(), cdf, left=0.0, right=cdf[-1])
-        return float(out) if arr.ndim == 0 else out
-
     def edge_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell edges, cumulative mass below each edge).
 
@@ -227,25 +215,9 @@ class GriddedPdf:
     # serialisation
     # ------------------------------------------------------------------
 
-    def summary(self) -> dict:
-        qs = self.quantiles([0.05, 0.25, 0.5, 0.75, 0.95])
-        return {
-            "grid": {"x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                     "n_points": self.grid.n_points},
-            "integral": self.integral(),
-            "mean": self.mean(),
-            "variance": self.variance(),
-            "quantiles": {"q05": qs[0], "q25": qs[1], "q50": qs[2],
-                          "q75": qs[3], "q95": qs[4]},
-            "truncated_mass": self.truncated_mass,
-        }
-
     def to_csv(self, path) -> None:
         """Write (x, density) rows at full double precision, atomically."""
         write_csv(path, "x,density", np.column_stack((self.grid.points(), self.values)))
-
-    def summary_json(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_csv(cls, path, truncated_mass: float = 0.0) -> "GriddedPdf":
@@ -491,91 +463,3 @@ def _digit_text(n):
     keep = np.maximum(np.maximum(_GROUP_END[0][g0], _GROUP_END[1][g1]),
                       np.maximum(_GROUP_END[2][g2], _GROUP_END[3][g3]))
     return s0, s1, s2, keep.astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-# construction
-# ----------------------------------------------------------------------
-
-
-def from_function(grid: GridSpec, source, truncated_mass: float | None = None) -> GriddedPdf:
-    """Sample a density on the grid and normalise.
-
-    ``source`` is either a vectorised callable or a ``NoiseModel``. For a
-    noise model the mass outside [x_min, x_max] is computed from its closed
-    form and recorded as truncated; for a bare callable it is 0 unless given.
-    """
-    pts = grid.points()
-    if isinstance(source, NoiseModel):
-        values = source.pdf_at(pts)
-        if truncated_mass is None:
-            covered = source.cdf_at(grid.x_max) - source.cdf_at(grid.x_min)
-            truncated_mass = float(min(max(1.0 - covered, 0.0), 1.0 - 1e-15))
-    else:
-        values = np.asarray(source(pts), dtype=float)
-        if truncated_mass is None:
-            truncated_mass = 0.0
-    if values.shape != pts.shape:
-        raise ValueError("source must return one density value per grid point")
-    if np.any(values < 0):
-        raise ValueError("density function must be non-negative on the grid")
-    total = np.trapezoid(values, pts)
-    if not total > 0.0:
-        raise ValueError("sampled density is identically zero on the grid")
-    return GriddedPdf(grid, values / total, truncated_mass)
-
-
-# ----------------------------------------------------------------------
-# convolution
-# ----------------------------------------------------------------------
-
-
-def conv_mass_arrays(a: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
-    """Full discrete convolution of two mass vectors.
-
-    ``direct`` is plain summation (np.convolve), ``fft`` the transform-based
-    route; the two agree to better than 1e-10 relative on any sane input.
-    """
-    if method == "direct":
-        out = np.convolve(a, b)
-    elif method == "fft":
-        n = a.size + b.size - 1
-        size = next_fast_len(n, real=True)
-        out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return np.maximum(out, 0.0)
-
-
-def convolve(p: GriddedPdf, noise: NoiseModel, tail_tol: float = 1e-8,
-             method: str = "fft", max_kernel_halfwidth: float | None = None) -> GriddedPdf:
-    """Density of (noise increment + p-distributed variable) on a widened grid.
-
-    The noise is discretised to exact cell masses at the grid step. The output
-    grid is widened so that at most ``tail_tol`` of the noise mass falls
-    outside; for heavy tails the window is capped and the clipped mass is
-    added to ``truncated_mass`` instead.
-    """
-    h = p.grid.h
-    if max_kernel_halfwidth is None:
-        span = p.grid.x_max - p.grid.x_min
-        max_kernel_halfwidth = 10.0 * span + 100.0 * noise.scale()
-    kern = noise.cell_masses(h, tail_tol=tail_tol, max_halfwidth=max_kernel_halfwidth)
-    cm = conv_mass_arrays(p.node_masses(), kern.masses, method=method)
-    m = kern.halfcells
-    out_grid = GridSpec(p.grid.x_min - m * h, p.grid.x_max + m * h,
-                        p.grid.n_points + 2 * m)
-    clip = kern.clip_left + kern.clip_right
-    t_new = 1.0 - (1.0 - p.truncated_mass) * (1.0 - clip)
-    return GriddedPdf(out_grid, cm / out_grid.node_weights(), t_new)
-
-
-def convolve_gridded(p: GriddedPdf, q: GriddedPdf, method: str = "fft") -> GriddedPdf:
-    """Convolution of two gridded densities sharing the same step."""
-    if not math.isclose(p.grid.h, q.grid.h, rel_tol=1e-9):
-        raise ValueError("convolution requires identical grid steps")
-    cm = conv_mass_arrays(p.node_masses(), q.node_masses(), method=method)
-    out_grid = GridSpec(p.grid.x_min + q.grid.x_min, p.grid.x_max + q.grid.x_max,
-                        p.grid.n_points + q.grid.n_points - 1)
-    t_new = 1.0 - (1.0 - p.truncated_mass) * (1.0 - q.truncated_mass)
-    return GriddedPdf(out_grid, cm / out_grid.node_weights(), t_new)

@@ -278,6 +278,11 @@ def test_evolve_nonfinite_manifest_writes_no_density(tmp_path, capsys):
      "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
     (["compare-saddle", "--g", "1e308", "--sigma-sweep", "0.1"],
      "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
+    # an explicit --grid skips the default grid's sizing, not the drift cap
+    (["volatility", "--g", "100", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,10,1000"], "g=100 puts the growth increment beyond the dz grid's cap of 60"),
+    (["volatility", "--g", "1e308", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,10,1000"], "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
 ])
 def test_unrepresentable_growth_increment_is_domain_error(tmp_path, capsys, argv, cause):
     out = tmp_path / "x"

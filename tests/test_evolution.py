@@ -25,7 +25,7 @@ from cumvol import (
     volatility_pdf,
     warp_step,
 )
-from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble
+from cumvol.evolution import _KERNEL_MARGIN, TAIL_TOL, StepOperator, _assemble
 from cumvol.pdfgrid import GriddedPdf
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
@@ -257,6 +257,16 @@ def test_steady_state_volatility_domain_and_convergence_errors():
         steady_state_volatility(cfg)
 
 
+@pytest.mark.parametrize("g", [100.0, 1e308])
+def test_hand_built_grid_keeps_drift_cap(g):
+    # the growth increment sits near g, past the dz grid's cap of 60, whether
+    # the reversed variable's grid was defaulted or given
+    cfg = EvolutionConfig(g=g, noise=gaussian(1.0), grid=cell_grid(10.0, 1000), horizon=2)
+    for solve in (evolve_y, steady_state_volatility):
+        with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
+            solve(cfg)
+
+
 def test_contraction_volatility_below_noise_variance():
     for g in (0.1, 0.5):
         for sig in (0.05, 0.3):
@@ -323,7 +333,7 @@ def test_evolve_z_declares_steady_state_on_centered_density():
 def test_step_operator_is_linear(noise):
     # any clipping inside the step (the old np.maximum) breaks linearity and
     # gives the eigensolve spurious eigenvalues above 1
-    op = StepOperator(-0.2, noise.mirror(), cell_grid(40.0, 800), 1e-8)
+    op = StepOperator(-0.2, noise.mirror(), cell_grid(40.0, 800))
     assert op.kernel.capped == (noise.kind == "lorentzian")
     rng = np.random.default_rng(5)
     x, y = rng.random(800), rng.random(800) - 0.5
@@ -388,7 +398,7 @@ def test_eigensolve_application_cap():
     assert steady_state_volatility(replace(cfg, horizon=needed)).solver["applications"] == needed
 
 
-def _fftconvolve_step(p, noise, g, tail_tol=1e-8):
+def _fftconvolve_step(p, noise, g):
     """One step as computed before the step operator: scipy.signal's
     fftconvolve with the kernel rebuilt per step and every clip in place."""
     from scipy.signal import fftconvolve
@@ -396,7 +406,7 @@ def _fftconvolve_step(p, noise, g, tail_tol=1e-8):
     grid, h = p.grid, p.grid.h
     edges = grid.cell_edges()
     edges[0] = 0.0
-    kern = noise.cell_masses(h, tail_tol=tail_tol, max_halfwidth=edges[-1] + _KERNEL_MARGIN)
+    kern = noise.cell_masses(h, tail_tol=TAIL_TOL, max_halfwidth=edges[-1] + _KERNEL_MARGIN)
     conv = np.maximum(fftconvolve(p.node_masses(), kern.masses), 0.0)
     nodes = grid.x_min - kern.halfcells * h + h * np.arange(conv.size)
     cum = np.cumsum(conv) - 0.5 * conv

@@ -173,7 +173,7 @@ def test_empirical_volatility_matches_narrow_formula():
 def test_volatility_below_noise_variance_at_large_t():
     e = simulate(0.3, gaussian(0.5), t_max=60, n_paths=50_000, seed=13)
     var, _ = empirical_volatility(e, 60)
-    sample_noise_var = float(np.var(gaussian(0.5).sample(50_000, seed=14), ddof=1))
+    sample_noise_var = float(np.var(gaussian(0.5).sample_with(np.random.default_rng(14), (50_000,)), ddof=1))
     assert var < sample_noise_var
 
 
