@@ -86,6 +86,14 @@ _MAX_NEGATIVE_MASS = 1e-12
 # represented, so inputs that put them there are domain errors.
 _DZ_CAP = 60.0
 
+# Fewest y cells below the reversed variable's steady centre ybar(g, inf). With
+# Gaussian noise (sigma 1) on the 8192-point default y grid the t = 3 dz mean
+# and variance read 5.01, 1.03 at g = 5 (6.5 cells); 5.51, 1.02 at g = 5.5
+# (4.1); 5.98, 0.96 at g = 6 (2.5); 7.44 at g = 20 (0): about log(2/h), any g.
+_MIN_CENTRE_CELLS = 4.0
+_NONFINITE_Y = ("the reversed variable's mean or width is not finite: "
+                "its grid's scale exceeds float64 here")
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -350,8 +358,7 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
 def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
-        raise DomainError("the reversed variable's mean or width is not finite: "
-                          "its grid's scale exceeds float64 here")
+        raise DomainError(_NONFINITE_Y)
     if not mean_y > 0.0:
         raise DomainError("reversed-variable density must have positive mean")
     center = float(-math.log1p(-math.exp(-mean_y)))
@@ -404,9 +411,17 @@ def _reversed(config: EvolutionConfig) -> EvolutionConfig:
     """The reversed recursion's run: drift negated, noise mirrored.
 
     ``evolve_y`` and the eigensolve both start here, whether their grid was
-    given or defaulted, so the drift cap holds on every route to dz.
+    given or defaulted, so the drift cap and the steady centre's resolution
+    (judged once the grid's scale admits finite moments) hold on every route to dz.
     """
     _check_drift(config.g)
+    grid = config.grid
+    if not math.isfinite(grid.x_max * grid.x_max):
+        raise DomainError(_NONFINITE_Y)
+    if config.g > 0.0 and ybar(config.g, math.inf) < _MIN_CENTRE_CELLS * grid.h:
+        raise DomainError(f"g={config.g:g} puts the reversed variable's steady centre "
+                          f"{ybar(config.g, math.inf):.3g} within {_MIN_CENTRE_CELLS:g} "
+                          f"y cells of width {grid.h:.3g}; dz is not resolved there")
     return replace(config, g=-config.g, noise=config.noise.mirror())
 
 

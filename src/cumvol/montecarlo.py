@@ -10,13 +10,13 @@ loop by a few ulp (at most 4).
 
 Paths are generated in fixed-size blocks, each from a seed derived from the
 block index, so the ensemble is reproducible and independent of how blocks
-are scheduled. A block is step-major: row t holds z_t of every path in the
-block, so the recurrence and all per-step reductions run over contiguous
-rows. ``simulate`` transposes the blocks into the path-major in-memory
-``McEnsemble``; ``simulate_stream`` folds each block into per-step moments and
-KS counts and so holds one block at a time. Both reduce through the same
-functions on step-major rows, so their summaries and KS statistics agree bit
-for bit.
+are scheduled. A block's draws are sampled in chunks into one step-major
+buffer; the recurrence then produces z_t of every path in the block one step
+row at a time, and each row is used while it is still in cache: ``simulate``
+stores it into the path-major ``McEnsemble``, ``simulate_stream`` folds it
+into per-step moments and KS counts, holding one block of draws plus a few
+rows of BLOCK_PATHS values. Both reduce through the same row functions, so
+their summaries and KS statistics agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 65536
+_CHUNK_PATHS = 2048  # paths sampled per call: a chunk of draws stays in L2 cache
 
 
 @dataclass(frozen=True)
@@ -102,28 +103,35 @@ class McStream:
 class _Moments:
     """Per-step count, mean and sum of squared deviations of a block stream.
 
-    Each block is step-major (one row per step, one column per path). It is
-    reduced two-pass along its rows and merged into the running totals with
-    the pairwise update of Chan, Golub & LeVeque (1983), so the result does
-    not lose precision with the number of paths.
+    Each step's row of a block (one column per path) is reduced two-pass by
+    ``row``, in step order; the block's last row merges its row moments into
+    the running totals with the pairwise update of Chan, Golub & LeVeque
+    (1983), so the result does not lose precision with the number of paths.
     """
 
     def __init__(self, k: int):
         self.n = 0
         self.mean = np.zeros(k)
         self.m2 = np.zeros(k)
+        self._mb, self._m2b = np.empty(k), np.empty(k)  # the current block's rows
+
+    def row(self, i: int, x: np.ndarray, dev: np.ndarray) -> None:
+        """Reduce row i of the current block, with ``dev`` (which may be x) as scratch."""
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
+            self._mb[i] = mb = x.mean()
+            self._m2b[i] = np.square(np.subtract(x, mb, out=dev), out=dev).sum()
+            if i == self.mean.size - 1:
+                nb, n = x.size, self.n + x.size
+                delta = self._mb - self.mean
+                self.mean = self.mean + delta * (nb / n)
+                self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
+                self.n = n
 
     def add(self, x: np.ndarray) -> None:
-        nb = x.shape[1]
-        n = self.n + nb
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
-            mb = x.mean(axis=1)
-            dev = x - mb[:, None]
-            m2b = np.square(dev, out=dev).sum(axis=1)
-            delta = mb - self.mean
-            self.mean = self.mean + delta * (nb / n)
-            self.m2 = self.m2 + m2b + np.square(delta) * (self.n * nb / n)
-        self.n = n
+        """Fold a whole step-major block."""
+        dev = np.empty(x.shape[1])
+        for i, r in enumerate(x):
+            self.row(i, r, dev)
 
     def variance(self) -> np.ndarray:
         return self.m2 / (self.n - 1)
@@ -180,88 +188,90 @@ def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
     np.add(y, buf, out=y)
 
 
-def _blocks(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
-    """Yield (z, draws) block by block, z step-major of shape (t_max + 1, block paths).
+def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
+          draws: np.ndarray | None = None):
+    """Yield (lo, t, z_{t-1}, z_t) for each block of paths lo.. and each step t = 1..t_max.
 
     Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
-    i-th child of SeedSequence(seed); ``draws`` is path-major, as sampled.
+    i-th child of SeedSequence(seed), drawn path-major in chunks (the stream
+    of one whole-block draw), copied step-major into a buffer reused across
+    blocks and, if given, into ``draws``. The rows are reused buffers: z_t is
+    valid until the next yield, and the caller may overwrite z_{t-1}.
     """
-    n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
     with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
         jg = g * np.arange(1, t_max + 1)
+    a_buf = np.empty((t_max, min(BLOCK_PATHS, n_paths)))  # row t - 1: t-th draws, then sums
+    rows = np.empty((3, a_buf.shape[1]))
 
     for bi, child in enumerate(children):
         lo = bi * BLOCK_PATHS
-        hi = min(lo + BLOCK_PATHS, n_paths)
-        a = noise.sample_with(np.random.default_rng(child), (hi - lo, t_max))
-        z = np.empty((t_max + 1, hi - lo))
-        z[0] = 0.0
-        z[1:] = a.T  # the one transpose: row t now holds every path's t-th draw
-        buf = np.empty(hi - lo)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(2, t_max + 1):
-                z[t] += z[t - 1]  # running sum, as np.cumsum adds
-            z[1:] += jg[:, None]  # row t is now the log of every path's t-th term
-            for t in range(1, t_max + 1):
-                _logaddexp_into(z[t - 1], z[t], buf)
-        if not np.all(np.isfinite(z)):
-            raise DomainError(
-                f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
-                "log cumulative production exceeds the float64 range")
-        yield z, a
+        n = min(BLOCK_PATHS, n_paths - lo)
+        rng = np.random.default_rng(child)
+        a = a_buf[:, :n]
+        for c in range(0, n, _CHUNK_PATHS):
+            chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
+            a[:, c:c + chunk.shape[0]] = chunk.T
+            if draws is not None:
+                draws[lo + c:lo + c + chunk.shape[0]] = chunk
+        prev, cur, buf = rows[:, :n]
+        prev.fill(0.0)
+        for t in range(1, t_max + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if t > 1:
+                    np.add(a[t - 1], a[t - 2], out=a[t - 1])  # running sum, as np.cumsum adds
+                np.add(a[t - 1], jg[t - 1], out=cur)  # log of every path's t-th term
+                _logaddexp_into(prev, cur, buf)
+            if not np.isfinite(cur).all():
+                raise DomainError(
+                    f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
+                    "log cumulative production exceeds the float64 range")
+            yield lo, t, prev, cur
+            prev, cur = cur, prev
 
 
 def simulate(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
              keep_draws: bool = False) -> McEnsemble:
     """Simulate the cumulative-production process path by path."""
     _check_sizes(t_max, n_paths)
-    z = np.empty((n_paths, t_max + 1))
+    z = np.zeros((n_paths, t_max + 1))
     draws = np.empty((n_paths, t_max)) if keep_draws else None
-    lo = 0
-    for zb, a in _blocks(g, noise, t_max, n_paths, seed):
-        hi = lo + zb.shape[1]
-        z[lo:hi] = zb.T
-        if keep_draws:
-            draws[lo:hi] = a
-        lo = hi
+    for lo, t, _, zt in _rows(g, noise, t_max, n_paths, seed, draws):
+        z[lo:lo + zt.size, t] = zt
     return McEnsemble(g=g, noise=noise, n_paths=n_paths, t_max=t_max, seed=seed,
                       z=z, dz=np.diff(z, axis=1), draws=draws)
 
 
 def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
                     targets: dict | None = None, head_paths: int = 0) -> McStream:
-    """Simulate like ``simulate`` but hold only one block of paths at a time.
+    """Simulate like ``simulate`` but hold only one block of draws at a time.
 
-    Each block is folded into per-step moments of z and dz and, for each
-    step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the counts
-    of z_t samples strictly below that density's cell edges. The first
-    ``head_paths`` paths of z are kept, path-major.
+    Each step row of a block is folded into per-step moments of z and dz and,
+    for each step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the
+    counts of z_t samples strictly below that density's cell edges. The
+    first ``head_paths`` paths of z are kept, path-major.
     """
     _check_sizes(t_max, n_paths)
     targets = {t: _ks_target(p) for t, p in (targets or {}).items()}
     if any(not 1 <= t <= t_max for t in targets):
         raise ValueError(f"KS target steps must lie in 1..{t_max}")
-    steps = list(targets)
-    below = {t: 0 for t in steps}
+    below = {t: 0 for t in targets}
     zm, dzm = _Moments(t_max), _Moments(t_max)
-    head = []
-    kept = 0
-    for zb, _ in _blocks(g, noise, t_max, n_paths, seed):
-        zm.add(zb[1:])
-        dzm.add(np.diff(zb, axis=0))
-        if steps:
-            rows = zb[steps]
-            rows.sort(axis=1)
-            for t, row in zip(steps, rows):
-                below[t] = below[t] + np.searchsorted(row, targets[t][0], side="left")
-        if kept < head_paths:
-            head.append(zb[:, :head_paths - kept].T.copy())
-            kept += head[-1].shape[0]
+    head = np.zeros((min(head_paths, n_paths), t_max + 1))
+    for lo, t, zp, zt in _rows(g, noise, t_max, n_paths, seed):
+        # zp is scratch once dz_t = z_t - z_{t-1} is reduced
+        dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
+        zm.row(t - 1, zt, zp)
+        if t in targets:
+            np.copyto(zp, zt)
+            zp.sort()
+            below[t] = below[t] + np.searchsorted(zp, targets[t][0], side="left")
+        if lo < head.shape[0]:
+            head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
     return McStream(
         summary=_summary(g, noise, n_paths, t_max, seed, zm, dzm),
-        ks={t: _ks(below[t], n_paths, targets[t][1]) for t in steps},
-        head=np.concatenate(head) if head else np.empty((0, t_max + 1)),
+        ks={t: _ks(below[t], n_paths, targets[t][1]) for t in targets},
+        head=head,
     )
 
 

@@ -82,6 +82,15 @@ def test_volatility_until_converged(tmp_path):
     assert l1[0] > 100 * l1[-1]
 
 
+def test_volatility_large_drift_with_resolved_centre(tmp_path):
+    # ybar(5, inf) spans 6.5 cells of the default y grid: dz stays near g
+    out = tmp_path / "v"
+    assert run(["volatility", "--g", "5", "--noise", "gaussian:sigma=1", "--steps", "3",
+                "--out", str(out)]) == 0
+    rows = read_manifest(out)["steps"]
+    assert rows[-1]["dz_mean"] == pytest.approx(5.0, abs=0.02)
+
+
 def test_volatility_rejects_nonpositive_drift_with_convergence_flag(tmp_path):
     code = run(["volatility", "--g", "-0.2", "--noise", "gaussian:sigma=0.1",
                 "--until-converged", "--out", str(tmp_path / "vneg")])
@@ -283,6 +292,9 @@ def test_evolve_nonfinite_manifest_writes_no_density(tmp_path, capsys):
       "--grid", "0,10,1000"], "g=100 puts the growth increment beyond the dz grid's cap of 60"),
     (["volatility", "--g", "1e308", "--noise", "gaussian:sigma=1", "--steps", "2",
       "--grid", "0,10,1000"], "g=1e+308 puts the growth increment beyond the dz grid's cap of 60"),
+    # the default y grid's cells are wider than the steady centre ybar(20, inf)
+    (["volatility", "--g", "20", "--noise", "gaussian:sigma=1", "--steps", "3"],
+     "g=20 puts the reversed variable's steady centre"),
 ])
 def test_unrepresentable_growth_increment_is_domain_error(tmp_path, capsys, argv, cause):
     out = tmp_path / "x"

@@ -267,6 +267,20 @@ def test_hand_built_grid_keeps_drift_cap(g):
             solve(cfg)
 
 
+def test_hand_built_grid_must_resolve_steady_centre():
+    # ybar(3, inf) = 0.051 spans 0.5 cells of width 0.1 above y = 0: the y
+    # density falls into the first cell and dz would read about log(2/h), so
+    # every route to dz refuses the grid; 200 cells of width 2.5e-4 resolve it
+    cfg = EvolutionConfig(g=3.0, noise=gaussian(1.0), grid=cell_grid(10.0, 100),
+                          horizon=3, convergence_tol=1e-300)
+    for solve in (evolve_y, steady_state_volatility):
+        with pytest.raises(DomainError, match="dz is not resolved there"):
+            solve(cfg)
+    fine = replace(cfg, grid=cell_grid(10.0, 40_000))
+    dz = volatility_pdf(evolve_y(fine).density(3))
+    assert dz.mean() == pytest.approx(3.0, abs=0.01)
+
+
 def test_contraction_volatility_below_noise_variance():
     for g in (0.1, 0.5):
         for sig in (0.05, 0.3):

@@ -69,6 +69,93 @@ def test_blocks_independent_of_scheduling(monkeypatch):
         assert np.array_equal(split.dz, np.diff(z, axis=1)), noise.label()
 
 
+class _WholeBlockMoments:
+    # the whole-block reduction the row kernel replaced: axis=1 two-pass
+    # moments, merged with the Chan-Golub-LeVeque update
+    def __init__(self, k):
+        self.n, self.mean, self.m2 = 0, np.zeros(k), np.zeros(k)
+
+    def add(self, x):
+        nb = x.shape[1]
+        n = self.n + nb
+        mb = x.mean(axis=1)
+        m2b = np.square(x - mb[:, None]).sum(axis=1)
+        delta = mb - self.mean
+        self.mean = self.mean + delta * (nb / n)
+        self.m2 = self.m2 + m2b + np.square(delta) * (self.n * nb / n)
+        self.n = n
+
+
+def _whole_block_stream(g, noise, t_max, n, seed, targets, head_paths):
+    """Summary lists, KS and head from whole step-major blocks, block by block."""
+    import cumvol.montecarlo as mc
+    children = np.random.SeedSequence(seed).spawn(-(-n // mc.BLOCK_PATHS))
+    jg = g * np.arange(1, t_max + 1)
+    zm, dzm = _WholeBlockMoments(t_max), _WholeBlockMoments(t_max)
+    below = {t: 0 for t in targets}
+    head = []
+    for bi, child in enumerate(children):
+        m = min(mc.BLOCK_PATHS, n - bi * mc.BLOCK_PATHS)
+        a = noise.sample_with(np.random.default_rng(child), (m, t_max))
+        z = np.zeros((t_max + 1, m))
+        z[1:] = np.cumsum(a.T, axis=0) + jg[:, None]
+        buf = np.empty(m)
+        for t in range(1, t_max + 1):
+            _logaddexp_into(z[t - 1], z[t], buf)
+        zm.add(z[1:])
+        dzm.add(np.diff(z, axis=0))
+        for t, (edges, _) in targets.items():
+            below[t] = below[t] + np.searchsorted(np.sort(z[t]), edges, side="left")
+        head.append(z[:, :max(head_paths - bi * mc.BLOCK_PATHS, 0)].T)
+    summary = {"mean_z": zm.mean.tolist(), "var_z": (zm.m2 / (n - 1)).tolist(),
+               "mean_dz": dzm.mean.tolist(), "var_dz": (dzm.m2 / (n - 1)).tolist()}
+    ks = {t: mc._ks(below[t], n, model) for t, (_, model) in targets.items()}
+    return summary, ks, np.concatenate(head)
+
+
+def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
+    # the stream produces and reduces each block one step row at a time, from
+    # draws sampled in chunks; every output must equal the whole-block
+    # arithmetic bit for bit (2500 paths in blocks of 1000 end in a partial
+    # block, chunks of 384 paths split every block, the head spans two blocks)
+    import cumvol.montecarlo as mc
+    monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
+    monkeypatch.setattr(mc, "_CHUNK_PATHS", 384)
+    g, t_max, n = 0.2, 12, 2500
+    grid = cell_grid(30.0, 3000)
+    p = GriddedPdf(grid, np.exp(-np.abs(grid.points() - 4.0) / 3.0)).normalized()
+    targets = {t: p for t in range(t_max, 0, -1)}
+    for noise in (gaussian(1.0), lorentzian(1.0),
+                  cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])):
+        run = mc.simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=31,
+                                 targets=targets, head_paths=1500)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, ks, head = _whole_block_stream(
+                g, noise, t_max, n, 31, {t: mc._ks_target(q) for t, q in targets.items()}, 1500)
+        for key, values in summary.items():
+            assert run.summary[key] == values, (noise.label(), key)
+        assert run.ks == ks and list(run.ks) == list(targets), noise.label()
+        assert np.array_equal(run.head, head), noise.label()
+
+
+def test_stream_holds_one_block_of_draws():
+    # two full blocks and a partial one, 30 steps, every step a KS target: the
+    # stream keeps one step-major block of draws plus a few rows, where
+    # whole-block passes peaked above five blocks
+    import tracemalloc
+    t_max = 30
+    grid = cell_grid(40.0, 512)
+    p = GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)).normalized()
+    tracemalloc.start()
+    try:
+        simulate_stream(0.2, gaussian(1.0), t_max=t_max, n_paths=2 * BLOCK_PATHS + 1000,
+                        seed=3, targets={t: p for t in range(1, t_max + 1)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t_max * BLOCK_PATHS * 8
+
+
 def _row_logaddexp(x, y):
     out, buf = np.array(y, dtype=float), np.empty(np.shape(x))
     with np.errstate(over="ignore", invalid="ignore"):
