@@ -166,12 +166,6 @@ class EvolutionTrace:
     def final(self) -> StepRecord:
         return self.steps[-1]
 
-    def means(self) -> np.ndarray:
-        return np.array([s.mean for s in self.steps])
-
-    def variances(self) -> np.ndarray:
-        return np.array([s.variance for s in self.steps])
-
     def step_rows(self) -> list:
         """Per-step statistics and diagnostics as plain dicts (JSON-ready)."""
         rows = []
@@ -391,12 +385,11 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
 # ----------------------------------------------------------------------
 
 
-def _centered_l1(prev: GriddedPdf, prev_mean: float, cur: GriddedPdf,
-                 cur_mean: float) -> float:
+def _centered_l1(prev: GriddedPdf, cur: GriddedPdf) -> float:
     pts = cur.grid.points()
     axis = pts - 0.5 * (pts[0] + pts[-1])
-    a = prev.interp_at(axis + prev_mean)
-    b = cur.interp_at(axis + cur_mean)
+    a = prev.interp_at(axis + prev.mean())
+    b = cur.interp_at(axis + cur.mean())
     return float(np.trapezoid(np.abs(a - b), axis))
 
 
@@ -433,17 +426,14 @@ def _evolve(config: EvolutionConfig, raw_convergence: bool) -> EvolutionTrace:
     pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
     op = StepOperator(config.g, config.noise, grid)
     steps = [StepRecord(1, pdf, defect, new_trunc, None)]
-    mean = None if raw_convergence else pdf.mean()
     converged_at = None
     for t in range(2, config.horizon + 1):
         cells, new_trunc = op.apply(pdf.node_masses())
         nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
-        gap = l1 = pdf.distance(nxt, "L1")
+        gap = l1 = pdf.distance(nxt)
         l1c = None
         if not raw_convergence:
-            nxt_mean = nxt.mean()
-            gap = l1c = _centered_l1(pdf, mean, nxt, nxt_mean)
-            mean = nxt_mean
+            gap = l1c = _centered_l1(pdf, nxt)
         steps.append(StepRecord(t, nxt, defect, new_trunc, l1, l1c))
         pdf = nxt
         if gap < config.convergence_tol:

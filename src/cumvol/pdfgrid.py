@@ -128,12 +128,6 @@ class GriddedPdf:
         """Per-node mass = value * quadrature weight; sums to integral()."""
         return self.values * self.grid.node_weights()
 
-    def normalized(self) -> "GriddedPdf":
-        total = self.integral()
-        if not total > 0.0:
-            raise ValueError("cannot normalise a zero-mass density")
-        return GriddedPdf(self.grid, self.values / total, self.truncated_mass)
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
@@ -175,7 +169,12 @@ class GriddedPdf:
             return float(np.trapezoid(x**order * self.values, self.grid.points()))
 
     def mean(self) -> float:
-        return self.moment(1)
+        """The mean, computed once per density."""
+        mean = self.__dict__.get("_mean")
+        if mean is None:
+            mean = self.moment(1)
+            object.__setattr__(self, "_mean", mean)
+        return mean
 
     def variance(self) -> float:
         return self.moment(2, central=True)
@@ -201,15 +200,11 @@ class GriddedPdf:
         w = np.clip(np.where(c1 > c0, (targets - c0) / gap, 0.0), 0.0, 1.0)
         return pts[idx - 1] + w * (pts[idx] - pts[idx - 1])
 
-    def distance(self, other: "GriddedPdf", metric: str = "L1") -> float:
-        """L1 (trapezoidal integral of |p-q|) or KS (max node-CDF gap)."""
+    def distance(self, other: "GriddedPdf") -> float:
+        """L1 distance: the trapezoidal integral of |p - q|."""
         if not self.grid.close_to(other.grid):
             raise ValueError("distance requires both densities on the same grid")
-        if metric == "L1":
-            return float(np.trapezoid(np.abs(self.values - other.values), self.grid.points()))
-        if metric == "KS":
-            return float(np.max(np.abs(self.cdf_nodes() - other.cdf_nodes())))
-        raise ValueError(f"unknown metric {metric!r}")
+        return float(np.trapezoid(np.abs(self.values - other.values), self.grid.points()))
 
     # ------------------------------------------------------------------
     # serialisation
@@ -269,7 +264,13 @@ def atomic_write_text(path, text: str | bytes) -> None:
 #   longest such field). Trailing zeros are masked off.
 #
 # Every other value (and one that rounds up to 1e17) is written by '%'
-# itself.
+# itself. Each number's text sits in a 32-byte field of four lanes, padded
+# with NUL bytes.
+#
+# Padding is the only NUL. No text holds a NUL byte of its own (it is digits,
+# sign, '.', 'e', '+', '-', 'nan', 'inf', ',' and '\n'), so a block's text is
+# its fields viewed as bytes with every NUL dropped: one byte mask per 8192
+# values, not one Python bytes object per number.
 
 # Numbers formatted per pass: transient memory stays bounded whatever the
 # table size.
@@ -355,13 +356,14 @@ def write_csv(path, header: str, table) -> None:
     parts = [header.encode("utf-8") + b"\n"]
     for lo in range(0, rows, step):
         values = np.ravel(table[lo:lo + step])
-        parts.append(b"".join(_g17_fields(values, newline[:values.size]).tolist()))
+        text = _g17_fields(values, newline[:values.size]).view(np.uint8)
+        parts.append(text[text != 0].tobytes())  # padding is the only NUL
     atomic_write_text(path, b"".join(parts))
 
 
 def _g17_fields(values, newline):
     """'%.17g' % v of each value, then ',' (newline 0) or '\\n' (newline 1), as
-    an 'S32' array."""
+    an 'S32' array of NUL-padded fields."""
     n, e, fallback = _decimal(values)
     s0, s1, s2, keep = _digit_text(n)
     c = 4 * e

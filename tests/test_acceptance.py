@@ -31,6 +31,7 @@ from cumvol import (
     simulate,
     steady_state_volatility,
 )
+from helpers import variances
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -110,7 +111,7 @@ def test_criterion_5_explicit_variance_value():
     noise = gaussian(sig)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, t),
                           horizon=t, convergence_tol=1e-300)
-    got = evolve_z(cfg).variances()[-1]
+    got = variances(evolve_z(cfg))[-1]
     # Finite-t leading order, 0.052932. The large-t asymptote var_logZ_saddle
     # gives 0.0300 here (and is negative for t <= 7 at g = 0.2); the reference
     # must reduce to it at large t.

@@ -27,6 +27,7 @@ from cumvol import (
 )
 from cumvol.evolution import _KERNEL_MARGIN, TAIL_TOL, StepOperator, _assemble
 from cumvol.pdfgrid import GriddedPdf
+from helpers import means, normalized, variances
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
 
@@ -84,7 +85,7 @@ def test_warp_step_moves_interior_spike_through_softplus():
     loc = 2.0
     i = int(round((loc - grid.x_min) / h))
     values[i] = 1.0
-    p = GriddedPdf(grid, values).normalized()
+    p = normalized(GriddedPdf(grid, values))
     out = warp_step(p, SPIKE, 0.3)
     target = softplus(0.3 + grid.points()[i])
     assert out.mean() == pytest.approx(target, abs=2 * h)
@@ -96,7 +97,7 @@ def test_warp_step_requires_normalised_input_and_zero_based_grid():
     with pytest.raises(ValueError):
         warp_step(p, gaussian(0.5), 0.2)
     off_grid = cv.GridSpec(1.0, 2.0, 64)
-    q = GriddedPdf(off_grid, np.ones(64)).normalized()
+    q = normalized(GriddedPdf(off_grid, np.ones(64)))
     with pytest.raises(DomainError):
         warp_step(q, gaussian(0.5), 0.2)
 
@@ -113,7 +114,7 @@ def test_evolve_z_deterministic_means_match_geometric_sum():
     grid = default_z_grid(g, gaussian(0.01), 10)
     cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=10, convergence_tol=1e-300)
     tr = evolve_z(cfg)
-    for t, mean in enumerate(tr.means(), start=1):
+    for t, mean in enumerate(means(tr), start=1):
         exact = math.log(sum(math.exp(g * j) for j in range(t + 1)))
         assert mean == pytest.approx(exact, abs=5 * grid.h)
 
@@ -127,7 +128,7 @@ def test_evolve_z_variance_tracks_monte_carlo():
     e = cv.simulate(g, noise, t_max=10, n_paths=400_000, seed=91)
     for t in (1, 5, 10):
         mc = float(np.var(e.z[:, t], ddof=1))
-        assert tr.variances()[t - 1] == pytest.approx(mc, rel=6e-3)
+        assert variances(tr)[t - 1] == pytest.approx(mc, rel=6e-3)
 
 
 def test_evolve_z_variance_reaches_closed_form_asymptote():
@@ -137,7 +138,7 @@ def test_evolve_z_variance_reaches_closed_form_asymptote():
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
                           horizon=40, convergence_tol=1e-300)
     tr = evolve_z(cfg)
-    assert tr.variances()[-1] == pytest.approx(cv.var_logZ_saddle(g, sig, 40), rel=0.01)
+    assert variances(tr)[-1] == pytest.approx(cv.var_logZ_saddle(g, sig, 40), rel=0.01)
 
 
 def test_evolve_z_mean_increment_approaches_drift():
@@ -145,7 +146,7 @@ def test_evolve_z_mean_increment_approaches_drift():
     noise = gaussian(0.1)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
                           horizon=40, convergence_tol=1e-300)
-    m = evolve_z(cfg).means()
+    m = means(evolve_z(cfg))
     assert m[-1] - m[-2] == pytest.approx(g, abs=1e-3)
 
 
@@ -203,7 +204,7 @@ def test_volatility_pdf_spike_maps_fixed_point_to_drift():
     values = np.zeros(grid.n_points)
     i = int(round((ybar_inf - grid.x_min) / grid.h))
     values[i] = 1.0
-    p_y = GriddedPdf(grid, values).normalized()
+    p_y = normalized(GriddedPdf(grid, values))
     dz = volatility_pdf(p_y)
     assert dz.mean() == pytest.approx(g, abs=0.01)
     assert dz.quantiles([0.5])[0] == pytest.approx(g, abs=0.01)

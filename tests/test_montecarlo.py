@@ -17,6 +17,7 @@ from cumvol import (
     simulate_stream,
 )
 from cumvol.montecarlo import BLOCK_PATHS, _logaddexp_into
+from helpers import means, normalized
 
 SPIKE = gaussian(1e-12)
 
@@ -123,7 +124,7 @@ def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
     monkeypatch.setattr(mc, "_CHUNK_PATHS", 384)
     g, t_max, n = 0.2, 12, 2500
     grid = cell_grid(30.0, 3000)
-    p = GriddedPdf(grid, np.exp(-np.abs(grid.points() - 4.0) / 3.0)).normalized()
+    p = normalized(GriddedPdf(grid, np.exp(-np.abs(grid.points() - 4.0) / 3.0)))
     targets = {t: p for t in range(t_max, 0, -1)}
     for noise in (gaussian(1.0), lorentzian(1.0),
                   cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])):
@@ -145,7 +146,7 @@ def test_stream_holds_one_block_of_draws():
     import tracemalloc
     t_max = 30
     grid = cell_grid(40.0, 512)
-    p = GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)).normalized()
+    p = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)))
     tracemalloc.start()
     try:
         simulate_stream(0.2, gaussian(1.0), t_max=t_max, n_paths=2 * BLOCK_PATHS + 1000,
@@ -267,7 +268,7 @@ def test_volatility_below_noise_variance_at_large_t():
 def test_ks_against_own_density_is_sampling_noise():
     # draw the "paths" straight from a gridded density and compare back
     grid = cell_grid(8.0, 2000)
-    target = GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 3.0) / 0.7) ** 2)).normalized()
+    target = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 3.0) / 0.7) ** 2)))
     n = 40_000
     rng = np.random.default_rng(15)
     draws = target.quantiles(rng.random(n))
@@ -285,7 +286,7 @@ def test_ks_spike_versus_spike_density():
     loc = math.log(1 + math.exp(g))  # z_1 for noiseless paths
     values = np.zeros(grid.n_points)
     values[int(round((loc - grid.x_min) / grid.h))] = 1.0
-    p = GriddedPdf(grid, values).normalized()
+    p = normalized(GriddedPdf(grid, values))
     # matched point masses: at most one cell's worth of CDF mismatch
     assert empirical_cdf_distance(e, 1, p) <= 1.0
 
@@ -345,7 +346,7 @@ def test_ks_dual_engine_negative_drift():
     tr = cv.evolve_z(cfg)
     e = simulate(g, noise, t_max=12, n_paths=50_000, seed=22)
     assert empirical_cdf_distance(e, 12, tr.density(12)) < 0.012
-    assert tr.means()[-1] < math.log(1.0 / (1.0 - math.exp(g))) + 1.0
+    assert means(tr)[-1] < math.log(1.0 / (1.0 - math.exp(g))) + 1.0
 
 
 def test_summary_and_histogram():
@@ -370,6 +371,6 @@ def test_input_validation():
     e = simulate(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0)
     with pytest.raises(ValueError):
         empirical_volatility(e, 6)
-    p = GriddedPdf(cell_grid(8.0, 64), np.ones(64)).normalized()
+    p = normalized(GriddedPdf(cell_grid(8.0, 64), np.ones(64)))
     with pytest.raises(ValueError):
         simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0, targets={6: p})

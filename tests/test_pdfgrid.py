@@ -9,7 +9,8 @@ from scipy import special
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian, tabulated
 from cumvol.evolution import TAIL_TOL
-from cumvol.pdfgrid import write_csv
+from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
+from helpers import ks_distance, normalized
 
 
 def gauss_fn(sigma, mu=0.0):
@@ -116,13 +117,13 @@ def test_from_function_rejects_zero_and_negative():
 
 def test_normalize_idempotent():
     p = from_function(GridSpec(-5.0, 5.0, 501), gauss_fn(1.3))
-    q = p.normalized()
-    assert np.allclose(q.values, q.normalized().values)
+    q = normalized(p)
+    assert np.allclose(q.values, normalized(q).values)
 
 
 def test_interp_at_examples():
     grid = GridSpec(0.0, 1.0, 101)
-    ramp = GriddedPdf(grid, np.linspace(0.5, 1.5, 101)).normalized()
+    ramp = normalized(GriddedPdf(grid, np.linspace(0.5, 1.5, 101)))
     pts = grid.points()
     assert ramp.interp_at(pts[7]) == pytest.approx(ramp.values[7])
     mid = 0.5 * (pts[3] + pts[4])
@@ -141,6 +142,20 @@ def test_moments_examples():
         p.moment(5)
 
 
+def test_mean_computed_once(monkeypatch):
+    p = from_function(GridSpec(-2.0, 8.0, 1001), gauss_fn(1.5, mu=3.0))
+    x = p.grid.points()
+    mean = float(np.trapezoid(x * p.values, x))
+    variance = float(np.trapezoid((x - mean) ** 2 * p.values, x))
+    calls = []
+    moment = GriddedPdf.moment
+    monkeypatch.setattr(GriddedPdf, "moment",
+                        lambda self, *a, **k: calls.append(a) or moment(self, *a, **k))
+    assert (p.mean(), p.variance(), p.std(), p.mean()) == (mean, variance, math.sqrt(variance),
+                                                           mean)
+    assert calls == [(1,), (2,), (2,)]  # the variance's centring reuses the mean
+
+
 def test_quantiles_examples():
     g = from_function(GridSpec(-6.0, 10.0, 1601), gauss_fn(1.0, mu=2.0))
     h = g.grid.h
@@ -157,18 +172,18 @@ def test_quantiles_examples():
 
 def test_distance_identity_and_disjoint_spikes():
     p = from_function(GridSpec(-5.0, 5.0, 501), gauss_fn(1.0))
-    assert p.distance(p, "L1") == 0.0
-    assert p.distance(p, "KS") == 0.0
+    assert p.distance(p) == 0.0
+    assert ks_distance(p, p) == 0.0
 
     grid = GridSpec(0.0, 1.0, 101)
     a = np.zeros(101)
     b = np.zeros(101)
     a[20] = 1.0
     b[80] = 1.0
-    pa = GriddedPdf(grid, a).normalized()
-    pb = GriddedPdf(grid, b).normalized()
-    assert pa.distance(pb, "L1") == pytest.approx(2.0, rel=1e-9)
-    assert pa.distance(pb, "KS") == pytest.approx(1.0, rel=1e-9)
+    pa = normalized(GriddedPdf(grid, a))
+    pb = normalized(GriddedPdf(grid, b))
+    assert pa.distance(pb) == pytest.approx(2.0, rel=1e-9)
+    assert ks_distance(pa, pb) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_distance_ks_shifted_gaussian():
@@ -177,7 +192,7 @@ def test_distance_ks_shifted_gaussian():
     p = from_function(grid, gauss_fn(1.0, mu=0.0))
     q = from_function(grid, gauss_fn(1.0, mu=0.1))
     expected = 2.0 * special.ndtr(0.05) - 1.0
-    assert p.distance(q, "KS") == pytest.approx(expected, abs=1e-5)
+    assert ks_distance(p, q) == pytest.approx(expected, abs=1e-5)
     assert expected == pytest.approx(0.0399, abs=1e-4)
 
 
@@ -201,7 +216,7 @@ def test_convolve_with_spike_noise_is_identity():
 def test_convolve_gaussians_gives_root_sum_square_width():
     h = 0.005
     p = from_function(GridSpec(-4.0, 4.0, 1601), gauss_fn(0.4))
-    c = convolve(p, gaussian(0.3)).normalized()
+    c = normalized(convolve(p, gaussian(0.3)))
     target = gauss_fn(0.5)(c.grid.points())
     l1 = np.trapezoid(np.abs(c.values - target), c.grid.points())
     assert l1 < 1e-4
@@ -209,13 +224,13 @@ def test_convolve_gaussians_gives_root_sum_square_width():
 
 def test_convolve_adds_variance():
     p = from_function(GridSpec(-4.0, 4.0, 1601), gauss_fn(0.4))
-    c = convolve(p, gaussian(0.3)).normalized()
+    c = normalized(convolve(p, gaussian(0.3)))
     assert c.variance() == pytest.approx(0.4**2 + 0.3**2, rel=1e-4)
 
 
 def test_convolve_preserves_mean_under_symmetric_noise():
     p = from_function(GridSpec(-2.0, 6.0, 1601), gauss_fn(0.5, mu=1.7))
-    c = convolve(p, gaussian(0.3)).normalized()
+    c = normalized(convolve(p, gaussian(0.3)))
     assert c.mean() == pytest.approx(p.mean(), abs=1e-6)
 
 
@@ -231,7 +246,7 @@ def test_outputs_always_non_negative():
     grid = GridSpec(0.0, 1.0, 128)
     for _ in range(20):
         vals = rng.random(128)
-        p = GriddedPdf(grid, vals).normalized()
+        p = normalized(GriddedPdf(grid, vals))
         c = convolve(p, gaussian(0.05))
         assert np.all(c.values >= 0.0)
         assert np.all(p.quantiles([0.1, 0.5, 0.9]) >= 0.0)
@@ -292,6 +307,7 @@ def assert_g17(path, values, cols=1):
     """write_csv's lines are the "%.17g" of each number, comma-separated."""
     table = np.reshape(np.asarray(values, dtype=float), (-1, cols))
     write_csv(path, "h", table)
+    assert b"\0" not in path.read_bytes()  # the fields' NUL padding is all dropped
     got = path.read_text(encoding="utf-8")
     line = ",".join(["%.17g"] * cols) + "\n"
     want = "h\n" + (line * table.shape[0]) % tuple(table.ravel().tolist())
@@ -379,6 +395,19 @@ def test_write_csv_matches_percent_g17_at_decade_edges(csv_path):
                 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.5, 1.0]
     values = np.array(near + specials)
     assert_g17(csv_path, np.concatenate([values, -values]), cols=1)
+
+
+def test_write_csv_longest_fields_across_a_block_boundary(csv_path):
+    # the 25-byte '%' fields, the non-finite ones and signed zeros fill both
+    # columns of the last rows of one 8192-value block and the first rows of
+    # the next, so every byte of their 32-byte lanes is either text or padding
+    longest = [-2.2250738585072014e-308, -4.9406564584124654e-324, -1.7976931348623157e+308,
+               np.nan, np.inf, -np.inf, -0.0, 0.0]
+    assert max(len(b"%.17g," % v) for v in longest) == 25
+    values = np.full(3 * _CSV_BLOCK_VALUES, 0.25)
+    for edge in (_CSV_BLOCK_VALUES, 2 * _CSV_BLOCK_VALUES):
+        values[edge - 16:edge + 16] = np.resize(longest, 32)
+    assert_g17(csv_path, values, cols=2)
 
 
 def test_to_csv_over_many_blocks(tmp_path):
