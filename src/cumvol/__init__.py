@@ -33,15 +33,7 @@ from .evolution import (
     volatility_pdf,
     warp_step,
 )
-from .montecarlo import (
-    McEnsemble,
-    McStream,
-    empirical_cdf_distance,
-    empirical_volatility,
-    reciprocal_increment_gap,
-    simulate,
-    simulate_stream,
-)
+from .montecarlo import McEnsemble, simulate_stream
 from .noise import (
     NoiseModel,
     gaussian,
@@ -65,6 +57,5 @@ __all__ = [
     "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",
     "sigma_recursion_step", "sigma_dz_narrow",
-    "McEnsemble", "McStream", "simulate", "simulate_stream", "empirical_volatility",
-    "empirical_cdf_distance", "reciprocal_increment_gap",
+    "McEnsemble", "simulate_stream",
 ]

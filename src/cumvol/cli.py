@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=None,
                    help="min,max,n with min=0; default sized from the drift and "
                         f"noise width with {DEFAULT_GRID_POINTS} points")
-    p.add_argument("--tol", type=float, default=1e-15,
+    p.add_argument("--tol", type=_finite_float, default=1e-15,
                    help="mean-centered L1 tolerance for an early steady-state stop")
     p.set_defaults(func=cmd_evolve)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evolve the reversed variable and emit growth-increment densities")
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--grid", type=_grid_arg, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--until-converged", action="store_true",
                    help="iterate to the fixed point (requires g > 0)")
     p.add_argument("--max-steps", type=_positive_int, default=10_000)
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-sweep", type=_sweep_arg, required=True,
                    help="comma-separated noise variances sigma_a^2")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="relative eigenvalue tolerance of the steady-state eigensolve")
     p.add_argument("--max-steps", type=_positive_int, default=10_000,
                    help="cap on step-operator applications per sweep point")

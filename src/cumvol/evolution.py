@@ -65,10 +65,6 @@ __all__ = [
 # the actual defect at roundoff level, so exceeding this means broken inputs.
 MAX_STEP_DEFECT = 1e-3
 
-# Noise mass beyond the kernel window that a light-tailed kernel may drop
-# (counted as truncated); heavy tails hit the window cap first.
-TAIL_TOL = 1e-8
-
 # Extra kernel halfwidth beyond the grid span, so that mass clipped on the
 # kernel's left lands provably inside the first output cell (e^{-margin} << h).
 _KERNEL_MARGIN = 25.0
@@ -283,8 +279,7 @@ class StepOperator:
     def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
         edges = _validated_edges(grid)
         h = grid.h
-        kern = noise.cell_masses(h, tail_tol=TAIL_TOL,
-                                 max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
+        kern = noise.cell_masses(h, max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
         self.grid = grid
         self.kernel = kern
         self._conv_len = grid.n_points + kern.masses.size - 1
@@ -311,8 +306,8 @@ class StepOperator:
             # margin) their mass belongs in the first cell to sub-cell accuracy.
             cells[0] += kern.clip_left * total_in
         else:
-            # Light tails: the clip is below TAIL_TOL and its destination is not
-            # resolved; count it as truncated rather than misplace it.
+            # Light tails: the clip is below noise.TAIL_TOL and its destination
+            # is not resolved; count it as truncated rather than misplace it.
             new_trunc += kern.clip_left * total_in
         return cells, new_trunc
 

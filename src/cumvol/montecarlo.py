@@ -12,11 +12,10 @@ Paths are generated in fixed-size blocks, each from a seed derived from the
 block index, so the ensemble is reproducible and independent of how blocks
 are scheduled. A block's draws are sampled in chunks into one step-major
 buffer; the recurrence then produces z_t of every path in the block one step
-row at a time, and each row is used while it is still in cache: ``simulate``
-stores it into the path-major ``McEnsemble``, ``simulate_stream`` folds it
-into per-step moments and KS counts, holding one block of draws plus a few
-rows of BLOCK_PATHS values. Both reduce through the same row functions, so
-their summaries and KS statistics agree bit for bit.
+row at a time, and ``simulate_stream`` folds each row, while it is still in
+cache, into per-step moments, KS counts and the kept head paths. It holds one
+block of draws plus a few rows of BLOCK_PATHS values, whatever the number of
+paths.
 """
 
 from __future__ import annotations
@@ -29,15 +28,7 @@ from .errors import DomainError
 from .noise import NoiseModel
 from .pdfgrid import GriddedPdf
 
-__all__ = [
-    "McEnsemble",
-    "McStream",
-    "simulate",
-    "simulate_stream",
-    "empirical_volatility",
-    "empirical_cdf_distance",
-    "reciprocal_increment_gap",
-]
+__all__ = ["McEnsemble", "simulate_stream"]
 
 BLOCK_PATHS = 65536
 _CHUNK_PATHS = 2048  # paths sampled per call: a chunk of draws stays in L2 cache
@@ -45,54 +36,12 @@ _CHUNK_PATHS = 2048  # paths sampled per call: a chunk of draws stays in L2 cach
 
 @dataclass(frozen=True)
 class McEnsemble:
-    """Simulated paths of log cumulative production.
+    """What is read from a simulated ensemble, without keeping its paths.
 
-    ``z`` has shape (n_paths, t_max + 1) with z[:, 0] = 0; ``dz`` holds the
-    per-step increments. ``draws`` keeps the raw noise draws when requested
-    (needed for per-path identity checks).
-    """
-
-    g: float
-    noise: NoiseModel
-    n_paths: int
-    t_max: int
-    seed: int
-    z: np.ndarray
-    dz: np.ndarray
-    draws: np.ndarray | None = None
-
-    def summary(self) -> dict:
-        """Per-step means and variances of z and dz, merged block by block."""
-        zm, dzm = _Moments(self.t_max), _Moments(self.t_max)
-        for lo in range(0, self.n_paths, BLOCK_PATHS):
-            zm.add(np.ascontiguousarray(self.z[lo:lo + BLOCK_PATHS, 1:].T))
-            dzm.add(np.ascontiguousarray(self.dz[lo:lo + BLOCK_PATHS].T))
-        return _summary(self.g, self.noise, self.n_paths, self.t_max, self.seed, zm, dzm)
-
-    def histogram(self, t: int, bins: int = 100, variable: str = "z"):
-        """Empirical density histogram of z_t or dz_t (density-normalised)."""
-        samples = self._samples(t, variable)
-        counts, edges = np.histogram(samples, bins=bins, density=True)
-        return counts, edges
-
-    def _samples(self, t: int, variable: str) -> np.ndarray:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"t must lie in 1..{self.t_max}")
-        if variable == "z":
-            return self.z[:, t]
-        if variable == "dz":
-            return self.dz[:, t - 1]
-        raise ValueError(f"unknown variable {variable!r}")
-
-
-@dataclass(frozen=True)
-class McStream:
-    """What the command line reads from an ensemble, without keeping it.
-
-    For the ensemble ``simulate`` returns from the same arguments, ``summary``
-    equals its ``summary()``, ``ks[t]`` equals ``empirical_cdf_distance`` of
-    its z_t against ``targets[t]``, and ``head`` equals ``z[:head_paths]``,
-    all bit for bit.
+    ``summary`` holds the per-step means and variances of z and dz,
+    ``ks[t]`` the KS statistic of z_t against the density ``targets[t]``, and
+    ``head`` the first ``head_paths`` paths of z, shape (head_paths, t_max + 1)
+    with head[:, 0] = 0.
     """
 
     summary: dict
@@ -127,28 +76,8 @@ class _Moments:
                 self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
                 self.n = n
 
-    def add(self, x: np.ndarray) -> None:
-        """Fold a whole step-major block."""
-        dev = np.empty(x.shape[1])
-        for i, r in enumerate(x):
-            self.row(i, r, dev)
-
     def variance(self) -> np.ndarray:
         return self.m2 / (self.n - 1)
-
-
-def _summary(g, noise, n_paths, t_max, seed, zm: _Moments, dzm: _Moments) -> dict:
-    return {
-        "g": g,
-        "noise": noise.label(),
-        "n_paths": n_paths,
-        "t_max": t_max,
-        "seed": seed,
-        "mean_z": zm.mean.tolist(),
-        "var_z": zm.variance().tolist(),
-        "mean_dz": dzm.mean.tolist(),
-        "var_dz": dzm.variance().tolist(),
-    }
 
 
 def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
@@ -161,13 +90,6 @@ def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
 def _ks(below: np.ndarray, n: int, model: np.ndarray) -> float:
     """KS statistic from the counts of samples strictly below each edge."""
     return float(np.max(np.abs(below / n - model)))
-
-
-def _check_sizes(t_max: int, n_paths: int) -> None:
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
 
 
 def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
@@ -188,15 +110,14 @@ def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
     np.add(y, buf, out=y)
 
 
-def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
-          draws: np.ndarray | None = None):
+def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
     """Yield (lo, t, z_{t-1}, z_t) for each block of paths lo.. and each step t = 1..t_max.
 
     Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
     i-th child of SeedSequence(seed), drawn path-major in chunks (the stream
-    of one whole-block draw), copied step-major into a buffer reused across
-    blocks and, if given, into ``draws``. The rows are reused buffers: z_t is
-    valid until the next yield, and the caller may overwrite z_{t-1}.
+    of one whole-block draw) and copied step-major into a buffer reused across
+    blocks. The rows are reused buffers: z_t is valid until the next yield,
+    and the caller may overwrite z_{t-1}.
     """
     children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
     with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
@@ -212,8 +133,6 @@ def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
         for c in range(0, n, _CHUNK_PATHS):
             chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
             a[:, c:c + chunk.shape[0]] = chunk.T
-            if draws is not None:
-                draws[lo + c:lo + c + chunk.shape[0]] = chunk
         prev, cur, buf = rows[:, :n]
         prev.fill(0.0)
         for t in range(1, t_max + 1):
@@ -230,28 +149,24 @@ def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
             prev, cur = cur, prev
 
 
-def simulate(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
-             keep_draws: bool = False) -> McEnsemble:
-    """Simulate the cumulative-production process path by path."""
-    _check_sizes(t_max, n_paths)
-    z = np.zeros((n_paths, t_max + 1))
-    draws = np.empty((n_paths, t_max)) if keep_draws else None
-    for lo, t, _, zt in _rows(g, noise, t_max, n_paths, seed, draws):
-        z[lo:lo + zt.size, t] = zt
-    return McEnsemble(g=g, noise=noise, n_paths=n_paths, t_max=t_max, seed=seed,
-                      z=z, dz=np.diff(z, axis=1), draws=draws)
-
-
 def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
-                    targets: dict | None = None, head_paths: int = 0) -> McStream:
-    """Simulate like ``simulate`` but hold only one block of draws at a time.
+                    targets: dict | None = None, head_paths: int = 0) -> McEnsemble:
+    """Simulate ``n_paths`` paths of z for ``t_max`` steps, one block at a time.
 
     Each step row of a block is folded into per-step moments of z and dz and,
     for each step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the
     counts of z_t samples strictly below that density's cell edges. The
-    first ``head_paths`` paths of z are kept, path-major.
+    gridded CDF is evaluated at those edges (the resolution at which a binned
+    density makes claims) and scaled by 1 - truncated_mass, so runs with
+    recorded truncation are compared fairly against full samples; a value
+    that rounds onto an edge belongs to the cell above it. The first
+    ``head_paths`` paths of z are kept, path-major: ``head_paths=n_paths``
+    keeps every path.
     """
-    _check_sizes(t_max, n_paths)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     targets = {t: _ks_target(p) for t, p in (targets or {}).items()}
     if any(not 1 <= t <= t_max for t in targets):
         raise ValueError(f"KS target steps must lie in 1..{t_max}")
@@ -268,66 +183,18 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
             below[t] = below[t] + np.searchsorted(zp, targets[t][0], side="left")
         if lo < head.shape[0]:
             head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
-    return McStream(
-        summary=_summary(g, noise, n_paths, t_max, seed, zm, dzm),
+    return McEnsemble(
+        summary={
+            "g": g,
+            "noise": noise.label(),
+            "n_paths": n_paths,
+            "t_max": t_max,
+            "seed": seed,
+            "mean_z": zm.mean.tolist(),
+            "var_z": zm.variance().tolist(),
+            "mean_dz": dzm.mean.tolist(),
+            "var_dz": dzm.variance().tolist(),
+        },
         ks={t: _ks(below[t], n_paths, targets[t][1]) for t in targets},
         head=head,
     )
-
-
-def empirical_volatility(e: McEnsemble, t: int, n_boot: int = 200) -> tuple[float, float]:
-    """Sample variance of dz_t with a bootstrap standard error.
-
-    The bootstrap (resampling paths with replacement) makes the uncertainty
-    estimate distribution-agnostic, which matters for heavy-tailed noise.
-    """
-    samples = e._samples(t, "dz")
-    var = float(np.var(samples, ddof=1))
-    rng = np.random.default_rng(np.random.SeedSequence((e.seed, t, 0xB007)))
-    n = samples.size
-    boot = np.empty(n_boot)
-    for i in range(n_boot):
-        idx = rng.integers(0, n, n)
-        boot[i] = np.var(samples[idx], ddof=1)
-    return var, float(np.std(boot, ddof=1))
-
-
-def empirical_cdf_distance(e: McEnsemble, t: int, p: GriddedPdf,
-                           variable: str = "z") -> float:
-    """KS statistic between the empirical sample CDF and a gridded density.
-
-    The gridded CDF is evaluated at its cell edges (the resolution at which a
-    binned density makes claims) and scaled by 1 - truncated_mass, so runs
-    with recorded truncation are compared fairly against full samples.
-    Samples are counted strictly below each edge: values that round onto a
-    cell boundary (e.g. tiny increments underflowing to exactly 0.0) belong
-    to the cell above it.
-    """
-    samples = np.sort(e._samples(t, variable))
-    edges, model = _ks_target(p)
-    return _ks(np.searchsorted(samples, edges, side="left"), samples.size, model)
-
-
-def reciprocal_increment_gap(e: McEnsemble, t: int) -> float:
-    """Max relative gap between the two routes to Y_t = Z_t/(Z_t - Z_{t-1}).
-
-    Route one recomputes Y_t from the simulated path; route two evaluates the
-    reversed-and-negated sum sum_{j=0..t} e^{-g j} e^{-a_t} ... e^{-a_{t-j+1}}
-    from the same draws. The two are equal in exact arithmetic; the gap
-    measures only floating-point noise. Requires keep_draws=True.
-    """
-    if e.draws is None:
-        raise ValueError("reciprocal_increment_gap needs an ensemble with keep_draws=True")
-    if not 1 <= t <= e.t_max:
-        raise ValueError(f"t must lie in 1..{e.t_max}")
-    a = e.draws[:, :t]
-    jg = e.g * np.arange(1, t + 1)
-    s = np.cumsum(a, axis=1) + jg
-    q = np.exp(s)  # direct product terms
-    z_direct = 1.0 + q.sum(axis=1)
-    y_direct = z_direct / q[:, -1]
-
-    a_rev = -a[:, ::-1]
-    s_rev = np.cumsum(a_rev, axis=1) - e.g * np.arange(1, t + 1)
-    y_reindexed = 1.0 + np.exp(s_rev).sum(axis=1)
-    return float(np.max(np.abs(y_direct - y_reindexed) / y_reindexed))

@@ -36,6 +36,10 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _KINDS = ("gaussian", "lorentzian", "tabulated")
 
+# Noise mass beyond the kernel window that a light-tailed kernel may drop
+# (counted as truncated); heavy tails hit the window cap first.
+TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KernelCells:
@@ -49,7 +53,6 @@ class KernelCells:
 
     masses: np.ndarray
     halfcells: int
-    step: float
     clip_left: float
     clip_right: float
     capped: bool = False
@@ -92,10 +95,12 @@ class NoiseModel:
             mass = np.trapezoid(ys, xs)
             if not mass > 0.0:
                 raise ValueError("tabulated noise must have positive total mass")
-            object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "ys", ys / mass)
-            self.xs.setflags(write=False)
-            self.ys.setflags(write=False)
+            ys = ys / mass
+            # CDF at each table node: cumulative trapezoid mass, not a field
+            cum = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
+            for name, arr in (("xs", xs), ("ys", ys), ("_cum", cum)):
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     # ------------------------------------------------------------------
     # density / distribution function
@@ -125,8 +130,7 @@ class NoiseModel:
 
     def _tabulated_cdf(self, arr: np.ndarray) -> np.ndarray:
         # Piecewise-quadratic: exact integral of the linearly interpolated density.
-        xs, ys = self.xs, self.ys
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
+        xs, ys, cum = self.xs, self.ys, self._cum
         xc = np.clip(arr, xs[0], xs[-1])
         i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
         t = xc - xs[i]
@@ -168,8 +172,7 @@ class NoiseModel:
         # (within a table cell the CDF is quadratic, not linear)
         xs, ys = self.xs, self.ys
         widths = np.diff(xs)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * widths)))
-        cum /= cum[-1]
+        cum = self._cum / self._cum[-1]
         u = rng.random(shape)
         i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, xs.size - 2)
         d = np.maximum(u - cum[i], 0.0)
@@ -220,16 +223,15 @@ class NoiseModel:
     # discretisation
     # ------------------------------------------------------------------
 
-    def tail_halfwidth(self, tail_tol: float) -> float:
-        """Halfwidth containing all but ``tail_tol`` of the mass."""
+    def tail_halfwidth(self) -> float:
+        """Halfwidth containing all but ``TAIL_TOL`` of the mass."""
         if self.kind == "gaussian":
-            return self.sigma * float(special.ndtri(1.0 - 0.5 * tail_tol))
+            return self.sigma * float(special.ndtri(1.0 - 0.5 * TAIL_TOL))
         if self.kind == "lorentzian":
-            return self.gamma / math.tan(0.5 * math.pi * tail_tol)
+            return self.gamma / math.tan(0.5 * math.pi * TAIL_TOL)
         return self.scale()
 
-    def cell_masses(self, step: float, tail_tol: float,
-                    max_halfwidth: float | None = None) -> KernelCells:
+    def cell_masses(self, step: float, max_halfwidth: float | None = None) -> KernelCells:
         """Exact cell masses of the density on a grid of spacing ``step``.
 
         The window halfwidth is the smaller of the tail-tolerance width and
@@ -240,7 +242,7 @@ class NoiseModel:
         """
         if not step > 0.0:
             raise ValueError("step must be positive")
-        natural = self.tail_halfwidth(tail_tol)
+        natural = self.tail_halfwidth()
         halfwidth = natural
         capped = False
         if max_halfwidth is not None and max_halfwidth < natural:
@@ -253,7 +255,6 @@ class NoiseModel:
         return KernelCells(
             masses=masses,
             halfcells=m,
-            step=step,
             clip_left=float(cdf[0]),
             clip_right=float(1.0 - cdf[-1]),
             capped=capped,

@@ -20,18 +20,16 @@ from cumvol import (
     EvolutionConfig,
     default_y_config,
     default_z_grid,
-    empirical_cdf_distance,
     evolve_y,
     evolve_z,
     gaussian,
     lorentzian,
-    reciprocal_increment_gap,
     sigma_dz_narrow,
     sigma_y_fixed_point,
-    simulate,
+    simulate_stream,
     steady_state_volatility,
 )
-from helpers import variances
+from helpers import block_draws, reciprocal_increment_gap, variances
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -119,7 +117,7 @@ def test_criterion_5_explicit_variance_value():
     asymptote = cv.var_logZ_saddle(g, sig, t)
     tie = abs(_var_logZ_narrow(g, sig, 80) / cv.var_logZ_saddle(g, sig, 80) - 1.0)
     rel = abs(got - reference) / reference
-    mc = float(np.var(simulate(g, noise, t_max=t, n_paths=200_000, seed=2).z[:, t], ddof=1))
+    mc = simulate_stream(g, noise, t_max=t, n_paths=200_000, seed=2).summary["var_z"][t - 1]
     ok = rel <= 0.03 and tie <= 1e-6
     _line(5, ok, f"Var(z_10)={got:.6f} vs finite-t narrow-noise {reference:.6f} "
                  f"(rel err {rel:.3f}, need <= 0.03); large-t asymptote {asymptote:.6f}; "
@@ -138,8 +136,8 @@ def test_criterion_6_oracle_equivalence():
         cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 20),
                               horizon=20, convergence_tol=1e-300)
         tr = evolve_z(cfg)
-        e = simulate(g, noise, t_max=20, n_paths=100_000, seed=42)
-        ks = {t: empirical_cdf_distance(e, t, tr.density(t)) for t in (1, 5, 20)}
+        ks = simulate_stream(g, noise, t_max=20, n_paths=100_000, seed=42,
+                             targets={t: tr.density(t) for t in (1, 5, 20)}).ks
         elapsed = time.perf_counter() - t0
         ok = max(ks.values()) < 0.01 and elapsed < 60.0
         ok_all = ok_all and ok
@@ -151,8 +149,8 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_per_path_reversal_identity():
-    e = simulate(0.2, gaussian(1.0), t_max=20, n_paths=1000, seed=123, keep_draws=True)
-    gap = max(reciprocal_increment_gap(e, t) for t in (5, 12, 20))
+    draws = block_draws(gaussian(1.0), t_max=20, n_paths=1000, seed=123)
+    gap = max(reciprocal_increment_gap(0.2, draws, t) for t in (5, 12, 20))
     ok = gap <= 1e-10
     _line(7, ok, f"max relative gap over 1000 paths = {gap:.2e} (<= 1e-10)")
     assert gap <= 1e-10

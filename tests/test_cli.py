@@ -9,6 +9,7 @@ import cumvol.cli as cli
 import cumvol.montecarlo as mc
 from cumvol import GriddedPdf, gaussian
 from cumvol.cli import main
+from helpers import sample_ks
 
 
 def run(argv):
@@ -144,20 +145,21 @@ def test_simulate_paths_csv_capped(tmp_path, monkeypatch):
     assert len(lines) == 201
     assert lines[0] == "path,z0,z1,z2,z3"
 
-    # past the cap, the rows are the first paths of the in-memory ensemble,
-    # taken across blocks (the last one partial), and the summary is its summary
+    # past the cap, the rows are the first paths of the whole ensemble, taken
+    # across blocks (the last one partial), and the summary is its summary
     monkeypatch.setattr(mc, "BLOCK_PATHS", 4096)
     out = tmp_path / "capped"
     code = run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1",
                 "--paths", "10050", "--steps", "3", "--seed", "1", "--paths-csv",
                 "--out", str(out)])
     assert code == 0
-    e = mc.simulate(0.2, gaussian(1.0), t_max=3, n_paths=10_050, seed=1)
+    e = mc.simulate_stream(0.2, gaussian(1.0), t_max=3, n_paths=10_050, seed=1,
+                           head_paths=10_050)
     expected = ["path,z0,z1,z2,z3\n"]
-    for i, row in enumerate(e.z[:10_000]):
+    for i, row in enumerate(e.head[:10_000]):
         expected.append(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     assert (out / "paths.csv").read_bytes() == "".join(expected).encode("utf-8")
-    summary = json.dumps(e.summary(), indent=2, sort_keys=True) + "\n"
+    summary = json.dumps(e.summary, indent=2, sort_keys=True) + "\n"
     assert (out / "summary.json").read_text(encoding="utf-8") == summary
 
 
@@ -174,12 +176,13 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
     ks = json.loads((out / "ks_report.json").read_text(encoding="utf-8"))
     assert len(ks["ks_per_step"]) == 5
     assert max(r["ks"] for r in ks["ks_per_step"]) < 0.02
-    # the streamed counts give exactly the in-memory ensemble's statistic
-    e = mc.simulate(0.2, gaussian(1.0), t_max=5, n_paths=20_000, seed=3)
+    # the streamed counts give exactly the statistic of the whole ensemble
+    z = mc.simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=20_000, seed=3,
+                           head_paths=20_000).head
     steps = read_manifest(ref)["steps"]
     for row, step in zip(ks["ks_per_step"], steps):
         pdf = GriddedPdf.from_csv(ref / step["file"], truncated_mass=step["truncated_mass"])
-        assert row["ks"] == mc.empirical_cdf_distance(e, row["t"], pdf)
+        assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
 
 
 def test_simulate_against_without_manifest_fails_before_simulating(tmp_path, monkeypatch):
@@ -222,6 +225,21 @@ def test_nan_drift_is_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert run(["compare-saddle", "--g", "nan", "--sigma-sweep", "0.01", "--out", out]) == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3"],
+    ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3"],
+    ["compare-saddle", "--g", "0.2", "--sigma-sweep", "0.01"],
+])
+def test_infinite_tolerance_is_usage_error(tmp_path, capsys, command):
+    # an infinite --tol would "converge" at once and only fail at the manifest,
+    # after writing densities; it must be refused before anything is computed
+    out = tmp_path / "x"
+    assert run(command + ["--tol", "inf", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -4,44 +4,53 @@ import numpy as np
 import pytest
 
 import cumvol as cv
-from cumvol import (
-    GriddedPdf,
-    McEnsemble,
-    cell_grid,
-    empirical_cdf_distance,
-    empirical_volatility,
-    gaussian,
-    lorentzian,
-    reciprocal_increment_gap,
-    simulate,
-    simulate_stream,
-)
+from cumvol import GriddedPdf, cell_grid, gaussian, lorentzian, simulate_stream
 from cumvol.montecarlo import BLOCK_PATHS, _logaddexp_into
-from helpers import means, normalized
+from helpers import (
+    block_draws,
+    bootstrap_variance,
+    means,
+    normalized,
+    reciprocal_increment_gap,
+    sample_ks,
+)
 
 SPIKE = gaussian(1e-12)
 
 
+def paths(g, noise, t_max, n_paths, seed):
+    """Every simulated path of z, shape (n_paths, t_max + 1)."""
+    return simulate_stream(g, noise, t_max=t_max, n_paths=n_paths, seed=seed,
+                           head_paths=n_paths).head
+
+
+def dz_variance(g, noise, t, n_paths, seed):
+    """Sample variance of dz_t over the paths, with a bootstrap standard error."""
+    z = paths(g, noise, t, n_paths, seed)
+    return bootstrap_variance(z[:, t] - z[:, t - 1], (seed, t, 0xB007))
+
+
 def test_noiseless_paths_reproduce_geometric_sum():
     g = 0.2
-    e = simulate(g, SPIKE, t_max=10, n_paths=50, seed=1)
+    z = paths(g, SPIKE, t_max=10, n_paths=50, seed=1)
     exact = math.log(sum(math.exp(g * j) for j in range(11)))
-    assert np.allclose(e.z[:, 10], exact, atol=1e-9)
+    assert np.allclose(z[:, 10], exact, atol=1e-9)
 
 
 def test_zero_drift_noiseless_increments():
-    e = simulate(0.0, SPIKE, t_max=8, n_paths=10, seed=2)
+    z = paths(0.0, SPIKE, t_max=8, n_paths=10, seed=2)
+    dz = np.diff(z, axis=1)
     for t in range(1, 9):
-        assert np.allclose(e.z[:, t], math.log(t + 1.0), atol=1e-9)
-        assert np.allclose(e.dz[:, t - 1], math.log((t + 1.0) / t), atol=1e-9)
+        assert np.allclose(z[:, t], math.log(t + 1.0), atol=1e-9)
+        assert np.allclose(dz[:, t - 1], math.log((t + 1.0) / t), atol=1e-9)
 
 
 def test_seed_determinism_and_sensitivity():
-    a = simulate(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=9)
-    b = simulate(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=9)
-    c = simulate(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=10)
-    assert np.array_equal(a.z, b.z)
-    assert not np.array_equal(a.z, c.z)
+    a = paths(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=9)
+    b = paths(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=9)
+    c = paths(0.2, gaussian(1.0), t_max=5, n_paths=2000, seed=10)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_blocks_independent_of_scheduling(monkeypatch):
@@ -55,19 +64,13 @@ def test_blocks_independent_of_scheduling(monkeypatch):
     g, t_max, n = 0.2, 32, 2500
     for noise in (gaussian(1.0), lorentzian(0.5),
                   cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])):
-        split = mc.simulate(g, noise, t_max=t_max, n_paths=n, seed=77)
-        children = np.random.SeedSequence(77).spawn(3)
-        manual = np.vstack([
-            noise.sample_with(np.random.default_rng(children[bi]),
-                              (min(bi * 1000 + 1000, n) - bi * 1000, t_max))
-            for bi in range(3)])
-        s = np.cumsum(manual, axis=1) + g * np.arange(1, t_max + 1)
+        split = paths(g, noise, t_max=t_max, n_paths=n, seed=77)
+        s = np.cumsum(block_draws(noise, t_max, n, 77), axis=1) + g * np.arange(1, t_max + 1)
         z = np.zeros((n, t_max + 1))
         for t in range(1, t_max + 1):
             x, y = z[:, t - 1], s[:, t - 1]
             z[:, t] = np.maximum(x, y) + np.log1p(np.exp(np.negative(np.abs(x - y))))
-        assert np.array_equal(split.z, z), noise.label()
-        assert np.array_equal(split.dz, np.diff(z, axis=1)), noise.label()
+        assert np.array_equal(split, z), noise.label()
 
 
 class _WholeBlockMoments:
@@ -196,12 +199,13 @@ def test_row_logaddexp_kernel_matches_numpy():
     # inf - inf is left non-finite for the finiteness check, without a warning
     assert not np.isfinite(_row_logaddexp([np.inf], [np.inf])).any()
     with pytest.raises(cv.DomainError, match="overflowed"):
-        simulate(1e308, gaussian(1.0), t_max=3, n_paths=10, seed=1)
+        simulate_stream(1e308, gaussian(1.0), t_max=3, n_paths=10, seed=1)
 
 
-def test_stream_matches_in_memory_ensemble(monkeypatch):
-    # 12 345 paths in blocks of 1000 end in a partial block; the streamed KS,
-    # summary and head rows must equal what the in-memory ensemble gives
+def test_stream_reductions_match_whole_ensemble(monkeypatch):
+    # 12 345 paths in blocks of 1000 end in a partial block; the streamed KS
+    # counts and the blockwise moment merge must agree with reductions over
+    # the whole ensemble, and a short head must be the first rows of a full one
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
     g, noise, n = 0.2, gaussian(1.0), 12_345
@@ -211,56 +215,52 @@ def test_stream_matches_in_memory_ensemble(monkeypatch):
     targets = {t: tr.density(t) for t in (4, 1, 3)}
     run = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, targets=targets,
                              head_paths=2500)
-    e = mc.simulate(g, noise, t_max=4, n_paths=n, seed=77)
-    assert list(run.ks) == [4, 1, 3]
+    full = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, head_paths=n)
+    z = full.head
+    assert list(run.ks) == [4, 1, 3] and full.ks == {}
     for t, p in targets.items():
-        assert run.ks[t] == empirical_cdf_distance(e, t, p) > 0.0
-    assert run.summary == e.summary()
-    assert np.array_equal(run.head, e.z[:2500])
+        assert run.ks[t] == sample_ks(z[:, t], p) > 0.0
+    assert run.summary == full.summary
+    assert np.array_equal(run.head, z[:2500])
     # the blockwise merge against plain two-pass reductions over all paths
-    two_pass = {"mean_z": e.z[:, 1:].mean(axis=0), "var_z": e.z[:, 1:].var(axis=0, ddof=1),
-                "mean_dz": e.dz.mean(axis=0), "var_dz": e.dz.var(axis=0, ddof=1)}
+    dz = np.diff(z, axis=1)
+    two_pass = {"mean_z": z[:, 1:].mean(axis=0), "var_z": z[:, 1:].var(axis=0, ddof=1),
+                "mean_dz": dz.mean(axis=0), "var_dz": dz.var(axis=0, ddof=1)}
     for key, values in two_pass.items():
         np.testing.assert_allclose(run.summary[key], values, rtol=1e-12, atol=0.0)
 
 
 def test_path_monotonicity_and_support():
-    e = simulate(0.2, gaussian(1.0), t_max=20, n_paths=5000, seed=4)
-    assert np.all(e.z >= 0.0)
-    assert np.all(e.dz > 0.0)
-    e2 = simulate(-0.1, lorentzian(0.5), t_max=15, n_paths=5000, seed=5)
-    assert np.all(e2.z >= 0.0)
-    assert np.all(e2.dz >= 0.0)  # tiny increments may round to zero
+    z = paths(0.2, gaussian(1.0), t_max=20, n_paths=5000, seed=4)
+    assert np.all(z >= 0.0)
+    assert np.all(np.diff(z, axis=1) > 0.0)
+    z2 = paths(-0.1, lorentzian(0.5), t_max=15, n_paths=5000, seed=5)
+    assert np.all(z2 >= 0.0)
+    assert np.all(np.diff(z2, axis=1) >= 0.0)  # tiny increments may round to zero
 
 
 def test_reciprocal_increment_identity_per_path():
-    e = simulate(0.2, gaussian(1.0), t_max=20, n_paths=1000, seed=6, keep_draws=True)
-    assert reciprocal_increment_gap(e, 20) < 1e-10
-    assert reciprocal_increment_gap(e, 7) < 1e-10
-    plain = simulate(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=6)
-    with pytest.raises(ValueError):
-        reciprocal_increment_gap(plain, 5)
+    draws = block_draws(gaussian(1.0), t_max=20, n_paths=1000, seed=6)
+    assert reciprocal_increment_gap(0.2, draws, 20) < 1e-10
+    assert reciprocal_increment_gap(0.2, draws, 7) < 1e-10
 
 
 def test_empirical_volatility_deterministic_ensemble_is_zero():
-    e = simulate(0.2, SPIKE, t_max=10, n_paths=500, seed=8)
-    var, se = empirical_volatility(e, 10)
+    var, se = dz_variance(0.2, SPIKE, 10, n_paths=500, seed=8)
     assert var == pytest.approx(0.0, abs=1e-18)
     assert se == pytest.approx(0.0, abs=1e-18)
 
 
 def test_empirical_volatility_matches_narrow_formula():
     g, sig = 0.1, 0.05
-    e = simulate(g, gaussian(sig), t_max=50, n_paths=100_000, seed=12)
-    var, se = empirical_volatility(e, 50)
+    var, se = dz_variance(g, gaussian(sig), 50, n_paths=100_000, seed=12)
     target = sig**2 * math.tanh(g / 2)
     assert abs(var - target) < 3 * se
     assert se > 0.0
 
 
 def test_volatility_below_noise_variance_at_large_t():
-    e = simulate(0.3, gaussian(0.5), t_max=60, n_paths=50_000, seed=13)
-    var, _ = empirical_volatility(e, 60)
+    var, _ = dz_variance(0.3, gaussian(0.5), 60, n_paths=50_000, seed=13)
     sample_noise_var = float(np.var(gaussian(0.5).sample_with(np.random.default_rng(14), (50_000,)), ddof=1))
     assert var < sample_noise_var
 
@@ -272,23 +272,19 @@ def test_ks_against_own_density_is_sampling_noise():
     n = 40_000
     rng = np.random.default_rng(15)
     draws = target.quantiles(rng.random(n))
-    z = np.zeros((n, 2))
-    z[:, 1] = draws
-    e = McEnsemble(g=0.0, noise=gaussian(1.0), n_paths=n, t_max=1, seed=15,
-                   z=z, dz=np.diff(z, axis=1))
-    assert empirical_cdf_distance(e, 1, target) < 1.36 / math.sqrt(n)
+    assert sample_ks(draws, target) < 1.36 / math.sqrt(n)
 
 
 def test_ks_spike_versus_spike_density():
     g = 0.2
-    e = simulate(g, SPIKE, t_max=3, n_paths=1000, seed=16)
     grid = cell_grid(2.0, 400)
     loc = math.log(1 + math.exp(g))  # z_1 for noiseless paths
     values = np.zeros(grid.n_points)
     values[int(round((loc - grid.x_min) / grid.h))] = 1.0
     p = normalized(GriddedPdf(grid, values))
+    run = simulate_stream(g, SPIKE, t_max=3, n_paths=1000, seed=16, targets={1: p})
     # matched point masses: at most one cell's worth of CDF mismatch
-    assert empirical_cdf_distance(e, 1, p) <= 1.0
+    assert run.ks[1] <= 1.0
 
 
 def test_finite_time_volatility_variance_dual_engine():
@@ -298,8 +294,7 @@ def test_finite_time_volatility_variance_dual_engine():
                              horizon=20, convergence_tol=1e-300)
     tr = cv.evolve_y(cfg)
     engine_var = cv.volatility_pdf(tr.density(20)).variance()
-    e = simulate(g, noise, t_max=20, n_paths=100_000, seed=19)
-    mc_var, se = empirical_volatility(e, 20)
+    mc_var, se = dz_variance(g, noise, 20, n_paths=100_000, seed=19)
     assert abs(mc_var - engine_var) < 3 * se
 
 
@@ -312,8 +307,7 @@ def test_steady_state_volatility_dual_engine_tabulated():
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_y_grid(g, noise),
                              horizon=3000, convergence_tol=1e-10)
     rep = cv.steady_state_volatility(cfg)
-    e = simulate(g, noise, t_max=60, n_paths=100_000, seed=23)
-    mc_var, se = empirical_volatility(e, 60)
+    mc_var, se = dz_variance(g, noise, 60, n_paths=100_000, seed=23)
     assert abs(mc_var - rep.variance) < 3 * se
 
 
@@ -322,8 +316,9 @@ def test_ks_dual_engine_gaussian():
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 10),
                              horizon=10, convergence_tol=1e-300)
     tr = cv.evolve_z(cfg)
-    e = simulate(g, noise, t_max=10, n_paths=100_000, seed=17)
-    assert empirical_cdf_distance(e, 10, tr.density(10)) < 0.01
+    run = simulate_stream(g, noise, t_max=10, n_paths=100_000, seed=17,
+                          targets={10: tr.density(10)})
+    assert run.ks[10] < 0.01
 
 
 def test_ks_dual_engine_tabulated_asymmetric():
@@ -333,9 +328,10 @@ def test_ks_dual_engine_tabulated_asymmetric():
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 10),
                              horizon=10, convergence_tol=1e-300)
     tr = cv.evolve_z(cfg)
-    e = simulate(g, noise, t_max=10, n_paths=50_000, seed=21)
+    run = simulate_stream(g, noise, t_max=10, n_paths=50_000, seed=21,
+                          targets={t: tr.density(t) for t in (1, 5, 10)})
     for t in (1, 5, 10):
-        assert empirical_cdf_distance(e, t, tr.density(t)) < 0.012
+        assert run.ks[t] < 0.012
 
 
 def test_ks_dual_engine_negative_drift():
@@ -344,33 +340,23 @@ def test_ks_dual_engine_negative_drift():
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 12),
                              horizon=12, convergence_tol=1e-300)
     tr = cv.evolve_z(cfg)
-    e = simulate(g, noise, t_max=12, n_paths=50_000, seed=22)
-    assert empirical_cdf_distance(e, 12, tr.density(12)) < 0.012
+    run = simulate_stream(g, noise, t_max=12, n_paths=50_000, seed=22,
+                          targets={12: tr.density(12)})
+    assert run.ks[12] < 0.012
     assert means(tr)[-1] < math.log(1.0 / (1.0 - math.exp(g))) + 1.0
 
 
-def test_summary_and_histogram():
-    e = simulate(0.2, gaussian(0.5), t_max=6, n_paths=3000, seed=18)
-    s = e.summary()
+def test_summary_shape():
+    s = simulate_stream(0.2, gaussian(0.5), t_max=6, n_paths=3000, seed=18).summary
     assert len(s["mean_z"]) == 6 and len(s["var_dz"]) == 6
     assert s["mean_z"][-1] > s["mean_z"][0]
-    counts, edges = e.histogram(3, bins=40)
-    width = edges[1] - edges[0]
-    assert (counts * width).sum() == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        e.histogram(7)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        simulate(0.2, gaussian(1.0), t_max=0, n_paths=10, seed=0)
-    with pytest.raises(ValueError):
-        simulate(0.2, gaussian(1.0), t_max=5, n_paths=0, seed=0)
+        simulate_stream(0.2, gaussian(1.0), t_max=0, n_paths=10, seed=0)
     with pytest.raises(ValueError):
         simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=0, seed=0)
-    e = simulate(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0)
-    with pytest.raises(ValueError):
-        empirical_volatility(e, 6)
     p = normalized(GriddedPdf(cell_grid(8.0, 64), np.ones(64)))
     with pytest.raises(ValueError):
         simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0, targets={6: p})

@@ -166,20 +166,20 @@ def test_unit_mass_on_wide_grid():
 
 def test_cell_masses_cover_unit_mass_and_report_clip():
     n = lorentzian(1.0)
-    kern = n.cell_masses(0.01, tail_tol=1e-8, max_halfwidth=30.0)
+    kern = n.cell_masses(0.01, max_halfwidth=30.0)
     assert kern.capped
     covered = kern.masses.sum() + kern.clip_left + kern.clip_right
     assert covered == pytest.approx(1.0, abs=1e-12)
     assert kern.clip_left + kern.clip_right == pytest.approx(
         1.0 - (2.0 / math.pi) * math.atan(30.0), rel=1e-3)
 
-    g = gaussian(1.0).cell_masses(0.01, tail_tol=1e-8)
+    g = gaussian(1.0).cell_masses(0.01)
     assert not g.capped
     assert g.clip_left + g.clip_right <= 1.2e-8
 
 
 def test_cell_masses_spike_limit_lands_in_center_cell():
-    kern = gaussian(1e-12).cell_masses(0.01, tail_tol=1e-8)
+    kern = gaussian(1e-12).cell_masses(0.01)
     assert kern.masses[kern.halfcells] == pytest.approx(1.0, abs=1e-15)
 
 

@@ -8,7 +8,6 @@ from scipy import special
 
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian, tabulated
-from cumvol.evolution import TAIL_TOL
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
 from helpers import ks_distance, normalized
 
@@ -52,7 +51,7 @@ def convolve(p: GriddedPdf, noise: NoiseModel, max_halfwidth: float | None = Non
     mass beyond a capped kernel window is added to ``truncated_mass``.
     """
     h = p.grid.h
-    kern = noise.cell_masses(h, tail_tol=TAIL_TOL, max_halfwidth=max_halfwidth)
+    kern = noise.cell_masses(h, max_halfwidth=max_halfwidth)
     m = kern.halfcells
     grid = GridSpec(p.grid.x_min - m * h, p.grid.x_max + m * h, p.grid.n_points + 2 * m)
     masses = np.convolve(p.node_masses(), kern.masses)

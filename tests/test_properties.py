@@ -1,5 +1,7 @@
-"""Randomised mass accounting of the step operator and the dz involution."""
+"""Randomised mass accounting of the step operator and the dz involution, and
+randomised agreement of the exact z densities with the Monte Carlo oracle."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cumvol.evolution as ev
-from cumvol import cell_grid, gaussian, init_first_step, lorentzian, tabulated, volatility_pdf
+from cumvol import (
+    EvolutionConfig,
+    cell_grid,
+    default_z_grid,
+    evolve_z,
+    gaussian,
+    init_first_step,
+    lorentzian,
+    simulate_stream,
+    tabulated,
+    volatility_pdf,
+)
 
 gs = st.floats(0.05, 1.0)
 widths = st.floats(0.05, 2.0)
@@ -49,3 +62,25 @@ def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz
     _, cells, _, new_trunc = assemble.call_args.args
     assert cells.sum() + new_trunc == pytest.approx(1.0, abs=1e-12)
     assert dz.truncated_mass < 1.0
+
+
+ASYMMETRIC_TABLE = tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
+oracle_noises = st.one_of(
+    st.floats(0.3, 1.5).map(gaussian),
+    st.floats(0.2, 1.0).map(lorentzian),
+    st.just(ASYMMETRIC_TABLE),
+)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(gs, oracle_noises, st.integers(1, 6))
+def test_exact_z_density_agrees_with_monte_carlo(g, noise, t_max):
+    # every step's exact density against 20 000 simulated paths: the largest
+    # KS stays within 3/sqrt(n), the bound the benchmark's oracle check uses
+    n = 20_000
+    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, t_max, n_points=8192),
+                          horizon=t_max, convergence_tol=1e-300)
+    tr = evolve_z(cfg)
+    run = simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=2024,
+                          targets={t: tr.density(t) for t in range(1, t_max + 1)})
+    assert max(run.ks.values()) < 3.0 / math.sqrt(n)
