@@ -20,6 +20,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,13 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _relative_tol(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance in (0, 1), got {text!r}")
     return value
 
 
@@ -181,7 +189,7 @@ def cmd_evolve(args) -> int:
     for row, name in zip(rows, outputs):
         row["file"] = name
     manifest = _manifest("evolve", _echo(args), outputs, {
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
+        "grid": asdict(grid),
         "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
                         "mode": "mean-centered L1"},
         "steps": rows,
@@ -225,6 +233,7 @@ def cmd_volatility(args) -> int:
         rows.append({
             "t": rec.t,
             "file": name,
+            "dz_grid": asdict(dz.grid),
             "dz_mean": dz.mean(),
             "dz_variance": dz.variance(),
             "truncated_mass": dz.truncated_mass,
@@ -236,7 +245,7 @@ def cmd_volatility(args) -> int:
         outputs.append("volatility_report.json")
 
     _write_manifest(out_dir, _manifest("volatility", _echo(args), outputs, {
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
+        "grid": asdict(grid),
         "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
                         "mode": "raw L1"},
         "steps": rows,
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-sweep", type=_sweep_arg, required=True,
                    help="comma-separated noise variances sigma_a^2")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-9,
+    p.add_argument("--tol", type=_relative_tol, default=1e-9,
                    help="relative eigenvalue tolerance of the steady-state eigensolve")
     p.add_argument("--max-steps", type=_positive_int, default=10_000,
                    help="cap on step-operator applications per sweep point")

@@ -211,11 +211,23 @@ class GriddedPdf:
     # ------------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write (x, density) rows at full double precision, atomically."""
-        write_csv(path, "x,density", np.column_stack((self.grid.points(), self.values)))
+        """Write (x, density) rows at full double precision, atomically.
+
+        The rows end at the first zero after the last positive value (at
+        least 16 rows, at most the whole grid): the density is 0 at every
+        later node, so the file's trapezoid is still ``integral()``. The
+        full grid is recorded by the caller, e.g. in a manifest.
+        """
+        positive = np.flatnonzero(self.values > 0.0)
+        end = positive[-1] + 2 if positive.size else 0
+        rows = min(self.grid.n_points, max(16, end))
+        write_csv(path, "x,density",
+                  np.column_stack((self.grid.points()[:rows], self.values[:rows])))
 
     @classmethod
     def from_csv(cls, path, truncated_mass: float = 0.0) -> "GriddedPdf":
+        """Read a file written by ``to_csv``: the density on the file's rows,
+        a prefix of the grid it was computed on (0 at every node past it)."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 2 or data.shape[0] < 16:
             raise ValueError(f"{path}: expected two-column CSV with >= 16 rows")

@@ -7,8 +7,10 @@ import pytest
 
 import cumvol.cli as cli
 import cumvol.montecarlo as mc
-from cumvol import GriddedPdf, gaussian
+from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, evolve_y, evolve_z,
+                    gaussian, lorentzian, volatility_pdf)
 from cumvol.cli import main
+from cumvol.pdfgrid import write_csv
 from helpers import sample_ks
 
 
@@ -36,7 +38,17 @@ def test_evolve_writes_densities_and_manifest(tmp_path):
         assert f.exists() and f.stat().st_size > 0
     first = (out / "rho_z_t0001.csv").read_text(encoding="utf-8").splitlines()
     assert first[0] == "x,density"
-    assert len(first) == 2049
+    # rows run through the first zero past the last positive value, on the
+    # prefix of the manifest's grid
+    assert manifest["grid"]["n_points"] == 2048
+    grid = cell_grid(30.0, 2048)
+    values = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=grid, horizon=4,
+                                      convergence_tol=1e-15)).steps[0].pdf.values
+    last = np.flatnonzero(values)[-1]
+    assert last + 2 < 2048
+    assert len(first) - 1 == max(16, last + 2)
+    written = GriddedPdf.from_csv(out / "rho_z_t0001.csv")
+    assert np.array_equal(written.values, values[:last + 2])
     steps = manifest["steps"]
     assert [s["t"] for s in steps] == [1, 2, 3, 4]
     assert all(s["mass_defect"] < 1e-3 for s in steps)
@@ -81,6 +93,29 @@ def test_volatility_until_converged(tmp_path):
     # growth-increment densities settle: early steps change far more than late
     l1 = [s["y_l1_prev"] for s in manifest["steps"] if s["y_l1_prev"] is not None]
     assert l1[0] > 100 * l1[-1]
+
+
+def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):
+    # each step's dz grid is sized separately: the manifest row records it, so
+    # the trimmed file padded with zero rows is the whole in-memory density
+    out = tmp_path / "v"
+    assert run(["volatility", "--g", "0.2", "--noise", "lorentzian:gamma=1", "--steps", "3",
+                "--grid", "0,20,1024", "--out", str(out)]) == 0
+    trace = evolve_y(EvolutionConfig(g=0.2, noise=lorentzian(1.0), grid=cell_grid(20.0, 1024),
+                                     horizon=3, convergence_tol=1e-8))
+    rows = read_manifest(out)["steps"]
+    assert len(rows) == len(trace.steps) == 3
+    for row, rec in zip(rows, trace.steps):
+        dz = volatility_pdf(rec.pdf)
+        grid = GridSpec(**row["dz_grid"])
+        assert grid == dz.grid
+        kept = np.loadtxt(out / row["file"], delimiter=",", skiprows=1)[:, 1]
+        assert kept.size < grid.n_points
+        padded = np.concatenate((kept, np.zeros(grid.n_points - kept.size)))
+        write_csv(tmp_path / "full.csv", "x,density", np.column_stack((grid.points(), padded)))
+        write_csv(tmp_path / "ref.csv", "x,density", np.column_stack((dz.grid.points(),
+                                                                     dz.values)))
+        assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_volatility_large_drift_with_resolved_centre(tmp_path):
@@ -183,6 +218,12 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
     for row, step in zip(ks["ks_per_step"], steps):
         pdf = GriddedPdf.from_csv(ref / step["file"], truncated_mass=step["truncated_mass"])
         assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
+    # the trimmed files give the KS of the untrimmed in-memory densities
+    trace = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=cell_grid(40.0, 4096),
+                                     horizon=5, convergence_tol=1e-15))
+    for row, rec in zip(ks["ks_per_step"], trace.steps):
+        assert rec.pdf.grid.n_points == 4096
+        assert row["ks"] == pytest.approx(sample_ks(z[:, rec.t], rec.pdf), abs=1e-12)
 
 
 def test_simulate_against_without_manifest_fails_before_simulating(tmp_path, monkeypatch):
@@ -239,6 +280,17 @@ def test_infinite_tolerance_is_usage_error(tmp_path, capsys, command):
     assert run(command + ["--tol", "inf", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["2", "1", "0", "-1e-9"])
+def test_compare_saddle_tolerance_outside_unit_interval_is_usage_error(tmp_path, capsys, tol):
+    # a relative eigenvalue tolerance of 1 or more stops ARPACK short
+    out = tmp_path / "x"
+    assert run(["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01", f"--tol={tol}",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(0, 1)" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion leaves no stale export behind."""
+"""Every exported name resolves and every imported name is used, so a
+deletion leaves no stale export or import behind."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,40 @@ def test_star_import():
     namespace = {}
     exec("from cumvol import *", namespace)
     assert set(cumvol.__all__) <= set(namespace)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "cumvol").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import and never referenced; ``__all__`` entries
+    and ``__future__`` imports count as used."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    assert unused_imports("import os\nimport sys\nfrom a import b as c\nsys.exit()\n") == [
+        "c (line 3)", "os (line 1)"]
+    assert unused_imports("from __future__ import annotations\nfrom m import f\n"
+                          "__all__ = ['f']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

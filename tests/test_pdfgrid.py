@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
-from cumvol import gaussian, lorentzian, tabulated
+from cumvol import gaussian, lorentzian
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
 from helpers import ks_distance, normalized
 
@@ -290,6 +290,42 @@ def test_csv_round_trip(tmp_path):
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ValueError):
             GriddedPdf.from_csv(path)
+
+
+# A density whose support (last positive value) ends at node ``len(support) - 1``,
+# followed by ``trailing`` exact zeros.
+_support = st.lists(st.floats(0.0, 1e3), min_size=0, max_size=150).map(
+    lambda v: v + [1.0])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(support=_support, trailing=st.integers(0, 150), upper=st.floats(0.5, 100.0))
+@example(support=[0.5] * 40, trailing=0, upper=3.0)         # no trailing zero
+@example(support=[0.5] * 40, trailing=1, upper=3.0)         # one
+@example(support=[0.5] * 40, trailing=500, upper=3.0)       # many
+@example(support=[2.0, 0.0, 1e-300], trailing=61, upper=1.0)  # support in 3 cells: 16 rows
+def test_to_csv_ends_one_zero_past_the_support(tmp_path_factory, support, trailing, upper):
+    values = np.array(support + [0.0] * trailing)
+    n = max(values.size, 16)
+    values = np.pad(values, (0, n - values.size))
+    pdf = GriddedPdf(cell_grid(upper, n), values)
+    path = tmp_path_factory.mktemp("trim") / "density.csv"
+    write_csv(path, "x,density", np.column_stack((pdf.grid.points(), values)))
+    full = path.read_bytes()
+    pdf.to_csv(path)
+    text = path.read_bytes()
+
+    rows = text.count(b"\n") - 1
+    last = np.flatnonzero(values)[-1]
+    assert rows == min(n, max(16, last + 2))
+    assert full.startswith(text)
+    dropped = full[len(text):].splitlines()
+    assert len(dropped) == n - rows
+    assert all(line.endswith(b",0") for line in dropped)
+    q = GriddedPdf.from_csv(path)
+    assert np.array_equal(q.values, values[:rows])
+    x, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    assert math.isclose(np.trapezoid(v, x), pdf.integral(), rel_tol=1e-15)
 
 
 # ----------------------------------------------------------------------
