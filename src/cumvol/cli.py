@@ -19,6 +19,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -43,6 +44,11 @@ from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid, write_csv
 
 DEFAULT_GRID_POINTS = 8192
 MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
+
+# argparse reads a token that starts with '-' as an option unless it matches
+# the parser's negative-number pattern, whose stock form has no exponent: with
+# it, "--tol -1e-9" fails with "expected one argument" while "--tol -0.1" parses.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # ----------------------------------------------------------------------
@@ -404,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", default=None,
                    help="directory of a previous evolve run to compare against (KS per step)")
     p.set_defaults(func=cmd_simulate)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -20,13 +20,16 @@ fixed point for g > 0; the one-step growth increment dz then follows from
     rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
 
 One step is a linear map P on node masses (``StepOperator``), built once per
-run. Per-step outputs apply it repeatedly and renormalise (power iteration).
+run; its convolution is numpy's real FFT at a 2-3-5-smooth length. Per-step
+outputs apply it repeatedly and renormalise (power iteration).
 The reversed variable's fixed point is P's Perron vector, which
 ``steady_state_volatility`` finds directly with ARPACK's implicitly
 restarted Arnoldi method (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
 1998) in tens of applications, where power iteration needs of the order of
 sigma_a^2/g^2 steps. The Perron root lambda is the mass one step keeps, so
-1 - lambda is the per-step leak through the grid's edges.
+1 - lambda is the per-step leak through the grid's edges. ARPACK, through
+``scipy.sparse.linalg``, is the only SciPy the package uses, and only the
+eigensolve imports it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .analytic import sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, DomainError, MassDefectError
@@ -266,6 +267,20 @@ def init_first_step(noise: NoiseModel, g: float, grid: GridSpec) -> GriddedPdf:
     return _assemble(grid, cells, 0.0, new_trunc)[0]
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n: a length pocketfft's real FFT runs fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^k that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class StepOperator:
     """One convolve-then-warp step as a linear map on node masses.
 
@@ -283,8 +298,8 @@ class StepOperator:
         self.grid = grid
         self.kernel = kern
         self._conv_len = grid.n_points + kern.masses.size - 1
-        self._fft_len = next_fast_len(self._conv_len, real=True)
-        self._kernel_fft = rfft(kern.masses, self._fft_len)
+        self._fft_len = _fast_len(self._conv_len)
+        self._kernel_fft = np.fft.rfft(kern.masses, self._fft_len)
         self._nodes = grid.x_min - kern.halfcells * h + h * np.arange(self._conv_len)
         self._warped = _growth_edges(edges, g)
 
@@ -295,8 +310,8 @@ class StepOperator:
         """
         kern = self.kernel
         total_in = float(masses.sum())
-        conv = irfft(rfft(masses, self._fft_len) * self._kernel_fft,
-                     self._fft_len)[:self._conv_len]
+        conv = np.fft.irfft(np.fft.rfft(masses, self._fft_len) * self._kernel_fft,
+                            self._fft_len)[:self._conv_len]
         cw, total_c = _node_cdf(conv, self._nodes, self._warped)
         cells = np.diff(cw)
         new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
@@ -534,6 +549,10 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     mass bookkeeping passes the per-step defect check; the resulting density's
     ``truncated_mass`` is that step's leak, 1 - lambda.
     """
+    # ARPACK is the only SciPy the package uses; importing it here keeps
+    # SciPy off the import path of every other command.
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+
     rev = _reversed(config)
     g, noise, grid = rev.g, rev.noise, rev.grid
     first = init_first_step(noise, g, grid)

@@ -12,6 +12,10 @@ one-dimensional density. Three families are supported:
 
 ``mirror`` reflects a model through zero. The reversed recursion that
 produces the volatility distribution runs on the mirrored density.
+
+Densities and distribution functions need only numpy and the standard
+library: the Gaussian CDF maps ``math.erfc`` over the array, and its
+kernel-window quantile comes from ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "NoiseModel",
@@ -39,6 +43,11 @@ _KINDS = ("gaussian", "lorentzian", "tabulated")
 # Noise mass beyond the kernel window that a light-tailed kernel may drop
 # (counted as truncated); heavy tails hit the window cap first.
 TAIL_TOL = 1e-8
+
+# Standard normal quantile that leaves TAIL_TOL/2 in each tail.
+_GAUSS_TAIL_Z = NormalDist().inv_cdf(1.0 - 0.5 * TAIL_TOL)
+
+_SQRT1_2 = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,10 @@ class NoiseModel:
         """Distribution function at x; exact integral of ``pdf_at``."""
         arr, scalar = _as_array(x)
         if self.kind == "gaussian":
-            out = special.ndtr(arr / self.sigma)
+            # Phi(x) = erfc(-x/sqrt2)/2; erfc keeps the left tail's relative precision
+            t = (arr / self.sigma) * -_SQRT1_2
+            erfc = np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size)
+            out = 0.5 * erfc.reshape(t.shape)
         elif self.kind == "lorentzian":
             out = 0.5 + np.arctan(arr / self.gamma) / math.pi
         else:
@@ -226,7 +238,7 @@ class NoiseModel:
     def tail_halfwidth(self) -> float:
         """Halfwidth containing all but ``TAIL_TOL`` of the mass."""
         if self.kind == "gaussian":
-            return self.sigma * float(special.ndtri(1.0 - 0.5 * TAIL_TOL))
+            return self.sigma * _GAUSS_TAIL_Z
         if self.kind == "lorentzian":
             return self.gamma / math.tan(0.5 * math.pi * TAIL_TOL)
         return self.scale()

@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +295,68 @@ def test_compare_saddle_tolerance_outside_unit_interval_is_usage_error(tmp_path,
     err = capsys.readouterr().err
     assert "(0, 1)" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--noise", "gaussian:sigma=1", "--steps", "3"],
+    ["volatility", "--noise", "gaussian:sigma=1"],
+    ["compare-saddle", "--sigma-sweep", "0.01"],
+    ["simulate", "--noise", "gaussian:sigma=1", "--paths", "10", "--steps", "3"],
+])
+def test_exponent_form_negative_number_is_a_value(command):
+    # argparse's stock negative-number pattern has no exponent, so "-2e-1"
+    # would be read as an option and "--g" would lack its argument
+    args = cli.build_parser().parse_args(command + ["--g", "-2e-1", "--out", "-1E+2"])
+    assert args.g == -0.2 and args.out == "-1E+2"
+
+
+def test_exponent_form_negative_drift_runs(tmp_path):
+    out = tmp_path / "neg"
+    assert run(["evolve", "--g", "-2e-1", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--grid", "0,20,1024", "--out", str(out)]) == 0
+    assert read_manifest(out)["config"]["g"] == -0.2
+
+
+def test_exponent_form_negative_tolerance_is_range_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01", "--tol", "-1e-9",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(0, 1)" in err and "expected one argument" not in err
+    assert not out.exists()
+
+
+_IMPORT_GUARD = """
+import sys
+sys.path.insert(0, {src!r})
+import cumvol, cumvol.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+out = {out!r}
+for argv in (
+    ["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+     "--grid", "0,20,1024", "--out", out + "/e"],
+    ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+     "--grid", "0,20,1024", "--out", out + "/v"],
+    ["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "2000",
+     "--steps", "2", "--against", out + "/e", "--out", out + "/s"],
+):
+    assert cumvol.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert cumvol.cli.main(["compare-saddle", "--g", "0.5", "--sigma-sweep", "0.01",
+                        "--out", out + "/c"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_only_the_eigensolve_imports_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD.format(src=src, out=str(tmp_path))],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("command", [

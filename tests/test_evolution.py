@@ -25,7 +25,9 @@ from cumvol import (
     volatility_pdf,
     warp_step,
 )
-from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble
+from cumvol.cli import DEFAULT_GRID_POINTS
+from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble, _fast_len, _node_cdf
+from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
 from helpers import means, normalized, variances
 
@@ -360,6 +362,67 @@ def test_step_operator_is_linear(noise):
     assert abs(tz - (a * tx + b * ty)) <= 1e-13 * scale
     # mass accounting: output cells plus new truncation equal the input mass
     assert cx.sum() + tx == pytest.approx(x.sum(), rel=1e-12)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 2**16 + 1)] == [
+        next_fast_len(n, real=True) for n in range(1, 2**16 + 1)]
+    big = np.random.default_rng(13).integers(1, 2**23 + 2**22, size=2000, endpoint=True)
+    assert [_fast_len(int(n)) for n in big] == [next_fast_len(int(n), real=True) for n in big]
+
+
+def _scipy_apply(op, masses):
+    """``StepOperator.apply`` with the scipy.fft transforms it used to call."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    kern = op.kernel
+    n = next_fast_len(op._conv_len, real=True)
+    total_in = float(masses.sum())
+    conv = irfft(rfft(masses, n) * rfft(kern.masses, n), n)[:op._conv_len]
+    cw, total_c = _node_cdf(conv, op._nodes, op._warped)
+    cells = np.diff(cw)
+    new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
+    if kern.capped:
+        cells[0] += kern.clip_left * total_in
+    else:
+        new_trunc += kern.clip_left * total_in
+    return cells, new_trunc
+
+
+@pytest.mark.parametrize("noise, g, grid", [
+    (gaussian(0.4).mirror(), -0.2, cell_grid(40.0, 800)),
+    (gaussian(1.0), 0.2, cell_grid(30.0, 2048)),
+    (lorentzian(1.0), 0.2, cell_grid(60.0, 1999)),
+    (tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)]).mirror(), -0.25, cell_grid(12.0, 1500)),
+], ids=["gaussian-mirrored", "gaussian", "lorentzian", "tabulated-asymmetric"])
+def test_step_operator_matches_scipy_fft_bit_for_bit(noise, g, grid):
+    op = StepOperator(g, noise, grid)
+    x = init_first_step(noise, g, grid).node_masses()
+    for _ in range(3):
+        (cells, trunc), (ref_cells, ref_trunc) = op.apply(x), _scipy_apply(op, x)
+        assert np.array_equal(cells, ref_cells) and trunc == ref_trunc
+        x = cells
+
+
+def test_kernel_halfcells_on_benchmark_grids_match_scipy_quantile():
+    from scipy.special import ndtri
+
+    n = DEFAULT_GRID_POINTS
+    # the Gaussian steps of the benchmark's commands: evolve and volatility at
+    # g = 0.2 over 30 steps, and the compare-saddle sweep at g = 0.1
+    cases = [(0.2, gaussian(s), default_z_grid(0.2, gaussian(s), 30, n_points=n))
+             for s in (1.0, 0.1)]
+    cases += [(-0.2, gaussian(s).mirror(), default_y_grid(0.2, gaussian(s), n_points=n))
+              for s in (1.0, 0.1)]
+    cases += [(-0.1, gaussian(math.sqrt(v)).mirror(), default_y_grid(0.1, gaussian(math.sqrt(v))))
+              for v in (0.01, 0.04, 0.16, 0.64, 1.0)]
+    for g, noise, grid in cases:
+        kern = StepOperator(g, noise, grid).kernel
+        halfwidth = noise.sigma * float(ndtri(1.0 - 0.5 * TAIL_TOL))
+        assert not kern.capped
+        assert kern.halfcells == max(1, math.ceil(halfwidth / grid.h - 0.5))
 
 
 _SOLVER_CASES = {

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cumvol import NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
-from cumvol.noise import load_tabulated_csv
+from cumvol.noise import TAIL_TOL, load_tabulated_csv
 
 
 def draw(noise, count, seed):
@@ -100,6 +100,32 @@ def test_cdf_matches_density_integral():
             grid = np.linspace(a, b, 4001)
             quad = np.trapezoid(n.pdf_at(grid), grid)
             assert n.cdf_at(b) - n.cdf_at(a) == pytest.approx(quad, abs=tol)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.1, 0.3, 2.5])
+def test_gaussian_cdf_matches_scipy_ndtr(sigma):
+    x = np.linspace(-38.0, 9.0, 200_001) * sigma
+    z = x / sigma
+    got = gaussian(sigma).cdf_at(x)
+    ref = special.ndtr(z)
+    assert got.shape == z.shape and np.all(np.isfinite(got))
+    # Phi's relative condition number is about z^2 in the left tail, so one
+    # rounding of the argument moves both functions by up to z^2 * eps there
+    # (each is about 1e-13 from the exact value near z = -37)
+    rtol = np.maximum(2e-14, 4.0 * np.finfo(float).eps * z * z)
+    live, core = ref > 0.0, z >= -20.0
+    assert np.all(np.abs(got[live] - ref[live]) <= rtol[live] * ref[live])
+    assert np.all(np.abs(got[core] - ref[core]) <= 2e-14 * ref[core])
+    # below z = -37.68 ndtr underflows to 0; the exact value is subnormal
+    assert np.all((got[~live] >= 0.0) & (got[~live] < 1e-307))
+    assert isinstance(gaussian(sigma).cdf_at(0.3), float)
+    assert list(gaussian(sigma).cdf_at(np.array([-np.inf, np.inf]))) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("sigma", [1e-12, 0.1, 1.0, 7.3])
+def test_gaussian_tail_halfwidth_matches_scipy_ndtri(sigma):
+    ref = sigma * float(special.ndtri(1.0 - 0.5 * TAIL_TOL))
+    assert gaussian(sigma).tail_halfwidth() == pytest.approx(ref, rel=1e-14)
 
 
 def test_sampling_is_deterministic_per_seed():
