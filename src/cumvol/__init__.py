@@ -31,7 +31,6 @@ from .evolution import (
     steady_state_volatility,
     trace_volatility,
     volatility_pdf,
-    warp_step,
 )
 from .montecarlo import McEnsemble, simulate_stream
 from .noise import (
@@ -52,7 +51,7 @@ __all__ = [
     "NoiseModel", "gaussian", "lorentzian", "tabulated", "parse_noise_spec",
     "load_tabulated_csv", "GridSpec", "GriddedPdf", "cell_grid",
     "EvolutionConfig", "EvolutionTrace", "StepRecord", "VolatilityReport",
-    "init_first_step", "warp_step", "evolve_z", "evolve_y", "volatility_pdf",
+    "init_first_step", "evolve_z", "evolve_y", "volatility_pdf",
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
     "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",

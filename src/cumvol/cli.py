@@ -30,6 +30,7 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
+    _quantile_fields,
     default_y_grid,
     default_z_grid,
     evolve_y,
@@ -186,20 +187,15 @@ def cmd_evolve(args) -> int:
         grid = cell_grid(hi, n)
     else:
         grid = default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS)
-    config = EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
-                             horizon=args.steps, convergence_tol=args.tol)
-    trace = evolve_z(config)
+    trace = evolve_z(EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
+                                     horizon=args.steps))
 
     outputs = [f"rho_z_t{rec.t:04d}.csv" for rec in trace.steps]
-    rows = trace.step_rows()
-    for row, name in zip(rows, outputs):
-        row["file"] = name
-    manifest = _manifest("evolve", _echo(args), outputs, {
-        "grid": asdict(grid),
-        "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
-                        "mode": "mean-centered L1"},
-        "steps": rows,
-    })
+    rows = [{"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
+             "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
+             "l1_prev": rec.l1_prev, **_quantile_fields(rec.pdf), "file": name}
+            for rec, name in zip(trace.steps, outputs)]
+    manifest = _manifest("evolve", _echo(args), outputs, {"grid": asdict(grid), "steps": rows})
     _check_finite(manifest, "manifest.json")  # before any density is written
     for rec, name in zip(trace.steps, outputs):
         rec.pdf.to_csv(out_dir / name)
@@ -293,16 +289,28 @@ def cmd_compare_saddle(args) -> int:
     return 0
 
 
-def _load_against(against: str, t_max: int) -> dict:
-    """Densities of z_t, t <= t_max, written by a previous evolve run, by step."""
+def _load_against(args) -> dict:
+    """Densities of z_t, t <= --steps, written by a previous evolve run, by step.
+
+    The run must be an ``evolve`` run with the same ``--g`` and noise; noise
+    labels compare at ``:g`` precision (six significant digits).
+    """
+    against = args.against
     ref = Path(against) / "manifest.json"
     if not ref.exists():
         raise DomainError(f"--against directory {against} has no manifest.json")
     manifest = json.loads(ref.read_text(encoding="utf-8"))
+    config = manifest.get("config", {})
+    for field, found, wanted in (("command", manifest.get("command"), "evolve"),
+                                 ("config.g", config.get("g"), args.g),
+                                 ("config.noise", config.get("noise"), args.noise.label())):
+        if found != wanted:
+            raise DomainError(f"--against run {against} has {field} {found!r}, "
+                              f"not {wanted!r}")
     targets = {}
     for row in manifest.get("steps", []):
         t = row["t"]
-        if t > t_max or "file" not in row:
+        if t > args.steps or "file" not in row:
             continue
         targets[t] = GriddedPdf.from_csv(Path(against) / row["file"],
                                          truncated_mass=row.get("truncated_mass", 0.0))
@@ -310,7 +318,7 @@ def _load_against(against: str, t_max: int) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    targets = None if args.against is None else _load_against(args.against, args.steps)
+    targets = None if args.against is None else _load_against(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cap = min(args.paths, 10_000) if args.paths_csv else 0
@@ -375,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=None,
                    help="min,max,n with min=0; default sized from the drift and "
                         f"noise width with {DEFAULT_GRID_POINTS} points")
-    p.add_argument("--tol", type=_finite_float, default=1e-15,
-                   help="mean-centered L1 tolerance for an early steady-state stop")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("volatility", parents=[common],

@@ -6,7 +6,7 @@ the noise followed by a nonlinear coordinate warp:
 
     rho_{t+1}(x) = (rho_a * rho_t)(log(e^x - 1) - g) / (1 - e^{-x}),  x > 0.
 
-The engine realises this map conservatively on cell-centred grids: the
+The engine realises this map conservatively on grids of cell centres: the
 convolved density's CDF is evaluated at the warped cell edges, so each output
 cell receives exactly the mass the continuous map sends into it. Pointwise,
 the stored values agree with the formula above to O(h^2) wherever the density
@@ -51,7 +51,6 @@ __all__ = [
     "VolatilityReport",
     "StepOperator",
     "init_first_step",
-    "warp_step",
     "evolve_z",
     "evolve_y",
     "volatility_pdf",
@@ -98,6 +97,10 @@ class EvolutionConfig:
 
     ``grid`` is the node grid of the evolving density; its cells must tile
     [0, upper] exactly (build it with ``cell_grid`` or the default_* helpers).
+    ``convergence_tol`` governs the reversed variable only: ``evolve_y`` stops
+    once the L1 distance between successive densities falls below it, and
+    ``steady_state_volatility`` uses it as ARPACK's relative eigenvalue
+    tolerance. ``evolve_z`` always runs ``horizon`` steps.
     """
 
     g: float
@@ -118,10 +121,8 @@ class StepRecord:
     """One time step: its density and what the step loop measured.
 
     ``mass_defect`` and ``new_truncation`` are the step's mass bookkeeping,
-    ``l1_prev`` the L1 distance from the previous density and
-    ``l1_centered_prev`` the same after centring both on their means
-    (``evolve_z`` only). The statistics ``mean``, ``variance``,
-    ``quantiles`` and ``truncated_mass`` are read from ``pdf`` when asked for.
+    ``l1_prev`` the L1 distance from the previous density (None at t = 1).
+    Statistics are read from ``pdf`` when asked for.
     """
 
     t: int
@@ -129,23 +130,6 @@ class StepRecord:
     mass_defect: float
     new_truncation: float
     l1_prev: float | None
-    l1_centered_prev: float | None = None
-
-    @property
-    def mean(self) -> float:
-        return self.pdf.mean()
-
-    @property
-    def variance(self) -> float:
-        return self.pdf.variance()
-
-    @property
-    def quantiles(self) -> dict:
-        return _quantile_fields(self.pdf)
-
-    @property
-    def truncated_mass(self) -> float:
-        return self.pdf.truncated_mass
 
 
 @dataclass(frozen=True)
@@ -162,23 +146,6 @@ class EvolutionTrace:
 
     def final(self) -> StepRecord:
         return self.steps[-1]
-
-    def step_rows(self) -> list:
-        """Per-step statistics and diagnostics as plain dicts (JSON-ready)."""
-        rows = []
-        for rec in self.steps:
-            row = {
-                "t": rec.t,
-                "mean": rec.mean,
-                "variance": rec.variance,
-                "truncated_mass": rec.truncated_mass,
-                "mass_defect": rec.mass_defect,
-                "l1_prev": rec.l1_prev,
-                "l1_centered_prev": rec.l1_centered_prev,
-            }
-            row.update(rec.quantiles)
-            rows.append(row)
-        return rows
 
 
 def _quantile_fields(pdf: GriddedPdf) -> dict:
@@ -215,12 +182,11 @@ def _validated_edges(grid: GridSpec) -> np.ndarray:
     return edges
 
 
-def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray):
+def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Linear-interpolation CDF of per-node masses at ``at`` (half of each
-    node's own mass counts as below the node), and the total mass."""
+    node's own mass counts as below the node)."""
     cum = np.cumsum(masses) - 0.5 * masses
-    total = float(masses.sum())
-    return np.interp(at, nodes, cum, left=0.0, right=total), total
+    return np.interp(at, nodes, cum, left=0.0, right=float(masses.sum()))
 
 
 def _check_normalized(p: GriddedPdf) -> None:
@@ -286,8 +252,9 @@ class StepOperator:
 
     Everything that stays fixed during a run is built once from
     ``(g, noise, grid)``: the noise kernel's cell masses and their
-    real FFT, the warped cell edges and the nodes of the convolved density's
-    CDF. ``apply`` clips nothing, so it is strictly linear in its input and
+    real FFT, the warped cell edges, the nodes of the convolved density's
+    CDF and the weights of the nodes that leak past the top warped edge.
+    ``apply`` clips nothing, so it is strictly linear in its input and
     serves both as the power-iteration step and as the eigensolve's operator.
     """
 
@@ -302,6 +269,20 @@ class StepOperator:
         self._kernel_fft = np.fft.rfft(kern.masses, self._fft_len)
         self._nodes = grid.x_min - kern.halfcells * h + h * np.arange(self._conv_len)
         self._warped = _growth_edges(edges, g)
+        # The share of each convolved node's mass that the CDF interpolated at
+        # the top warped edge w leaves above it, so that the leak past w is
+        # summed directly: as the total minus the CDF at w, a difference of
+        # two numbers near the total, it would be roundoff of order 1e-16 in a
+        # per-step leak of order 1e-8. The share is 1 from w + h on, and
+        # (1 + (node - w)/h)/2 next to w.
+        top = self._warped[-1]
+        share = np.clip(0.5 + 0.5 * (self._nodes - top) / h, 0.0, 1.0)
+        if top > self._nodes[-1]:
+            share[:] = 0.0  # the interpolated CDF is the total there
+        elif top < self._nodes[0]:
+            share[:] = 1.0  # and 0 here
+        self._leak_from = int(np.searchsorted(share, 0.0, side="right"))
+        self._leak_share = share[self._leak_from:].copy()  # the tail only
 
     def apply(self, masses: np.ndarray) -> tuple[np.ndarray, float]:
         """Output cell masses and newly truncated mass, both linear in ``masses``.
@@ -312,9 +293,9 @@ class StepOperator:
         total_in = float(masses.sum())
         conv = np.fft.irfft(np.fft.rfft(masses, self._fft_len) * self._kernel_fft,
                             self._fft_len)[:self._conv_len]
-        cw, total_c = _node_cdf(conv, self._nodes, self._warped)
-        cells = np.diff(cw)
-        new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
+        cells = np.diff(_node_cdf(conv, self._nodes, self._warped))
+        leak = float(np.dot(conv[self._leak_from:], self._leak_share))
+        new_trunc = kern.clip_right * total_in + leak
         if kern.capped:
             # Heavy-tail window: jumps past the capped left edge overshoot the
             # whole domain and collapse onto x ~ 0+, so (thanks to the kernel
@@ -325,18 +306,6 @@ class StepOperator:
             # is not resolved; count it as truncated rather than misplace it.
             new_trunc += kern.clip_left * total_in
         return cells, new_trunc
-
-
-def warp_step(p: GriddedPdf, noise: NoiseModel, g: float) -> GriddedPdf:
-    """One evolution step: convolve with the noise, then warp coordinates.
-
-    The input must be normalised on a grid tiling [0, upper]. The output is
-    renormalised; newly clipped mass is folded into ``truncated_mass``.
-    """
-    op = StepOperator(g, noise, p.grid)
-    _check_normalized(p)
-    cells, new_trunc = op.apply(p.node_masses())
-    return _assemble(p.grid, cells, p.truncated_mass, new_trunc)[0]
 
 
 def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
@@ -353,7 +322,7 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     masses = p_y.node_masses()
     nodes = p_y.grid.x_min + p_y.grid.h * np.arange(masses.size)
     # v = +inf at x = 0, where the CDF is the total mass
-    cv, _ = _node_cdf(masses, nodes, _reciprocal_edges(_validated_edges(grid)))
+    cv = _node_cdf(masses, nodes, _reciprocal_edges(_validated_edges(grid)))
     cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # v decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
     return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
@@ -395,14 +364,6 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
 # ----------------------------------------------------------------------
 
 
-def _centered_l1(prev: GriddedPdf, cur: GriddedPdf) -> float:
-    pts = cur.grid.points()
-    axis = pts - 0.5 * (pts[0] + pts[-1])
-    a = prev.interp_at(axis + prev.mean())
-    b = cur.interp_at(axis + cur.mean())
-    return float(np.trapezoid(np.abs(a - b), axis))
-
-
 def _check_drift(g: float) -> None:
     if g > _DZ_CAP:
         # the growth increment dz sits near g, past any dz grid
@@ -428,9 +389,9 @@ def _reversed(config: EvolutionConfig) -> EvolutionConfig:
     return replace(config, g=-config.g, noise=config.noise.mirror())
 
 
-def _evolve(config: EvolutionConfig, raw_convergence: bool) -> EvolutionTrace:
-    """Per-step run; converges on the raw L1 distance, or on the mean-centred
-    one (computed only then)."""
+def _evolve(config: EvolutionConfig, tol: float) -> EvolutionTrace:
+    """Per-step run that stops once the L1 distance between successive
+    densities falls below ``tol``, or after ``horizon`` steps."""
     grid = config.grid
     cells, new_trunc = _first_step(config.noise, config.g, grid)
     pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
@@ -440,36 +401,34 @@ def _evolve(config: EvolutionConfig, raw_convergence: bool) -> EvolutionTrace:
     for t in range(2, config.horizon + 1):
         cells, new_trunc = op.apply(pdf.node_masses())
         nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
-        gap = l1 = pdf.distance(nxt)
-        l1c = None
-        if not raw_convergence:
-            gap = l1c = _centered_l1(pdf, nxt)
-        steps.append(StepRecord(t, nxt, defect, new_trunc, l1, l1c))
+        l1 = pdf.distance(nxt)
+        steps.append(StepRecord(t, nxt, defect, new_trunc, l1))
         pdf = nxt
-        if gap < config.convergence_tol:
+        if l1 < tol:
             converged_at = t
             break
     return EvolutionTrace(config=config, steps=steps, converged_at=converged_at)
 
 
 def evolve_z(config: EvolutionConfig) -> EvolutionTrace:
-    """Evolve the density of log cumulative production up to the horizon.
+    """Evolve the density of log cumulative production for ``horizon`` steps.
 
-    The raw density never stops translating (its mean grows by about g per
-    step), so steady state is declared on the mean-centred L1 distance
-    between successive densities.
+    It never stops early (an L1 distance is never below 0), so its
+    ``converged_at`` is None: for g > 0, z has no fixed point, as its mean
+    grows by about g and its variance by about sigma_a^2 per step.
     """
-    return _evolve(config, raw_convergence=False)
+    return _evolve(config, tol=0.0)
 
 
 def evolve_y(config: EvolutionConfig) -> EvolutionTrace:
     """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})).
 
     Identical machinery to ``evolve_z`` with the drift negated and the noise
-    mirrored; for g > 0 the densities reach a genuine fixed point, detected
-    on the raw L1 distance.
+    mirrored; for g > 0 the densities reach a genuine fixed point, and the run
+    stops once the L1 distance between successive densities falls below
+    ``convergence_tol``.
     """
-    trace = _evolve(_reversed(config), raw_convergence=True)
+    trace = _evolve(_reversed(config), config.convergence_tol)
     return EvolutionTrace(config=config, steps=trace.steps, converged_at=trace.converged_at)
 
 
@@ -644,10 +603,9 @@ def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
 # ----------------------------------------------------------------------
 
 
-def _grid_from(upper: float, h_target: float, n_points: int | None,
-               n_cap: int = 1 << 21) -> GridSpec:
+def _grid_from(upper: float, h_target: float, n_points: int | None) -> GridSpec:
     if n_points is None:
-        n_points = int(np.clip(math.ceil(upper / h_target), 64, n_cap))
+        n_points = int(np.clip(math.ceil(upper / h_target), 64, 1 << 21))
     return cell_grid(upper, n_points)
 
 

@@ -21,7 +21,7 @@ kernel-window quantile comes from ``statistics.NormalDist``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -81,7 +81,6 @@ class NoiseModel:
     gamma: float = 0.0
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
-    mirrored: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -159,14 +158,8 @@ class NoiseModel:
     def mirror(self) -> "NoiseModel":
         """Model whose density at x equals this model's density at -x."""
         if self.kind == "tabulated":
-            return NoiseModel(
-                kind="tabulated",
-                xs=-self.xs[::-1],
-                ys=self.ys[::-1],
-                mirrored=not self.mirrored,
-            )
-        # gaussian / lorentzian are even around zero; only the flag flips
-        return replace(self, mirrored=not self.mirrored)
+            return NoiseModel(kind="tabulated", xs=-self.xs[::-1], ys=self.ys[::-1])
+        return self  # gaussian and lorentzian densities are even
 
     # ------------------------------------------------------------------
     # sampling
@@ -216,14 +209,6 @@ class NoiseModel:
         m = self.mean()
         return float(np.trapezoid((self.xs - m) ** 2 * self.ys, self.xs))
 
-    def scale(self) -> float:
-        """Characteristic width used for grid sizing heuristics."""
-        if self.kind == "gaussian":
-            return self.sigma
-        if self.kind == "lorentzian":
-            return self.gamma
-        return float(max(abs(self.xs[0]), abs(self.xs[-1])))
-
     def label(self) -> str:
         if self.kind == "gaussian":
             return f"gaussian(sigma={self.sigma:g})"
@@ -236,12 +221,12 @@ class NoiseModel:
     # ------------------------------------------------------------------
 
     def tail_halfwidth(self) -> float:
-        """Halfwidth containing all but ``TAIL_TOL`` of the mass."""
+        """Halfwidth containing all but ``TAIL_TOL`` of the mass (all of a table's)."""
         if self.kind == "gaussian":
             return self.sigma * _GAUSS_TAIL_Z
         if self.kind == "lorentzian":
             return self.gamma / math.tan(0.5 * math.pi * TAIL_TOL)
-        return self.scale()
+        return float(max(abs(self.xs[0]), abs(self.xs[-1])))
 
     def cell_masses(self, step: float, max_halfwidth: float | None = None) -> KernelCells:
         """Exact cell masses of the density on a grid of spacing ``step``.

@@ -67,7 +67,7 @@ class GridSpec:
         return pts
 
     def cell_edges(self) -> np.ndarray:
-        """n_points + 1 edges of the cells centred on the nodes."""
+        """n_points + 1 edges of the cells whose centres are the nodes."""
         return self.x_min + self.h * (np.arange(self.n_points + 1) - 0.5)
 
     def node_weights(self) -> np.ndarray:
@@ -131,12 +131,6 @@ class GriddedPdf:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-
-    def interp_at(self, x):
-        """Linear interpolation of the density; zero outside the grid."""
-        arr = np.asarray(x, dtype=float)
-        out = np.interp(arr, self.grid.points(), self.values, left=0.0, right=0.0)
-        return float(out) if arr.ndim == 0 else out
 
     def cdf_nodes(self) -> np.ndarray:
         """Cumulative trapezoid at the nodes (starts at 0)."""

@@ -1,9 +1,10 @@
-"""Density, trace and Monte Carlo helpers that only the tests use."""
+"""Density, step, trace and Monte Carlo helpers that only the tests use."""
 
 import numpy as np
 
 import cumvol.montecarlo as mc
 from cumvol import GriddedPdf
+from cumvol.evolution import StepOperator, _assemble, _check_normalized
 
 
 def normalized(p: GriddedPdf) -> GriddedPdf:
@@ -12,6 +13,20 @@ def normalized(p: GriddedPdf) -> GriddedPdf:
     if not total > 0.0:
         raise ValueError("cannot normalise a zero-mass density")
     return GriddedPdf(p.grid, p.values / total, p.truncated_mass)
+
+
+def interp_at(p: GriddedPdf, x):
+    """Linear interpolation of a density; zero outside its grid."""
+    return np.interp(x, p.grid.points(), p.values, left=0.0, right=0.0)
+
+
+def warp_step(p: GriddedPdf, noise, g: float) -> GriddedPdf:
+    """One convolve-then-warp step of a normalised density on a grid tiling
+    [0, upper], renormalised, with newly clipped mass in ``truncated_mass``."""
+    op = StepOperator(g, noise, p.grid)
+    _check_normalized(p)
+    cells, new_trunc = op.apply(p.node_masses())
+    return _assemble(p.grid, cells, p.truncated_mass, new_trunc)[0]
 
 
 def ks_distance(p: GriddedPdf, q: GriddedPdf) -> float:
@@ -23,12 +38,12 @@ def ks_distance(p: GriddedPdf, q: GriddedPdf) -> float:
 
 def means(trace) -> np.ndarray:
     """The mean of every step of an ``EvolutionTrace``."""
-    return np.array([s.mean for s in trace.steps])
+    return np.array([s.pdf.mean() for s in trace.steps])
 
 
 def variances(trace) -> np.ndarray:
     """The variance of every step of an ``EvolutionTrace``."""
-    return np.array([s.variance for s in trace.steps])
+    return np.array([s.pdf.variance() for s in trace.steps])
 
 
 def block_draws(noise, t_max: int, n_paths: int, seed: int) -> np.ndarray:

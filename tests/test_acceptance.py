@@ -28,7 +28,7 @@ from cumvol import (
     simulate_stream,
     steady_state_volatility,
 )
-from helpers import block_draws, reciprocal_increment_gap, variances
+from helpers import block_draws, interp_at, reciprocal_increment_gap, variances
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -84,7 +84,7 @@ def test_criterion_2_ratio_sweep_shape():
 def test_criterion_3_fixed_point_variance():
     g, sig = 0.2, 0.05
     tr = evolve_y(default_y_config(g, gaussian(sig)))
-    got = tr.final().variance
+    got = tr.final().pdf.variance()
     target = sig**2 / math.expm1(2.0 * g)
     rel = abs(got - target) / target
     ok = rel <= 0.02
@@ -172,7 +172,7 @@ def test_criterion_8_invariant_suite():
     cfgy = default_y_config(0.2, gaussian(0.3))
     dz = cv.volatility_pdf(evolve_y(cfgy).final().pdf)
     assert dz.grid.x_min > 0.0
-    assert dz.interp_at(-0.01) == 0.0 and dz.interp_at(0.0) == 0.0
+    assert interp_at(dz, -0.01) == 0.0 and interp_at(dz, 0.0) == 0.0
     checks.append("dz support > 0")
 
     # mirror identity: reversed evolution equals negated-drift mirrored-noise evolution

@@ -243,6 +243,34 @@ def test_simulate_against_without_manifest_fails_before_simulating(tmp_path, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("made_by, simulate_args, field", [
+    (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,20,256"], ["--g", "0.2", "--noise", "gaussian:sigma=1"], "command"),
+    (["compare-saddle", "--g", "0.5", "--sigma-sweep", "0.01"],
+     ["--g", "0.5", "--noise", "gaussian:sigma=0.1"], "command"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,20,256"], ["--g", "0.5", "--noise", "gaussian:sigma=1"], "config.g"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,20,256"], ["--g", "0.2", "--noise", "lorentzian:gamma=1"], "config.noise"),
+], ids=["volatility-run", "compare-saddle-run", "other-drift", "other-noise"])
+def test_simulate_against_another_kind_of_run_fails_before_simulating(
+        tmp_path, monkeypatch, capsys, made_by, simulate_args, field):
+    # KS values against densities of another variable, drift or noise mean nothing
+    ref = tmp_path / "ref"
+    assert run(made_by + ["--out", str(ref)]) == 0
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --against")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert run(["simulate", *simulate_args, "--paths", "1000", "--steps", "2",
+                "--against", str(ref), "--out", str(out)]) == 4
+    assert f"has {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_volatility_narrow_noise_report_accuracy(tmp_path):
     out = tmp_path / "narrow"
     code = run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.01",
@@ -271,8 +299,16 @@ def test_nan_drift_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_evolve_tol_is_usage_error(tmp_path, capsys):
+    # evolve runs exactly --steps: z has no fixed point to stop at
+    out = tmp_path / "x"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3",
+                "--tol", "1e-3", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
-    ["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3"],
     ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3"],
     ["compare-saddle", "--g", "0.2", "--sigma-sweep", "0.01"],
 ])

@@ -23,13 +23,12 @@ from cumvol import (
     tabulated,
     trace_volatility,
     volatility_pdf,
-    warp_step,
 )
 from cumvol.cli import DEFAULT_GRID_POINTS
 from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble, _fast_len, _node_cdf
 from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
-from helpers import means, normalized, variances
+from helpers import interp_at, means, normalized, variances, warp_step
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
 
@@ -181,7 +180,7 @@ def test_evolve_y_fixed_point_variance_matches_narrow_formula():
     tr = evolve_y(cfg)
     assert tr.converged_at is not None
     target = sig**2 / math.expm1(2 * g)
-    assert tr.final().variance == pytest.approx(target, rel=0.02)
+    assert tr.final().pdf.variance() == pytest.approx(target, rel=0.02)
 
 
 def test_densities_are_normalised_and_supported_on_positive_axis():
@@ -193,9 +192,9 @@ def test_densities_are_normalised_and_supported_on_positive_axis():
         assert rec.pdf.integral() == pytest.approx(1.0, abs=1e-6)
         assert np.all(rec.pdf.values >= 0.0)
         assert rec.pdf.grid.x_min > 0.0
-        assert rec.pdf.interp_at(-0.5) == 0.0
+        assert interp_at(rec.pdf, -0.5) == 0.0
         assert rec.mass_defect < 1e-3
-    truncs = [rec.truncated_mass for rec in tr.steps]
+    truncs = [rec.pdf.truncated_mass for rec in tr.steps]
     assert all(b >= a for a, b in zip(truncs, truncs[1:]))
 
 
@@ -226,7 +225,7 @@ def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
     tr = evolve_y(cfg)
     dz = volatility_pdf(tr.final().pdf)
     # density rises toward the origin but the total mass stays 1
-    assert dz.values[0] > dz.interp_at(0.05) > 0.0
+    assert dz.values[0] > interp_at(dz, 0.05) > 0.0
     assert dz.integral() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -328,17 +327,16 @@ def test_per_step_reporting():
     assert solver["residual_l1"] == pytest.approx(tr.final().l1_prev, rel=1e-6)
 
 
-def test_evolve_z_declares_steady_state_on_centered_density():
-    # the centered profile settles like 1/t (its width keeps growing), so a
-    # moderate tolerance converges within a few hundred steps
+def test_evolve_z_runs_every_step():
+    # z has no fixed point: a tolerance that the later steps' L1 gaps meet
+    # does not stop the forward run
     noise = gaussian(0.3)
-    cfg = EvolutionConfig(g=0.3, noise=noise, grid=default_z_grid(0.3, noise, 400),
-                          horizon=400, convergence_tol=1.5e-3)
+    cfg = EvolutionConfig(g=0.3, noise=noise, grid=default_z_grid(0.3, noise, 12),
+                          horizon=12, convergence_tol=0.5)
     tr = evolve_z(cfg)
-    assert tr.converged_at is not None
-    assert len(tr.steps) == tr.converged_at
-    # raw densities keep translating: raw L1 per step stays finite
-    assert tr.final().l1_prev > tr.final().l1_centered_prev
+    assert tr.converged_at is None
+    assert [rec.t for rec in tr.steps] == list(range(1, 13))
+    assert tr.final().l1_prev < 0.5
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +379,9 @@ def _scipy_apply(op, masses):
     n = next_fast_len(op._conv_len, real=True)
     total_in = float(masses.sum())
     conv = irfft(rfft(masses, n) * rfft(kern.masses, n), n)[:op._conv_len]
-    cw, total_c = _node_cdf(conv, op._nodes, op._warped)
-    cells = np.diff(cw)
-    new_trunc = kern.clip_right * total_in + (total_c - float(cw[-1]))
+    cells = np.diff(_node_cdf(conv, op._nodes, op._warped))
+    leak = float(np.dot(conv[op._leak_from:], op._leak_share))
+    new_trunc = kern.clip_right * total_in + leak
     if kern.capped:
         cells[0] += kern.clip_left * total_in
     else:
@@ -404,6 +402,50 @@ def test_step_operator_matches_scipy_fft_bit_for_bit(noise, g, grid):
         (cells, trunc), (ref_cells, ref_trunc) = op.apply(x), _scipy_apply(op, x)
         assert np.array_equal(cells, ref_cells) and trunc == ref_trunc
         x = cells
+
+
+@pytest.mark.parametrize("noise, g, grid", [
+    (gaussian(1.0), 0.2, cell_grid(8.0, 1200)),
+    (gaussian(0.4).mirror(), -0.2, cell_grid(10.0, 1000)),
+    (lorentzian(1.0), 0.2, cell_grid(30.0, 1500)),
+    (tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)]), 0.25, cell_grid(2.5, 1000)),
+], ids=["gaussian", "gaussian-mirrored", "lorentzian", "tabulated"])
+def test_step_leak_is_the_fsum_of_the_mass_past_the_top_edge(noise, g, grid):
+    # The convolved nodes above the top warped edge w leak whole; the two
+    # around w leak the share the interpolated CDF puts past w. Summed with
+    # math.fsum, this is the reference that 1 - CDF(w) misses by roundoff of
+    # the whole mass: up to 1e-7 relative where the leak is ~1e-8.
+    op = StepOperator(g, noise, grid)
+    kern, nodes, w, h = op.kernel, op._nodes, op._warped[-1], grid.h
+    j = int(np.searchsorted(nodes, w, side="right")) - 1
+    assert 0 <= j < nodes.size - 2
+    f = (w - nodes[j]) / h
+    x = init_first_step(noise, g, grid).node_masses()
+    for _ in range(4):
+        cells, trunc = op.apply(x)
+        conv = np.fft.irfft(np.fft.rfft(x, op._fft_len) * op._kernel_fft,
+                            op._fft_len)[:op._conv_len]
+        total = float(x.sum())
+        terms = [*conv[j + 2:], conv[j + 1] * (1.0 - 0.5 * f), conv[j] * 0.5 * (1.0 - f),
+                 kern.clip_right * total, 0.0 if kern.capped else kern.clip_left * total]
+        ref = math.fsum(terms)
+        assert ref > 0.0
+        assert abs(trunc - ref) <= 1e-13 * math.fsum(abs(v) for v in terms)
+        x = cells
+
+
+def test_no_leak_when_the_top_edge_is_past_the_last_convolved_node():
+    # the interpolated CDF is the whole mass past the last node, so a top
+    # warped edge half a cell beyond it leaks nothing through the top
+    noise, grid = gaussian(0.05), cell_grid(10.0, 1000)
+    h, m = grid.h, StepOperator(0.0, noise, grid).kernel.halfcells
+    op = StepOperator(math.log1p(-math.exp(-10.0)) - m * h, noise, grid)
+    assert op._nodes[-1] < op._warped[-1] < op._nodes[-1] + h
+    x = np.random.default_rng(3).random(grid.n_points)
+    cells, trunc = op.apply(x)
+    total = float(x.sum())
+    assert trunc == op.kernel.clip_right * total + op.kernel.clip_left * total
+    assert cells.sum() + trunc == pytest.approx(total, rel=1e-14)
 
 
 def test_kernel_halfcells_on_benchmark_grids_match_scipy_quantile():
@@ -478,7 +520,10 @@ def test_eigensolve_application_cap():
 
 def _fftconvolve_step(p, noise, g):
     """One step as computed before the step operator: scipy.signal's
-    fftconvolve with the kernel rebuilt per step and every clip in place."""
+    fftconvolve with the kernel rebuilt per step and every clip in place.
+    The mass past the top warped edge comes from the convolved nodes around
+    and above it, not as the total minus the CDF there, whose roundoff is of
+    the order of the whole mass."""
     from scipy.signal import fftconvolve
 
     grid, h = p.grid, p.grid.h
@@ -492,7 +537,10 @@ def _fftconvolve_step(p, noise, g):
         warped = edges + np.log1p(-np.exp(-edges)) - g
     cw = np.interp(warped, nodes, cum, left=0.0, right=conv.sum())
     cells = np.maximum(np.diff(cw), 0.0)
-    new_trunc = kern.clip_right + max(conv.sum() - cw[-1], 0.0)
+    k = np.searchsorted(nodes, warped[-1]) - 2
+    tail = conv[k:]
+    leak = tail.sum() - np.interp(warped[-1], nodes[k:], np.cumsum(tail) - 0.5 * tail)
+    new_trunc = kern.clip_right + max(leak, 0.0)
     if kern.capped:
         cells[0] += kern.clip_left
     else:
@@ -510,4 +558,4 @@ def test_evolve_z_matches_fftconvolve_steps(noise):
     for rec in tr.steps[1:]:
         ref = _fftconvolve_step(ref, noise, g)
         assert np.max(np.abs(rec.pdf.values - ref.values)) <= 1e-12 * ref.values.max()
-        assert rec.truncated_mass == pytest.approx(ref.truncated_mass, rel=1e-9, abs=1e-15)
+        assert rec.pdf.truncated_mass == pytest.approx(ref.truncated_mass, rel=1e-9, abs=1e-15)

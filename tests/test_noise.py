@@ -73,7 +73,6 @@ def test_mirror_is_pointwise_reflection_and_involution():
     assert np.allclose(m.pdf_at(xs), n.pdf_at(-xs))
     back = m.mirror()
     assert np.allclose(back.pdf_at(xs), n.pdf_at(xs))
-    assert back.mirrored == n.mirrored
 
 
 def test_mirror_gaussian_is_even():

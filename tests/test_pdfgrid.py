@@ -9,7 +9,7 @@ from scipy import special
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
-from helpers import ks_distance, normalized
+from helpers import interp_at, ks_distance, normalized
 
 
 def gauss_fn(sigma, mu=0.0):
@@ -120,17 +120,6 @@ def test_normalize_idempotent():
     assert np.allclose(q.values, normalized(q).values)
 
 
-def test_interp_at_examples():
-    grid = GridSpec(0.0, 1.0, 101)
-    ramp = normalized(GriddedPdf(grid, np.linspace(0.5, 1.5, 101)))
-    pts = grid.points()
-    assert ramp.interp_at(pts[7]) == pytest.approx(ramp.values[7])
-    mid = 0.5 * (pts[3] + pts[4])
-    assert ramp.interp_at(mid) == pytest.approx(0.5 * (ramp.values[3] + ramp.values[4]))
-    assert ramp.interp_at(2.0) == 0.0
-    assert ramp.interp_at(-1.0) == 0.0
-
-
 def test_moments_examples():
     p = from_function(GridSpec(-10.0, 10.0, 4001), gauss_fn(1.0))
     assert p.mean() == pytest.approx(0.0, abs=1e-10)
@@ -208,7 +197,7 @@ def test_convolve_with_spike_noise_is_identity():
     # interior nodes are reproduced exactly; the two original boundary nodes
     # carry the half-weight edge convention and move by one cell's mass
     inner = p.grid.points()[1:-1]
-    assert np.max(np.abs(c.interp_at(inner) - p.values[1:-1])) < 1e-12
+    assert np.max(np.abs(interp_at(c, inner) - p.values[1:-1])) < 1e-12
     assert abs(c.mean() - p.mean()) < p.grid.h
 
 

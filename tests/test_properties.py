@@ -22,6 +22,7 @@ from cumvol import (
     tabulated,
     volatility_pdf,
 )
+from helpers import warp_step
 
 gs = st.floats(0.05, 1.0)
 widths = st.floats(0.05, 2.0)
@@ -56,7 +57,7 @@ def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz
     # a reversed-variable density a few steps from the start
     p_y = init_first_step(noise.mirror(), -g, grid)
     for _ in range(steps):
-        p_y = ev.warp_step(p_y, noise.mirror(), -g)
+        p_y = warp_step(p_y, noise.mirror(), -g)
     with mock.patch.object(ev, "_assemble", wraps=ev._assemble) as assemble:
         dz = volatility_pdf(p_y, dz_grid)
     _, cells, _, new_trunc = assemble.call_args.args
