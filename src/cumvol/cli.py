@@ -292,8 +292,9 @@ def cmd_compare_saddle(args) -> int:
 def _load_against(args) -> dict:
     """Densities of z_t, t <= --steps, written by a previous evolve run, by step.
 
-    The run must be an ``evolve`` run with the same ``--g`` and noise; noise
-    labels compare at ``:g`` precision (six significant digits).
+    The run must be an ``evolve`` run with the same ``--g`` and noise, and
+    must hold every step up to ``--steps``; noise labels compare at ``:g``
+    precision (six significant digits).
     """
     against = args.against
     ref = Path(against) / "manifest.json"
@@ -307,14 +308,14 @@ def _load_against(args) -> dict:
         if found != wanted:
             raise DomainError(f"--against run {against} has {field} {found!r}, "
                               f"not {wanted!r}")
-    targets = {}
-    for row in manifest.get("steps", []):
-        t = row["t"]
-        if t > args.steps or "file" not in row:
-            continue
-        targets[t] = GriddedPdf.from_csv(Path(against) / row["file"],
-                                         truncated_mass=row.get("truncated_mass", 0.0))
-    return targets
+    rows = {row["t"]: row for row in manifest.get("steps", []) if "file" in row}
+    missing = next((t for t in range(1, args.steps + 1) if t not in rows), None)
+    if missing is not None:
+        raise DomainError(f"--against run {against} has no density for step {missing}; "
+                          f"--steps {args.steps} compares steps 1..{args.steps}")
+    return {t: GriddedPdf.from_csv(Path(against) / rows[t]["file"],
+                                   truncated_mass=rows[t].get("truncated_mass", 0.0))
+            for t in range(1, args.steps + 1)}
 
 
 def cmd_simulate(args) -> int:

@@ -329,6 +329,17 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
 
 
 def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
+    """The dz grid for a reversed-variable density: cells of width upper/n
+    sized from its moments and tails, ending two cells past the cell that
+    holds x* = -log(1 - e^{-y_1}), the image of y's first node y_1.
+
+    ``volatility_pdf`` interpolates y's CDF with 0 below y_1, so every cell
+    above x* is exactly 0: the grid keeps the cell with x* and two zero
+    cells, the file's closing zero row and one node past it, and drops the
+    rest (rarely a node or two more, see below). The kept nodes, cell edges
+    and cell masses are the uncut grid's. The grid ends at the sizing's
+    upper end when x* lies beyond it.
+    """
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
         raise DomainError(_NONFINITE_Y)
@@ -356,7 +367,18 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     upper = min(upper, _DZ_CAP)
     h = min(width / 80.0, 0.002)
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
-    return cell_grid(upper, n)
+    grid = cell_grid(upper, n)
+    x_star = -math.log1p(-math.exp(-p_y.grid.x_min))
+    end = max(int(x_star / grid.h) + 3, 64) if x_star < upper else n
+    # The first end from there whose grid recomputes the uncut spacing bit for
+    # bit, so that its nodes and cell edges are the uncut grid's: a shorter
+    # span over fewer cells can round to a spacing one ulp off.
+    while end < n:
+        cut = GridSpec(grid.x_min, grid.x_min + grid.h * (end - 1), end)
+        if cut.h == grid.h:
+            return cut
+        end += 1
+    return grid
 
 
 # ----------------------------------------------------------------------

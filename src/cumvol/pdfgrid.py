@@ -10,6 +10,7 @@ called; the convolve-then-warp step that produces the densities lives in
 
 CSV files hold every number exactly as ``'%.17g' % v`` writes it; ``write_csv``
 builds that text with whole-array numpy arithmetic (see its section below).
+A grid formats each node's text once, for every density written on it.
 
 Node/cell convention used by the evolution engine: nodes are the centres of
 equal cells of width h, so a grid built by ``cell_grid(upper, n)`` has its
@@ -65,6 +66,22 @@ class GridSpec:
             pts.setflags(write=False)
             object.__setattr__(self, "_points", pts)
         return pts
+
+    def csv_fields(self, rows: int) -> np.ndarray:
+        """The first ``rows`` nodes' ``'%.17g,'`` text as NUL-padded 'S32'
+        fields, the first column ``to_csv`` passes to ``write_csv``, returned
+        read-only. Each node is formatted once per grid: the grid keeps the
+        longest prefix asked for so far, 32 bytes a node."""
+        done = self.__dict__.get("_csv_fields", _NO_FIELDS)
+        if done.size < rows:
+            pts = self.points()
+            blocks = [pts[lo:min(lo + _CSV_BLOCK_VALUES, rows)]
+                      for lo in range(done.size, rows, _CSV_BLOCK_VALUES)]
+            done = np.concatenate([done, *(_g17_fields(b, _NO_NEWLINE[:b.size])
+                                           for b in blocks)])
+            done.setflags(write=False)
+            object.__setattr__(self, "_csv_fields", done)
+        return done[:rows]
 
     def cell_edges(self) -> np.ndarray:
         """n_points + 1 edges of the cells whose centres are the nodes."""
@@ -215,8 +232,8 @@ class GriddedPdf:
         positive = np.flatnonzero(self.values > 0.0)
         end = positive[-1] + 2 if positive.size else 0
         rows = min(self.grid.n_points, max(16, end))
-        write_csv(path, "x,density",
-                  np.column_stack((self.grid.points()[:rows], self.values[:rows])))
+        write_csv(path, "x,density", self.values[:rows, None],
+                  first_fields=self.grid.csv_fields(rows))
 
     @classmethod
     def from_csv(cls, path, truncated_mass: float = 0.0) -> "GriddedPdf":
@@ -281,6 +298,9 @@ def atomic_write_text(path, text: str | bytes) -> None:
 # Numbers formatted per pass: transient memory stays bounded whatever the
 # table size.
 _CSV_BLOCK_VALUES = 8192
+
+_NO_FIELDS = np.zeros(0, dtype="S32")
+_NO_NEWLINE = np.zeros(_CSV_BLOCK_VALUES, dtype=np.int64)  # newline flags of a ',' block
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 
@@ -350,10 +370,13 @@ _ENDING_AT = 25 * (np.repeat(_exp_ending, 4) + np.tile([0, 1], 2 * _X.size)) + _
 _BITS8, _BITS24, _BITS40, _BITS56 = (np.uint64(n) for n in (8, 24, 40, 56))
 
 
-def write_csv(path, header: str, table) -> None:
+def write_csv(path, header: str, table, first_fields=None) -> None:
     """Write a header line and the rows of a 2-D table, atomically.
 
     Numbers are comma-separated and written exactly as ``'%.17g' % v``.
+    ``first_fields``, when given, is a first column already in text, one
+    ``'%.17g,'`` field per row as ``GridSpec.csv_fields`` returns them, and
+    ``table`` holds the columns after it.
     """
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
@@ -362,7 +385,10 @@ def write_csv(path, header: str, table) -> None:
     parts = [header.encode("utf-8") + b"\n"]
     for lo in range(0, rows, step):
         values = np.ravel(table[lo:lo + step])
-        text = _g17_fields(values, newline[:values.size]).view(np.uint8)
+        fields = _g17_fields(values, newline[:values.size]).reshape(-1, cols)
+        if first_fields is not None:
+            fields = np.column_stack((first_fields[lo:lo + step], fields))
+        text = fields.view(np.uint8)
         parts.append(text[text != 0].tobytes())  # padding is the only NUL
     atomic_write_text(path, b"".join(parts))
 

@@ -271,6 +271,24 @@ def test_simulate_against_another_kind_of_run_fails_before_simulating(
     assert not out.exists()
 
 
+def test_simulate_against_a_shorter_run_fails_before_simulating(tmp_path, monkeypatch, capsys):
+    # steps past the evolve run's end used to drop out of ks_report.json unremarked
+    ref = tmp_path / "ref"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--grid", "0,20,256", "--out", str(ref)]) == 0
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --against")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
+                "--steps", "5", "--against", str(ref), "--out", str(out)]) == 4
+    assert "has no density for step 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_volatility_narrow_noise_report_accuracy(tmp_path):
     out = tmp_path / "narrow"
     code = run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.01",

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import cumvol.pdfgrid as pdfgrid
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
@@ -317,6 +319,38 @@ def test_to_csv_ends_one_zero_past_the_support(tmp_path_factory, support, traili
     assert math.isclose(np.trapezoid(v, x), pdf.integral(), rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("upper, n", [(7.0, 2 * _CSV_BLOCK_VALUES + 5), (1e-28, 40)],
+                         ids=["across-blocks", "percent-fallback"])
+def test_to_csv_writes_the_grids_x_text_formatted_once(tmp_path, upper, n):
+    # a grid formats each node's text once and every density on it shares
+    # it: a short and a long density written in turn, in either order, give
+    # the files that formatting the node and value columns gives; below
+    # 1e-29 the nodes' text comes from '%'
+    long = np.linspace(1.0, 2.0, n)
+    short = long * (np.arange(n) < n // 3)
+    path, ref = tmp_path / "pdf.csv", tmp_path / "ref.csv"
+    for first, second in ((short, long), (long, short)):
+        grid = cell_grid(upper, n)
+        written = []
+        with mock.patch.object(pdfgrid, "_g17_fields", wraps=pdfgrid._g17_fields) as fmt:
+            for values in (first, second):
+                GriddedPdf(grid, values).to_csv(path)
+                text = path.read_bytes()
+                rows = text.count(b"\n") - 1
+                assert rows == (n if values is long else max(16, n // 3 + 1))
+                written.append(rows)
+                write_csv(ref, "x,density",
+                          np.column_stack((grid.points()[:rows], values[:rows])))
+                assert text == ref.read_bytes()
+        formatted = sum(c.args[0].size for c in fmt.call_args_list)
+        # the reference files format 2 numbers a row, the density files 1,
+        # and the grid each node once
+        assert formatted == 3 * sum(written) + max(written)
+    lines = [f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.points(), long)]
+    GriddedPdf(grid, long).to_csv(path)
+    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(lines)
+
+
 # ----------------------------------------------------------------------
 # CSV text: every number exactly as "%.17g" writes it
 # ----------------------------------------------------------------------
@@ -432,6 +466,17 @@ def test_write_csv_longest_fields_across_a_block_boundary(csv_path):
     for edge in (_CSV_BLOCK_VALUES, 2 * _CSV_BLOCK_VALUES):
         values[edge - 16:edge + 16] = np.resize(longest, 32)
     assert_g17(csv_path, values, cols=2)
+
+
+def test_write_csv_tables_of_many_columns(csv_path):
+    # paths.csv: a path index, then one column per step, across blocks;
+    # saddle_ratio.csv: a list of rows
+    rng = np.random.default_rng(11)
+    paths = np.column_stack((np.arange(700.0), rng.normal(0.2, 1.0, (700, 31)).cumsum(axis=1)))
+    assert_g17(csv_path, paths, cols=32)
+    sweep = [[0.01, 1.0002712, 0.0024979, 0.0024972, 1.1e-8],
+             [1.0, 0.94916, 0.2237, 0.2357, 3.7e-9]]
+    assert_g17(csv_path, sweep, cols=5)
 
 
 def test_to_csv_over_many_blocks(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cumvol.evolution as ev
 from cumvol import (
     EvolutionConfig,
+    GridSpec,
     cell_grid,
     default_z_grid,
     evolve_z,
@@ -51,18 +52,70 @@ def test_step_operator_conserves_input_mass(g, noise, grid, reverse, seed):
 dz_grids = st.one_of(st.none(), st.builds(cell_grid, st.floats(2.0, 10.0), st.integers(64, 1024)))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(gs, noises, grids, st.integers(0, 3), dz_grids)
-def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz_grid):
-    # a reversed-variable density a few steps from the start
+def reversed_density(g, noise, grid, steps):
+    """A reversed-variable density ``steps`` steps after the first."""
     p_y = init_first_step(noise.mirror(), -g, grid)
     for _ in range(steps):
         p_y = warp_step(p_y, noise.mirror(), -g)
+    return p_y
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gs, noises, grids, st.integers(0, 3), dz_grids)
+def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz_grid):
+    p_y = reversed_density(g, noise, grid, steps)
     with mock.patch.object(ev, "_assemble", wraps=ev._assemble) as assemble:
         dz = volatility_pdf(p_y, dz_grid)
     _, cells, _, new_trunc = assemble.call_args.args
     assert cells.sum() + new_trunc == pytest.approx(1.0, abs=1e-12)
     assert dz.truncated_mass < 1.0
+
+
+def same_spacing(grid, n_min):
+    """A grid of at least ``n_min`` nodes that starts at ``grid``'s first node
+    with its spacing bit for bit, so that the nodes and cell edges the two
+    share are the same numbers."""
+    for n in range(n_min, 2 * n_min):
+        wide = GridSpec(grid.x_min, grid.x_min + grid.h * (n - 1), n)
+        if wide.h == grid.h:
+            return wide
+    raise AssertionError("no node count reproduces the spacing")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gs, noises, grids, st.integers(0, 3))
+def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, grid, steps):
+    # volatility_pdf puts no mass above x*, the image of y's first node, so
+    # the default grid stops there and loses nothing a longer grid would hold
+    p_y = reversed_density(g, noise, grid, steps)
+    sized = []  # the grid the sizing rule builds, before it is cut
+
+    def record(upper, n):
+        sized.append(cell_grid(upper, n))
+        return sized[-1]
+
+    with mock.patch.object(ev, "cell_grid", record), \
+            mock.patch.object(ev, "_assemble", wraps=ev._assemble) as assemble:
+        dz = volatility_pdf(p_y)
+        n, h = dz.grid.n_points, dz.grid.h
+        wide = volatility_pdf(p_y, same_spacing(dz.grid, 4 * n))
+    (_, cells, _, new_trunc), (_, wide_cells, _, _) = (c.args for c in assemble.call_args_list)
+    assert cells.sum() + new_trunc == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(cells, wide_cells[:n])
+    # a prefix of the sized grid: its spacing and nodes, bit for bit
+    assert h == sized[0].h
+    assert np.array_equal(dz.grid.points(), sized[0].points()[:n])
+    x_star = -math.log1p(-math.exp(-p_y.grid.x_min))
+    if x_star > dz.grid.x_max:
+        return  # the grid's sized end comes first: nothing is cut
+    assert not wide_cells[n:].any()
+    np.testing.assert_allclose(dz.values, wide.values[:n], rtol=1e-11, atol=0.0)
+    # the cell holding x* is followed by two zero cells, and by no more unless
+    # the grid one node shorter cannot keep the spacing
+    assert dz.values[-1] == dz.values[-2] == 0.0
+    assert dz.grid.x_max - x_star > 1.5 * h
+    shorter = GridSpec(dz.grid.x_min, dz.grid.x_min + h * (n - 2), n - 1)
+    assert dz.grid.x_max - x_star <= 2.5 * h or shorter.h != h
 
 
 ASYMMETRIC_TABLE = tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
