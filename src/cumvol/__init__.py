@@ -8,14 +8,7 @@ reversed recursion's fixed point, and cross-validates everything against
 closed-form narrow-noise formulas and a Monte Carlo path simulator.
 """
 
-from .analytic import (
-    sigma_dz_narrow,
-    sigma_recursion_step,
-    sigma_y_fixed_point,
-    var_dz_saddle,
-    var_logZ_saddle,
-    ybar,
-)
+from .analytic import sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, CumvolError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
@@ -55,6 +48,5 @@ __all__ = [
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
     "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",
-    "sigma_recursion_step", "sigma_dz_narrow",
     "McEnsemble", "simulate_stream",
 ]

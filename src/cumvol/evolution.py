@@ -23,13 +23,13 @@ One step is a linear map P on node masses (``StepOperator``), built once per
 run; its convolution is numpy's real FFT at a 2-3-5-smooth length. Per-step
 outputs apply it repeatedly and renormalise (power iteration).
 The reversed variable's fixed point is P's Perron vector, which
-``steady_state_volatility`` finds directly with ARPACK's implicitly
-restarted Arnoldi method (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-1998) in tens of applications, where power iteration needs of the order of
-sigma_a^2/g^2 steps. The Perron root lambda is the mass one step keeps, so
-1 - lambda is the per-step leak through the grid's edges. ARPACK, through
-``scipy.sparse.linalg``, is the only SciPy the package uses, and only the
-eigensolve imports it.
+``steady_state_volatility`` finds directly with a thick-restart Arnoldi
+iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
+and ARPACK's stopping rule (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J.
+Matrix Anal. Appl. 23, 2001). It needs tens of applications, where power
+iteration needs of the order of sigma_a^2/g^2 steps. The Perron root lambda
+is the mass one step keeps, so 1 - lambda is the per-step leak through the
+grid's edges. The package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ class EvolutionConfig:
     [0, upper] exactly (build it with ``cell_grid`` or the default_* helpers).
     ``convergence_tol`` governs the reversed variable only: ``evolve_y`` stops
     once the L1 distance between successive densities falls below it, and
-    ``steady_state_volatility`` uses it as ARPACK's relative eigenvalue
-    tolerance. ``evolve_z`` always runs ``horizon`` steps.
+    ``steady_state_volatility`` uses it as the eigensolve's relative
+    tolerance on ARPACK's Ritz estimate. ``evolve_z`` always runs ``horizon``
+    steps.
     """
 
     g: float
@@ -525,18 +526,25 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
 def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     """Fixed point of the reversed recursion as the step operator's Perron vector.
 
-    ARPACK starts from the first-step density, so repeated solves are
-    bit-identical. The unit-mass eigenvector goes through one more step, whose
-    mass bookkeeping passes the per-step defect check; the resulting density's
-    ``truncated_mass`` is that step's leak, 1 - lambda.
+    A thick-restart Arnoldi iteration in numpy (Morgan, Math. Comp. 65, 1996;
+    Stewart, SIAM J. Matrix Anal. Appl. 23, 2001) builds a Krylov space of
+    ``_ARNOLDI_NCV`` vectors from the first-step density, so repeated solves
+    are bit-identical. Each new vector is orthogonalised by classical
+    Gram-Schmidt with one reorthogonalisation pass. After each full cycle the
+    Ritz pair (theta, y) of largest modulus of the projected matrix stops the
+    solve once ARPACK's Ritz estimate beta |y_last| is at most
+    ``convergence_tol`` |theta|. Otherwise the cycle restarts from an
+    orthonormal real basis of the half of the Ritz vectors with the largest
+    modulus, followed by the old last basis vector. A conjugate pair enters
+    that basis once, as its real and imaginary parts, so the basis spans an
+    invariant subspace of the projected matrix and the Arnoldi relation holds
+    across the restart. The unit-mass eigenvector goes through one more step,
+    whose mass bookkeeping passes the per-step defect check; the resulting
+    density's ``truncated_mass`` is that step's leak, 1 - lambda.
     """
-    # ARPACK is the only SciPy the package uses; importing it here keeps
-    # SciPy off the import path of every other command.
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
-
     rev = _reversed(config)
     g, noise, grid = rev.g, rev.noise, rev.grid
-    first = init_first_step(noise, g, grid)
+    first = init_first_step(noise, g, grid).node_masses()
     op = StepOperator(g, noise, grid)
     applications = 0
 
@@ -548,17 +556,40 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
                 f"no fixed point within horizon={config.horizon} operator applications "
                 f"at tol={config.convergence_tol:g}"
             )
-        return op.apply(np.ravel(v))
+        return op.apply(v)
 
-    n = grid.n_points
-    operator = LinearOperator((n, n), matvec=lambda v: counted_apply(v)[0], dtype=float)
-    try:
-        values, vectors = eigs(operator, k=1, ncv=min(_ARNOLDI_NCV, n),
-                               tol=config.convergence_tol, v0=first.node_masses())
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise ConvergenceError(f"steady-state eigensolve failed: {exc}") from exc
-    vec = vectors[:, 0]
-    vec = (vec / vec.sum()).real
+    m = min(_ARNOLDI_NCV, grid.n_points)
+    basis = np.zeros((m + 1, grid.n_points))  # one Krylov vector per row
+    proj = np.zeros((m + 1, m))  # the projected matrix over its coupling row
+    basis[0] = first / np.linalg.norm(first)
+    kept = 0
+    while True:
+        for j in range(kept, m):
+            w = counted_apply(basis[j])[0]
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            proj[:j + 1, j] = h + again
+            proj[j + 1, j] = np.linalg.norm(w)
+            basis[j + 1] = w / proj[j + 1, j]
+        theta, ritz = np.linalg.eig(proj[:m])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        top = order[0]
+        if abs(proj[m] @ ritz[:, top]) <= config.convergence_tol * abs(theta[top]):
+            break
+        chosen = order[:m // 2]
+        chosen = chosen[theta[chosen].imag >= 0.0]  # each conjugate pair once
+        pairs = chosen[theta[chosen].imag > 0.0]
+        q = np.linalg.qr(np.hstack([ritz[:, chosen].real, ritz[:, pairs].imag]))[0]
+        kept = q.shape[1]
+        restart, coupling = q.T @ proj[:m] @ q, proj[m] @ q
+        basis[:kept], basis[kept] = q.T @ basis[:m], basis[m]
+        proj[:] = 0.0
+        proj[:kept, :kept], proj[kept, :kept] = restart, coupling
+    # the Perron pair is real; a complex product would copy the basis as complex
+    vec = ritz[:, top].real @ basis[:m]
+    vec /= vec.sum()
     negative = float(-vec[vec < 0.0].sum())
     if negative > _MAX_NEGATIVE_MASS:
         raise ConvergenceError(
@@ -567,7 +598,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
         )
     vec = np.maximum(vec, 0.0)
     vec /= vec.sum()
-    eigenvalue = float(values[0].real)
+    eigenvalue = float(theta[top].real)
     cells, new_trunc = counted_apply(vec)
     pdf, _ = _assemble(grid, cells, 0.0, new_trunc)
     return pdf, {
@@ -582,10 +613,10 @@ def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
     """Solve the reversed recursion for its fixed point and report the volatility.
 
     Requires g > 0 (otherwise the reversed recursion has no fixed point).
-    ``convergence_tol`` is ARPACK's relative eigenvalue tolerance and
-    ``horizon`` caps the number of operator applications. Raises
-    ``ConvergenceError`` when ARPACK fails, the cap is exceeded, or the
-    eigenvector is not a density.
+    ``convergence_tol`` is the eigensolve's relative tolerance on ARPACK's
+    Ritz estimate and ``horizon`` caps the number of operator applications.
+    Raises ``ConvergenceError`` when the cap is exceeded or the eigenvector
+    is not a density.
     """
     if not config.g > 0.0:
         raise DomainError("steady_state_volatility requires g > 0")

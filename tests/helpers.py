@@ -1,9 +1,11 @@
-"""Density, step, trace and Monte Carlo helpers that only the tests use."""
+"""Density, step, trace, Monte Carlo and narrow-noise helpers that only the tests use."""
+
+import math
 
 import numpy as np
 
 import cumvol.montecarlo as mc
-from cumvol import GriddedPdf
+from cumvol import DomainError, GriddedPdf, ybar
 from cumvol.evolution import StepOperator, _assemble, _check_normalized
 
 
@@ -101,3 +103,29 @@ def sample_ks(samples: np.ndarray, p: GriddedPdf) -> float:
     edges, model = mc._ks_target(p)
     below = np.searchsorted(np.sort(samples), edges, side="left")
     return float(np.max(np.abs(below / samples.size - model)))
+
+
+def sigma_recursion_step(sigma_t: float, sigma_a: float, g: float, t) -> float:
+    """One step of the narrow-width recursion.
+
+    The convolution adds variances, then the coordinate change divides by the
+    Jacobian e^x/(e^x - 1) evaluated at x = ybar(g, t). Pass t = inf to use
+    the fixed-point location.
+    """
+    if sigma_t < 0.0 or sigma_a < 0.0:
+        raise DomainError("widths must be non-negative")
+    x = ybar(g, t)
+    # 1/J = (e^x - 1)/e^x = 1 - e^{-x}; zero at t = 0 where x = 0
+    return math.sqrt(sigma_t * sigma_t + sigma_a * sigma_a) * (-math.expm1(-x))
+
+
+def sigma_dz_narrow(g: float, sigma_a: float) -> float:
+    """Steady-state volatility width sqrt(tanh(g/2)) * sigma_a, g > 0.
+
+    Equal to (e^g - 1) * sigma_y_fixed_point(g, sigma_a): the coordinate
+    change from the reversed variable evaluated at its long-time location
+    x = g, which ties the fixed-point width to the volatility width.
+    """
+    if not g > 0.0:
+        raise DomainError("sigma_dz_narrow requires g > 0")
+    return math.sqrt(math.tanh(0.5 * g)) * sigma_a

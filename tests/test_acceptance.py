@@ -23,12 +23,11 @@ from cumvol import (
     evolve_z,
     gaussian,
     lorentzian,
-    sigma_dz_narrow,
     sigma_y_fixed_point,
     simulate_stream,
     steady_state_volatility,
 )
-from helpers import block_draws, interp_at, reciprocal_increment_gap, variances
+from helpers import block_draws, interp_at, reciprocal_increment_gap, sigma_dz_narrow, variances
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

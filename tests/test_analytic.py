@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cumvol import (
-    DomainError,
-    sigma_dz_narrow,
-    sigma_recursion_step,
-    sigma_y_fixed_point,
-    var_dz_saddle,
-    var_logZ_saddle,
-    ybar,
-)
+from cumvol import DomainError, sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
+from helpers import sigma_dz_narrow, sigma_recursion_step
 
 
 def test_ybar_values():

@@ -502,6 +502,56 @@ def test_eigensolve_matches_power_iteration(case):
     assert (leak > 1e-9) == (cfg.noise.kind != "tabulated")
 
 
+def _arpack_reference(cfg):
+    """ARPACK's Perron pair of the reversed step operator, from the eigensolve's
+    start vector, Krylov size and tolerance: the dz variance of its unit-mass
+    eigenvector v after one more step, its eigenvalue, its operator
+    applications with that step, and the L1 residual that its stopping rule
+    allows v. That rule bounds the 2-norm residual of the unit 2-norm Ritz
+    vector by tol |theta|, so the 1-norm residual of v by
+    tol |theta| sqrt(n) ||v||_2."""
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    noise, g, grid = cfg.noise.mirror(), -cfg.g, cfg.grid
+    op = StepOperator(g, noise, grid)
+    applications = 1
+
+    def matvec(v):
+        nonlocal applications
+        applications += 1
+        return op.apply(np.ravel(v))[0]
+
+    n = grid.n_points
+    values, vectors = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, ncv=40,
+                           tol=cfg.convergence_tol,
+                           v0=init_first_step(noise, g, grid).node_masses())
+    eigenvalue = float(values[0].real)
+    vec = np.maximum((vectors[:, 0] / vectors[:, 0].sum()).real, 0.0)
+    vec /= vec.sum()
+    p_y = warp_step(GriddedPdf(grid, vec / grid.node_weights()), noise, g)
+    allowed = cfg.convergence_tol * eigenvalue * math.sqrt(n) * float(np.linalg.norm(vec))
+    return volatility_pdf(p_y).variance(), eigenvalue, applications, allowed
+
+
+# A restart that fed both members of a conjugate Ritz pair to the QR and cut
+# trailing columns breaks the Arnoldi relation: on the first case its vector
+# carries negative mass, on the Lorentzian one its eigenvalue is 2e-9 off.
+@pytest.mark.parametrize("g, noise", [
+    (0.03, gaussian(0.1)),
+    (0.03, tabulated([(-0.8, 0.5), (-0.6, 1.0), (0.2, 0.8), (0.8, 0.9)])),  # mean 0
+    (0.5, lorentzian(0.3)),
+    (0.1, gaussian(1.0)),
+], ids=["gaussian-0.1-g0.03", "table-g0.03", "lorentzian-0.3-g0.5", "gaussian-1-g0.1"])
+def test_eigensolve_matches_arpack(g, noise):
+    cfg = default_y_config(g, noise)
+    solved = steady_state_volatility(cfg)
+    variance, eigenvalue, applications, allowed = _arpack_reference(cfg)
+    assert solved.variance == pytest.approx(variance, rel=1e-6)
+    assert solved.solver["eigenvalue"] == pytest.approx(eigenvalue, abs=1e-10)
+    assert solved.solver["residual_l1"] < allowed
+    assert solved.solver["applications"] <= applications
+
+
 def test_eigensolve_is_bit_identical_on_repeat():
     cfg = default_y_config(0.1, gaussian(0.5), n_points=2000)
     assert steady_state_volatility(cfg).to_dict() == steady_state_volatility(cfg).to_dict()
@@ -511,7 +561,7 @@ def test_eigensolve_application_cap():
     cfg = default_y_config(0.1, gaussian(1.0), n_points=2000)
     needed = steady_state_volatility(cfg).solver["applications"]
     assert needed > 41
-    # the cap holds mid-solve as well as inside ARPACK's first factorisation
+    # the cap holds mid-solve as well as inside the first Arnoldi cycle
     for horizon in (10, 41, needed - 1):
         with pytest.raises(ConvergenceError):
             steady_state_volatility(replace(cfg, horizon=horizon))

@@ -271,7 +271,8 @@ def test_csv_round_trip(tmp_path):
     r = GriddedPdf(cell_grid(3.0, 64), values)
     r.to_csv(path)
     rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(r.grid.points(), r.values)]
-    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(rows)
+    # bytes, not str: pytest diffs two long strings line by line for minutes
+    assert path.read_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
     assert np.array_equal(GriddedPdf.from_csv(path).values, r.values)
 
     bad = {"short": "x,density\n" + "0,1\n" * 15,
@@ -488,4 +489,5 @@ def test_to_csv_over_many_blocks(tmp_path):
     path = tmp_path / "many.csv"
     pdf.to_csv(path)
     rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(pdf.grid.points(), pdf.values)]
-    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(rows)
+    # bytes, not str: pytest diffs two long strings line by line for minutes
+    assert path.read_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
