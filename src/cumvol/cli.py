@@ -41,7 +41,7 @@ from .evolution import (
 )
 from .montecarlo import simulate_stream
 from .noise import gaussian, parse_noise_spec
-from .pdfgrid import GriddedPdf, atomic_write_text, cell_grid, write_csv
+from .pdfgrid import GriddedPdf, GridSpec, atomic_write_text, cell_grid, write_csv
 
 DEFAULT_GRID_POINTS = 8192
 MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
@@ -181,10 +181,8 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
 
 def cmd_evolve(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.grid is not None:
-        _, hi, n = args.grid
-        grid = cell_grid(hi, n)
+        grid = cell_grid(*args.grid[1:])
     else:
         grid = default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS)
     trace = evolve_z(EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
@@ -208,10 +206,8 @@ def cmd_volatility(args) -> int:
     if args.until_converged and not args.g > 0.0:
         raise DomainError("--until-converged requires g > 0 (no fixed point otherwise)")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.grid is not None:
-        _, hi, n = args.grid
-        grid = cell_grid(hi, n)
+        grid = cell_grid(*args.grid[1:])
     elif args.g > 0.0:
         grid = default_y_grid(args.g, args.noise, n_points=DEFAULT_GRID_POINTS)
     else:
@@ -225,8 +221,7 @@ def cmd_volatility(args) -> int:
             f"reversed recursion did not converge within {horizon} steps at tol {args.tol:g}"
         )
 
-    outputs = []
-    rows = []
+    outputs, rows = [], []
     for rec in trace.steps:
         dz = volatility_pdf(rec.pdf)
         name = f"rho_dz_t{rec.t:04d}.csv"
@@ -276,7 +271,6 @@ def cmd_compare_saddle(args) -> int:
     if not args.g > 0.0:
         raise DomainError("compare-saddle requires g > 0")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = [_sweep_point(args.g, s2, args.tol, args.max_steps) for s2 in args.sigma_sweep]
 
@@ -294,7 +288,8 @@ def _load_against(args) -> dict:
 
     The run must be an ``evolve`` run with the same ``--g`` and noise, and
     must hold every step up to ``--steps``; noise labels compare at ``:g``
-    precision (six significant digits).
+    precision (six significant digits). Each file's x column must be the
+    nodes of the manifest's ``grid``, bit for bit.
     """
     against = args.against
     ref = Path(against) / "manifest.json"
@@ -313,21 +308,24 @@ def _load_against(args) -> dict:
     if missing is not None:
         raise DomainError(f"--against run {against} has no density for step {missing}; "
                           f"--steps {args.steps} compares steps 1..{args.steps}")
-    return {t: GriddedPdf.from_csv(Path(against) / rows[t]["file"],
-                                   truncated_mass=rows[t].get("truncated_mass", 0.0))
-            for t in range(1, args.steps + 1)}
+    try:
+        grid = GridSpec(**manifest["grid"])
+        return {t: GriddedPdf.from_csv(Path(against) / rows[t]["file"], grid,
+                                       rows[t].get("truncated_mass", 0.0))
+                for t in range(1, args.steps + 1)}
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise DomainError(f"--against run {against} has no densities on its manifest's "
+                          f"grid: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
     targets = None if args.against is None else _load_against(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cap = min(args.paths, 10_000) if args.paths_csv else 0
     run = simulate_stream(args.g, args.noise, t_max=args.steps, n_paths=args.paths,
                           seed=args.seed, targets=targets, head_paths=cap)
-    outputs = []
     _write_json(out_dir / "summary.json", run.summary)
-    outputs.append("summary.json")
+    outputs = ["summary.json"]
 
     if args.paths_csv:
         header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
@@ -390,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evolve the reversed variable and emit growth-increment densities")
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--grid", type=_grid_arg, default=None)
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
+    p.add_argument("--tol", type=_relative_tol, default=1e-8,
+                   help="L1 distance between successive densities to stop at, in (0, 1)")
     p.add_argument("--until-converged", action="store_true",
                    help="iterate to the fixed point (requires g > 0)")
     p.add_argument("--max-steps", type=_positive_int, default=10_000)
@@ -403,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated noise variances sigma_a^2")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=_relative_tol, default=1e-9,
-                   help="relative eigenvalue tolerance of the steady-state eigensolve")
+                   help="in (0, 1): bounds the eigensolve's Ritz estimate relative to the "
+                        "eigenvalue, not the variance's error (at g=0.03, sigma_a=2, tol 1e-9 "
+                        "leaves 2.4e-6 relative)")
     p.add_argument("--max-steps", type=_positive_int, default=10_000,
                    help="cap on step-operator applications per sweep point")
     p.set_defaults(func=cmd_compare_saddle)

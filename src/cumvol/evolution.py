@@ -174,13 +174,11 @@ def _reciprocal_edges(edges: np.ndarray) -> np.ndarray:
 
 def _validated_edges(grid: GridSpec) -> np.ndarray:
     """Cell edges of a grid whose domain must start exactly at 0."""
-    edges = grid.cell_edges()
-    if abs(edges[0]) > 1e-9 * grid.h:
+    if grid.x_min != 0.5 * grid.h:
         raise DomainError(
             "evolution grids must tile [0, upper]; build them with cell_grid()"
         )
-    edges[0] = 0.0
-    return edges
+    return grid.cell_edges()
 
 
 def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -320,10 +318,9 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     _check_normalized(p_y)
     if grid is None:
         grid = _default_dz_grid(p_y)
-    masses = p_y.node_masses()
-    nodes = p_y.grid.x_min + p_y.grid.h * np.arange(masses.size)
     # v = +inf at x = 0, where the CDF is the total mass
-    cv = _node_cdf(masses, nodes, _reciprocal_edges(_validated_edges(grid)))
+    cv = _node_cdf(p_y.node_masses(), p_y.grid.points(),
+                   _reciprocal_edges(_validated_edges(grid)))
     cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # v decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
     return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
@@ -337,9 +334,8 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     ``volatility_pdf`` interpolates y's CDF with 0 below y_1, so every cell
     above x* is exactly 0: the grid keeps the cell with x* and two zero
     cells, the file's closing zero row and one node past it, and drops the
-    rest (rarely a node or two more, see below). The kept nodes, cell edges
-    and cell masses are the uncut grid's. The grid ends at the sizing's
-    upper end when x* lies beyond it.
+    rest. The kept nodes, cell edges and cell masses are the uncut grid's.
+    The grid ends at the sizing's upper end when x* lies beyond it.
     """
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
@@ -371,15 +367,7 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     grid = cell_grid(upper, n)
     x_star = -math.log1p(-math.exp(-p_y.grid.x_min))
     end = max(int(x_star / grid.h) + 3, 64) if x_star < upper else n
-    # The first end from there whose grid recomputes the uncut spacing bit for
-    # bit, so that its nodes and cell edges are the uncut grid's: a shorter
-    # span over fewer cells can round to a spacing one ulp off.
-    while end < n:
-        cut = GridSpec(grid.x_min, grid.x_min + grid.h * (end - 1), end)
-        if cut.h == grid.h:
-            return cut
-        end += 1
-    return grid
+    return GridSpec(grid.x_min, grid.h, min(end, n))
 
 
 # ----------------------------------------------------------------------

@@ -83,7 +83,6 @@ class _Moments:
 def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
     """(cell edges, model CDF at each edge) of a gridded density."""
     edges, cum = p.edge_cdf()
-    edges = np.where(np.abs(edges) < 1e-9 * p.grid.h, 0.0, edges)  # snap fp residue
     return edges, (1.0 - p.truncated_mass) * cum / cum[-1]
 
 

@@ -39,30 +39,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform node grid on [x_min, x_max] with n_points nodes."""
+    """Uniform node grid x_min + h*i, i < n_points. A prefix ``GridSpec(x_min,
+    h, k)`` has its parent's first k nodes and k + 1 cell edges, bit for bit."""
 
     x_min: float
-    x_max: float
+    h: float
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
-        if not self.x_min < self.x_max:
-            raise ValueError("grid requires x_min < x_max")
         if int(self.n_points) != self.n_points or self.n_points < 16:
             raise ValueError("grid requires an integer n_points >= 16")
         object.__setattr__(self, "n_points", int(self.n_points))
+        if not (self.h > 0.0 and math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid requires a spacing h > 0 and finite x_min, x_max")
 
     @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
+    def x_max(self) -> float:
+        return self.x_min + self.h * (self.n_points - 1)
 
     def points(self) -> np.ndarray:
         """The nodes, computed once per grid and returned read-only."""
         pts = self.__dict__.get("_points")
         if pts is None:
-            pts = np.linspace(self.x_min, self.x_max, self.n_points)
+            pts = self.x_min + self.h * np.arange(self.n_points)
             pts.setflags(write=False)
             object.__setattr__(self, "_points", pts)
         return pts
@@ -93,20 +92,13 @@ class GridSpec:
         w[0] = w[-1] = 0.5 * self.h
         return w
 
-    def close_to(self, other: "GridSpec", rtol: float = 1e-9) -> bool:
-        return (
-            self.n_points == other.n_points
-            and math.isclose(self.x_min, other.x_min, rel_tol=rtol, abs_tol=rtol * self.h)
-            and math.isclose(self.x_max, other.x_max, rel_tol=rtol, abs_tol=rtol * self.h)
-        )
-
 
 def cell_grid(upper: float, n_points: int) -> GridSpec:
     """Node grid whose n cells of width upper/n tile [0, upper] exactly."""
     if not upper > 0.0:
         raise ValueError("upper must be positive")
     h = upper / n_points
-    return GridSpec(0.5 * h, upper - 0.5 * h, n_points)
+    return GridSpec(0.5 * h, h, n_points)
 
 
 @dataclass(frozen=True)
@@ -213,7 +205,7 @@ class GriddedPdf:
 
     def distance(self, other: "GriddedPdf") -> float:
         """L1 distance: the trapezoidal integral of |p - q|."""
-        if not self.grid.close_to(other.grid):
+        if self.grid != other.grid:
             raise ValueError("distance requires both densities on the same grid")
         return float(np.trapezoid(np.abs(self.values - other.values), self.grid.points()))
 
@@ -236,26 +228,26 @@ class GriddedPdf:
                   first_fields=self.grid.csv_fields(rows))
 
     @classmethod
-    def from_csv(cls, path, truncated_mass: float = 0.0) -> "GriddedPdf":
-        """Read a file written by ``to_csv``: the density on the file's rows,
-        a prefix of the grid it was computed on (0 at every node past it)."""
+    def from_csv(cls, path, grid: GridSpec, truncated_mass: float = 0.0) -> "GriddedPdf":
+        """Read a file that ``to_csv`` wrote for a density on ``grid``: the
+        density on the prefix of ``grid`` that the file's rows cover (0 at
+        every node past it). The x column must be those nodes bit for bit."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 2 or data.shape[0] < 16:
-            raise ValueError(f"{path}: expected two-column CSV with >= 16 rows")
+        if data.shape[1] != 2 or not 16 <= data.shape[0] <= grid.n_points:
+            raise ValueError(f"{path}: expected two-column CSV with 16..{grid.n_points} rows")
         x, v = data[:, 0], data[:, 1]
-        steps = np.diff(x)
-        h = steps.mean()
-        if not np.allclose(steps, h, rtol=1e-6, atol=1e-12):
-            raise ValueError(f"{path}: grid is not uniform")
-        return cls(GridSpec(float(x[0]), float(x[-1]), x.size), v, truncated_mass)
+        if not np.array_equal(x, grid.points()[:x.size]):
+            raise ValueError(f"{path}: x column is not the nodes of {grid}")
+        return cls(GridSpec(grid.x_min, grid.h, x.size), v, truncated_mass)
 
 
 def atomic_write_text(path, text: str | bytes) -> None:
     """Write text (str, or bytes already UTF-8) via a temp file + rename in the
-    destination directory."""
+    destination directory, which is created if missing."""
     data = text.encode("utf-8") if isinstance(text, str) else text
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -33,7 +33,7 @@ def warp_step(p: GriddedPdf, noise, g: float) -> GriddedPdf:
 
 def ks_distance(p: GriddedPdf, q: GriddedPdf) -> float:
     """Largest gap between the node CDFs of two densities on one grid."""
-    if not p.grid.close_to(q.grid):
+    if p.grid != q.grid:
         raise ValueError("distance requires both densities on the same grid")
     return float(np.max(np.abs(p.cdf_nodes() - q.cdf_nodes())))
 

@@ -50,7 +50,8 @@ def test_evolve_writes_densities_and_manifest(tmp_path):
     last = np.flatnonzero(values)[-1]
     assert last + 2 < 2048
     assert len(first) - 1 == max(16, last + 2)
-    written = GriddedPdf.from_csv(out / "rho_z_t0001.csv")
+    written = GriddedPdf.from_csv(out / "rho_z_t0001.csv", GridSpec(**manifest["grid"]))
+    assert written.grid == GridSpec(grid.x_min, grid.h, last + 2)
     assert np.array_equal(written.values, values[:last + 2])
     steps = manifest["steps"]
     assert [s["t"] for s in steps] == [1, 2, 3, 4]
@@ -217,9 +218,10 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
     # the streamed counts give exactly the statistic of the whole ensemble
     z = mc.simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=20_000, seed=3,
                            head_paths=20_000).head
-    steps = read_manifest(ref)["steps"]
-    for row, step in zip(ks["ks_per_step"], steps):
-        pdf = GriddedPdf.from_csv(ref / step["file"], truncated_mass=step["truncated_mass"])
+    manifest = read_manifest(ref)
+    for row, step in zip(ks["ks_per_step"], manifest["steps"]):
+        pdf = GriddedPdf.from_csv(ref / step["file"], GridSpec(**manifest["grid"]),
+                                  truncated_mass=step["truncated_mass"])
         assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
     # the trimmed files give the KS of the untrimmed in-memory densities
     trace = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=cell_grid(40.0, 4096),
@@ -268,6 +270,45 @@ def test_simulate_against_another_kind_of_run_fails_before_simulating(
     assert run(["simulate", *simulate_args, "--paths", "1000", "--steps", "2",
                 "--against", str(ref), "--out", str(out)]) == 4
     assert f"has {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _nudge_one_x(run_dir):
+    """Move the x value of row 10 of step 1's file up by one ulp."""
+    path = run_dir / "rho_z_t0001.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    x, rest = lines[11].split(",", 1)
+    lines[11] = f"{math.nextafter(float(x), math.inf)!r},{rest}"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _drop_grid(run_dir):
+    manifest = read_manifest(run_dir)
+    del manifest["grid"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("spoil", [_nudge_one_x, _drop_grid], ids=["x-one-ulp-off", "no-grid"])
+def test_simulate_against_densities_off_the_manifest_grid_fails_before_simulating(
+        tmp_path, monkeypatch, capsys, spoil):
+    # a density is compared on its manifest's grid, node for node: a file
+    # whose x column is not that grid's nodes, or a manifest without a grid,
+    # is refused before any path is drawn
+    ref = tmp_path / "ref"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--grid", "0,20,256", "--out", str(ref)]) == 0
+    spoil(ref)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --against")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
+                "--steps", "2", "--against", str(ref), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "has no densities on its manifest's grid" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -348,6 +389,30 @@ def test_compare_saddle_tolerance_outside_unit_interval_is_usage_error(tmp_path,
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "(0, 1)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["5", "1", "0", "-1"])
+def test_volatility_tolerance_outside_unit_interval_is_usage_error(tmp_path, capsys, tol):
+    # --tol 5 used to stop after two steps with a far-from-steady report
+    out = tmp_path / "x"
+    assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--until-converged",
+                "--tol", tol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(0, 1)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["volatility", "--g", "70", "--noise", "gaussian:sigma=1"],
+    ["compare-saddle", "--g", "70", "--sigma-sweep", "0.1"],
+    ["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1e300", "--paths", "10",
+     "--steps", "3"],
+], ids=["volatility", "compare-saddle", "simulate"])
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 4
+    assert "domain error" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -97,10 +97,12 @@ def test_warp_step_requires_normalised_input_and_zero_based_grid():
     p = GriddedPdf(grid, np.ones(grid.n_points))  # integral 4, not 1
     with pytest.raises(ValueError):
         warp_step(p, gaussian(0.5), 0.2)
-    off_grid = cv.GridSpec(1.0, 2.0, 64)
-    q = normalized(GriddedPdf(off_grid, np.ones(64)))
-    with pytest.raises(DomainError):
-        warp_step(q, gaussian(0.5), 0.2)
+    # a grid must start exactly half a cell above 0: one ulp off is refused
+    for x_min in (1.0, math.nextafter(grid.x_min, 1.0)):
+        off_grid = cv.GridSpec(x_min, grid.h, grid.n_points)
+        q = normalized(GriddedPdf(off_grid, np.full(grid.n_points, 0.25)))
+        with pytest.raises(DomainError):
+            warp_step(q, gaussian(0.5), 0.2)
 
 
 def test_assemble_raises_on_mass_defect():
@@ -578,7 +580,6 @@ def _fftconvolve_step(p, noise, g):
 
     grid, h = p.grid, p.grid.h
     edges = grid.cell_edges()
-    edges[0] = 0.0
     kern = noise.cell_masses(h, max_halfwidth=edges[-1] + _KERNEL_MARGIN)
     conv = np.maximum(fftconvolve(p.node_masses(), kern.masses), 0.0)
     nodes = grid.x_min - kern.halfcells * h + h * np.arange(conv.size)

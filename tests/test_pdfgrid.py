@@ -55,7 +55,7 @@ def convolve(p: GriddedPdf, noise: NoiseModel, max_halfwidth: float | None = Non
     h = p.grid.h
     kern = noise.cell_masses(h, max_halfwidth=max_halfwidth)
     m = kern.halfcells
-    grid = GridSpec(p.grid.x_min - m * h, p.grid.x_max + m * h, p.grid.n_points + 2 * m)
+    grid = GridSpec(p.grid.x_min - m * h, h, p.grid.n_points + 2 * m)
     masses = np.convolve(p.node_masses(), kern.masses)
     clip = kern.clip_left + kern.clip_right
     return GriddedPdf(grid, masses / grid.node_weights(),
@@ -63,24 +63,27 @@ def convolve(p: GriddedPdf, noise: NoiseModel, max_halfwidth: float | None = Non
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(1.0, 0.0, 100)
+    for h in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridSpec(1.0, h, 100)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 8)
-    g = GridSpec(0.0, 1.0, 101)
-    assert g.h == pytest.approx(0.01)
+    with pytest.raises(ValueError):
+        GridSpec(0.0, 1e307, 100)  # x_max overflows
+    g = GridSpec(0.0, 0.01, 101)
+    assert g.h == 0.01 and g.x_max == pytest.approx(1.0)
     assert g.cell_edges()[0] == pytest.approx(-0.005)
     assert g.node_weights().sum() == pytest.approx(1.0)
 
 
 def test_grid_points_computed_once_and_read_only():
-    g = GridSpec(-1.0, 2.0, 301)
+    g = GridSpec(-1.0, 0.01, 301)
     pts = g.points()
     assert g.points() is pts
-    assert np.array_equal(pts, np.linspace(-1.0, 2.0, 301))
+    assert np.array_equal(pts, -1.0 + 0.01 * np.arange(301))
     with pytest.raises(ValueError):
         pts[0] = 0.0
-    assert g == GridSpec(-1.0, 2.0, 301)  # the cached array is not a field
+    assert g == GridSpec(-1.0, 0.01, 301)  # the cached array is not a field
 
 
 def test_cell_grid_tiles_domain_exactly():
@@ -91,49 +94,63 @@ def test_cell_grid_tiles_domain_exactly():
     assert edges[-1] == pytest.approx(2.0)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(upper=st.floats(1e-6, 1e6), n=st.integers(16, 100_000), k=st.integers(16, 100_000))
+def test_grids_store_their_spacing_exactly(upper, n, k):
+    # the first cell edge is 0, a prefix shares its parent's nodes and edges,
+    # and doubling the cells halves the spacing, all bit for bit
+    g = cell_grid(upper, n)
+    assert g.cell_edges()[0] == 0.0
+    assert g.x_min == 0.5 * g.h == 0.5 * (upper / n)
+    prefix = GridSpec(g.x_min, g.h, min(k, n))
+    assert np.array_equal(prefix.points(), g.points()[:prefix.n_points])
+    assert np.array_equal(prefix.cell_edges(), g.cell_edges()[:prefix.n_points + 1])
+    assert 2 * cell_grid(upper, 2 * n).h == g.h
+
+
 def test_from_function_gaussian_truncation_negligible():
-    p = from_function(GridSpec(-10.0, 10.0, 4001), gaussian(1.0))
+    p = from_function(GridSpec(-10.0, 0.005, 4001), gaussian(1.0))
     assert p.integral() == pytest.approx(1.0, abs=1e-6)
     assert p.truncated_mass < 1e-20
 
 
 def test_from_function_lorentzian_records_truncation():
-    p = from_function(GridSpec(-50.0, 50.0, 20001), lorentzian(1.0))
+    p = from_function(GridSpec(-50.0, 0.005, 20001), lorentzian(1.0))
     expected = 1.0 - (2.0 / math.pi) * math.atan(50.0)
     assert p.truncated_mass == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(0.0127, abs=2e-4)
 
 
 def test_from_function_constant_is_uniform():
-    p = from_function(GridSpec(0.0, 1.0, 101), lambda x: np.ones_like(x))
+    p = from_function(GridSpec(0.0, 0.01, 101), lambda x: np.ones_like(x))
     assert np.allclose(p.values, 1.0)
 
 
 def test_from_function_rejects_zero_and_negative():
     with pytest.raises(ValueError):
-        from_function(GridSpec(0.0, 1.0, 64), lambda x: np.zeros_like(x))
+        from_function(GridSpec(0.0, 1 / 63, 64), lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
-        from_function(GridSpec(0.0, 1.0, 64), lambda x: x - 0.5)
+        from_function(GridSpec(0.0, 1 / 63, 64), lambda x: x - 0.5)
 
 
 def test_normalize_idempotent():
-    p = from_function(GridSpec(-5.0, 5.0, 501), gauss_fn(1.3))
+    p = from_function(GridSpec(-5.0, 0.02, 501), gauss_fn(1.3))
     q = normalized(p)
     assert np.allclose(q.values, normalized(q).values)
 
 
 def test_moments_examples():
-    p = from_function(GridSpec(-10.0, 10.0, 4001), gauss_fn(1.0))
+    p = from_function(GridSpec(-10.0, 0.005, 4001), gauss_fn(1.0))
     assert p.mean() == pytest.approx(0.0, abs=1e-10)
     assert p.variance() == pytest.approx(1.0, abs=1e-6)
-    u = from_function(GridSpec(0.0, 1.0, 101), lambda x: np.ones_like(x))
+    u = from_function(GridSpec(0.0, 0.01, 101), lambda x: np.ones_like(x))
     assert u.mean() == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         p.moment(5)
 
 
 def test_mean_computed_once(monkeypatch):
-    p = from_function(GridSpec(-2.0, 8.0, 1001), gauss_fn(1.5, mu=3.0))
+    p = from_function(GridSpec(-2.0, 0.01, 1001), gauss_fn(1.5, mu=3.0))
     x = p.grid.points()
     mean = float(np.trapezoid(x * p.values, x))
     variance = float(np.trapezoid((x - mean) ** 2 * p.values, x))
@@ -147,25 +164,25 @@ def test_mean_computed_once(monkeypatch):
 
 
 def test_quantiles_examples():
-    g = from_function(GridSpec(-6.0, 10.0, 1601), gauss_fn(1.0, mu=2.0))
+    g = from_function(GridSpec(-6.0, 0.01, 1601), gauss_fn(1.0, mu=2.0))
     h = g.grid.h
     assert g.quantiles([0.5])[0] == pytest.approx(2.0, abs=h)
-    u = from_function(GridSpec(0.0, 1.0, 101), lambda x: np.ones_like(x))
+    u = from_function(GridSpec(0.0, 0.01, 101), lambda x: np.ones_like(x))
     q = u.quantiles([0.25, 0.75])
     assert q[0] == pytest.approx(0.25, abs=u.grid.h)
     assert q[1] == pytest.approx(0.75, abs=u.grid.h)
-    lor = from_function(GridSpec(-40.0, 40.0, 8001), lorentzian(1.0))
+    lor = from_function(GridSpec(-40.0, 0.01, 8001), lorentzian(1.0))
     assert lor.quantiles([0.5])[0] == pytest.approx(0.0, abs=lor.grid.h)
     with pytest.raises(ValueError):
         u.quantiles([0.0, 0.5])
 
 
 def test_distance_identity_and_disjoint_spikes():
-    p = from_function(GridSpec(-5.0, 5.0, 501), gauss_fn(1.0))
+    p = from_function(GridSpec(-5.0, 0.02, 501), gauss_fn(1.0))
     assert p.distance(p) == 0.0
     assert ks_distance(p, p) == 0.0
 
-    grid = GridSpec(0.0, 1.0, 101)
+    grid = GridSpec(0.0, 0.01, 101)
     a = np.zeros(101)
     b = np.zeros(101)
     a[20] = 1.0
@@ -178,7 +195,7 @@ def test_distance_identity_and_disjoint_spikes():
 
 def test_distance_ks_shifted_gaussian():
     # max_x Phi(x) - Phi(x - 0.1) = 2 Phi(0.05) - 1
-    grid = GridSpec(-8.0, 8.0, 3201)
+    grid = GridSpec(-8.0, 0.005, 3201)
     p = from_function(grid, gauss_fn(1.0, mu=0.0))
     q = from_function(grid, gauss_fn(1.0, mu=0.1))
     expected = 2.0 * special.ndtr(0.05) - 1.0
@@ -187,14 +204,14 @@ def test_distance_ks_shifted_gaussian():
 
 
 def test_distance_requires_same_grid():
-    p = from_function(GridSpec(-5.0, 5.0, 501), gauss_fn(1.0))
-    q = from_function(GridSpec(-5.0, 5.0, 601), gauss_fn(1.0))
+    p = from_function(GridSpec(-5.0, 0.02, 501), gauss_fn(1.0))
+    q = from_function(GridSpec(-5.0, 1 / 60, 601), gauss_fn(1.0))
     with pytest.raises(ValueError):
         p.distance(q)
 
 
 def test_convolve_with_spike_noise_is_identity():
-    p = from_function(GridSpec(0.0, 4.0, 801), gauss_fn(0.5, mu=2.0))
+    p = from_function(GridSpec(0.0, 0.005, 801), gauss_fn(0.5, mu=2.0))
     c = convolve(p, gaussian(1e-12))
     # interior nodes are reproduced exactly; the two original boundary nodes
     # carry the half-weight edge convention and move by one cell's mass
@@ -205,7 +222,7 @@ def test_convolve_with_spike_noise_is_identity():
 
 def test_convolve_gaussians_gives_root_sum_square_width():
     h = 0.005
-    p = from_function(GridSpec(-4.0, 4.0, 1601), gauss_fn(0.4))
+    p = from_function(GridSpec(-4.0, 0.005, 1601), gauss_fn(0.4))
     c = normalized(convolve(p, gaussian(0.3)))
     target = gauss_fn(0.5)(c.grid.points())
     l1 = np.trapezoid(np.abs(c.values - target), c.grid.points())
@@ -213,19 +230,19 @@ def test_convolve_gaussians_gives_root_sum_square_width():
 
 
 def test_convolve_adds_variance():
-    p = from_function(GridSpec(-4.0, 4.0, 1601), gauss_fn(0.4))
+    p = from_function(GridSpec(-4.0, 0.005, 1601), gauss_fn(0.4))
     c = normalized(convolve(p, gaussian(0.3)))
     assert c.variance() == pytest.approx(0.4**2 + 0.3**2, rel=1e-4)
 
 
 def test_convolve_preserves_mean_under_symmetric_noise():
-    p = from_function(GridSpec(-2.0, 6.0, 1601), gauss_fn(0.5, mu=1.7))
+    p = from_function(GridSpec(-2.0, 0.005, 1601), gauss_fn(0.5, mu=1.7))
     c = normalized(convolve(p, gaussian(0.3)))
     assert c.mean() == pytest.approx(p.mean(), abs=1e-6)
 
 
 def test_convolve_records_heavy_tail_clip():
-    p = from_function(GridSpec(-2.0, 2.0, 801), gauss_fn(0.5))
+    p = from_function(GridSpec(-2.0, 0.005, 801), gauss_fn(0.5))
     c = convolve(p, lorentzian(1.0), max_halfwidth=20.0)
     expected_clip = 1.0 - (2.0 / math.pi) * math.atan(20.0)
     assert c.truncated_mass == pytest.approx(expected_clip, rel=5e-3)
@@ -233,7 +250,7 @@ def test_convolve_records_heavy_tail_clip():
 
 def test_outputs_always_non_negative():
     rng = np.random.default_rng(3)
-    grid = GridSpec(0.0, 1.0, 128)
+    grid = GridSpec(0.0, 1 / 127, 128)
     for _ in range(20):
         vals = rng.random(128)
         p = normalized(GriddedPdf(grid, vals))
@@ -243,7 +260,7 @@ def test_outputs_always_non_negative():
 
 
 def test_truncated_mass_validation_and_immutability():
-    grid = GridSpec(0.0, 1.0, 64)
+    grid = GridSpec(0.0, 1 / 63, 64)
     with pytest.raises(ValueError):
         GriddedPdf(grid, np.ones(64), truncated_mass=1.5)
     with pytest.raises(ValueError):
@@ -254,11 +271,11 @@ def test_truncated_mass_validation_and_immutability():
 
 
 def test_csv_round_trip(tmp_path):
-    p = from_function(GridSpec(-3.0, 3.0, 601), gauss_fn(0.8))
+    p = from_function(GridSpec(-3.0, 0.01, 601), gauss_fn(0.8))
     path = tmp_path / "density.csv"
     p.to_csv(path)
-    q = GriddedPdf.from_csv(path, truncated_mass=0.25)
-    assert q.grid.close_to(p.grid)
+    q = GriddedPdf.from_csv(path, p.grid, truncated_mass=0.25)
+    assert q.grid == p.grid
     assert np.array_equal(q.values, p.values)  # 17 significant digits round-trip exactly
     assert q.truncated_mass == 0.25
     text = path.read_text(encoding="utf-8")
@@ -273,15 +290,24 @@ def test_csv_round_trip(tmp_path):
     rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(r.grid.points(), r.values)]
     # bytes, not str: pytest diffs two long strings line by line for minutes
     assert path.read_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
-    assert np.array_equal(GriddedPdf.from_csv(path).values, r.values)
+    assert np.array_equal(GriddedPdf.from_csv(path, r.grid).values, r.values)
 
-    bad = {"short": "x,density\n" + "0,1\n" * 15,
-           "wide": "x,density,extra\n" + "".join(f"{i},1,2\n" for i in range(20)),
-           "uneven": "x,density\n" + "".join(f"{i * i},1\n" for i in range(20))}
+    # the x column must be a prefix of the grid's nodes, bit for bit
+    x = r.grid.points().tolist()
+    off = list(x)
+    off[20] = math.nextafter(off[20], math.inf)
+    longer = GridSpec(r.grid.x_min, r.grid.h, 65).points().tolist()
+    bad = {"short": "x,density\n" + "".join(f"{v!r},1\n" for v in x[:15]),
+           "wide": "x,density,extra\n" + "".join(f"{v!r},1,2\n" for v in x[:20]),
+           "uneven": "x,density\n" + "".join(f"{i * i},1\n" for i in range(20)),
+           "one ulp off": "x,density\n" + "".join(f"{v!r},1\n" for v in off),
+           "longer than the grid": "x,density\n" + "".join(f"{v!r},1\n" for v in longer)}
     for name, body in bad.items():
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ValueError):
-            GriddedPdf.from_csv(path)
+            GriddedPdf.from_csv(path, r.grid)
+    path.write_text("x,density\n" + "".join(f"{v!r},1\n" for v in x[:20]), encoding="utf-8")
+    assert GriddedPdf.from_csv(path, r.grid).grid == GridSpec(r.grid.x_min, r.grid.h, 20)
 
 
 # A density whose support (last positive value) ends at node ``len(support) - 1``,
@@ -314,7 +340,8 @@ def test_to_csv_ends_one_zero_past_the_support(tmp_path_factory, support, traili
     dropped = full[len(text):].splitlines()
     assert len(dropped) == n - rows
     assert all(line.endswith(b",0") for line in dropped)
-    q = GriddedPdf.from_csv(path)
+    q = GriddedPdf.from_csv(path, pdf.grid)
+    assert q.grid == GridSpec(pdf.grid.x_min, pdf.grid.h, rows)
     assert np.array_equal(q.values, values[:rows])
     x, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
     assert math.isclose(np.trapezoid(v, x), pdf.integral(), rel_tol=1e-15)

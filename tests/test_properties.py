@@ -71,17 +71,6 @@ def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz
     assert dz.truncated_mass < 1.0
 
 
-def same_spacing(grid, n_min):
-    """A grid of at least ``n_min`` nodes that starts at ``grid``'s first node
-    with its spacing bit for bit, so that the nodes and cell edges the two
-    share are the same numbers."""
-    for n in range(n_min, 2 * n_min):
-        wide = GridSpec(grid.x_min, grid.x_min + grid.h * (n - 1), n)
-        if wide.h == grid.h:
-            return wide
-    raise AssertionError("no node count reproduces the spacing")
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(gs, noises, grids, st.integers(0, 3))
 def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, grid, steps):
@@ -98,7 +87,7 @@ def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, gri
             mock.patch.object(ev, "_assemble", wraps=ev._assemble) as assemble:
         dz = volatility_pdf(p_y)
         n, h = dz.grid.n_points, dz.grid.h
-        wide = volatility_pdf(p_y, same_spacing(dz.grid, 4 * n))
+        wide = volatility_pdf(p_y, GridSpec(dz.grid.x_min, h, 4 * n))
     (_, cells, _, new_trunc), (_, wide_cells, _, _) = (c.args for c in assemble.call_args_list)
     assert cells.sum() + new_trunc == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(cells, wide_cells[:n])
@@ -110,12 +99,9 @@ def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, gri
         return  # the grid's sized end comes first: nothing is cut
     assert not wide_cells[n:].any()
     np.testing.assert_allclose(dz.values, wide.values[:n], rtol=1e-11, atol=0.0)
-    # the cell holding x* is followed by two zero cells, and by no more unless
-    # the grid one node shorter cannot keep the spacing
+    # the cell holding x* is followed by exactly two zero cells
     assert dz.values[-1] == dz.values[-2] == 0.0
-    assert dz.grid.x_max - x_star > 1.5 * h
-    shorter = GridSpec(dz.grid.x_min, dz.grid.x_min + h * (n - 2), n - 1)
-    assert dz.grid.x_max - x_star <= 2.5 * h or shorter.h != h
+    assert 1.5 * h < dz.grid.x_max - x_star <= 2.5 * h
 
 
 ASYMMETRIC_TABLE = tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
