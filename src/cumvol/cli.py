@@ -216,10 +216,10 @@ def cmd_volatility(args) -> int:
     config = EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
                              horizon=horizon, convergence_tol=args.tol)
     trace = evolve_y(config)
-    if args.until_converged and trace.converged_at is None:
-        raise ConvergenceError(
-            f"reversed recursion did not converge within {horizon} steps at tol {args.tol:g}"
-        )
+    report = None
+    if args.until_converged or (args.g > 0.0 and trace.converged_at is not None):
+        report = trace_volatility(trace).to_dict()  # ConvergenceError if not converged
+        _check_finite(report, "volatility_report.json")  # before any density is written
 
     outputs, rows = [], []
     for rec in trace.steps:
@@ -237,14 +237,13 @@ def cmd_volatility(args) -> int:
             "y_l1_prev": rec.l1_prev,
         })
 
-    if args.g > 0.0 and trace.converged_at is not None:
-        _write_json(out_dir / "volatility_report.json", trace_volatility(trace).to_dict())
+    if report is not None:
+        _write_json(out_dir / "volatility_report.json", report)
         outputs.append("volatility_report.json")
 
     _write_manifest(out_dir, _manifest("volatility", _echo(args), outputs, {
         "grid": asdict(grid),
-        "convergence": {"converged_at": trace.converged_at, "tol": args.tol,
-                        "mode": "raw L1"},
+        "convergence": {"converged_at": trace.converged_at},
         "steps": rows,
     }))
     print(f"volatility: wrote {len(outputs)} files to {out_dir}")
@@ -256,6 +255,9 @@ def _sweep_point(g: float, sigma_sq: float, tol: float, horizon: int) -> dict:
     config = EvolutionConfig(g=g, noise=noise, grid=default_y_grid(g, noise),
                              horizon=horizon, convergence_tol=tol)
     rep = steady_state_volatility(config)
+    if not rep.narrow_variance:
+        raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
+                          "the ratio to it is not finite")
     return {
         "sigma_a_sq": sigma_sq,
         "ratio": rep.ratio_to_narrow,
@@ -273,12 +275,13 @@ def cmd_compare_saddle(args) -> int:
     out_dir = Path(args.out)
 
     rows = [_sweep_point(args.g, s2, args.tol, args.max_steps) for s2 in args.sigma_sweep]
+    manifest = _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"], {"points": rows})
+    _check_finite(manifest, "manifest.json")  # before the CSV is written
 
     columns = ("sigma_a_sq", "ratio", "variance", "narrow_variance", "truncated_mass")
     write_csv(out_dir / "saddle_ratio.csv", ",".join(columns),
               [[r[c] for c in columns] for r in rows])
-    _write_manifest(out_dir, _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
-                                       {"points": rows}))
+    _write_manifest(out_dir, manifest)
     print(f"compare-saddle: wrote saddle_ratio.csv to {out_dir}")
     return 0
 

@@ -329,13 +329,14 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
 def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     """The dz grid for a reversed-variable density: cells of width upper/n
     sized from its moments and tails, ending two cells past the cell that
-    holds x* = -log(1 - e^{-y_1}), the image of y's first node y_1.
+    holds the image -log(1 - e^{-y_k}) of y_k, the highest y node at which
+    y's node CDF is below 1e-11 of y's mass (y's first node y_1 when none is).
 
-    ``volatility_pdf`` interpolates y's CDF with 0 below y_1, so every cell
-    above x* is exactly 0: the grid keeps the cell with x* and two zero
-    cells, the file's closing zero row and one node past it, and drops the
-    rest. The kept nodes, cell edges and cell masses are the uncut grid's.
-    The grid ends at the sizing's upper end when x* lies beyond it.
+    ``volatility_pdf`` interpolates that node CDF, with 0 below y_1, so the
+    cells past the end hold less than 1e-11 of the mass between them, and
+    none when y_k = y_1. The kept nodes, cell edges and cell masses are the
+    uncut grid's. The grid ends at the sizing's upper end when the image of
+    y_k lies beyond it.
     """
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
@@ -365,8 +366,11 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     h = min(width / 80.0, 0.002)
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
     grid = cell_grid(upper, n)
-    x_star = -math.log1p(-math.exp(-p_y.grid.x_min))
-    end = max(int(x_star / grid.h) + 3, 64) if x_star < upper else n
+    nodes, masses = p_y.grid.points(), p_y.node_masses()
+    cdf = _node_cdf(masses, nodes, nodes)
+    above = int(np.argmax(cdf >= 1e-11 * masses.sum()))  # the first node past the cut
+    x_end = -math.log1p(-math.exp(-float(nodes[max(above - 1, 0)])))
+    end = max(int(x_end / grid.h) + 3, 64) if x_end < upper else n
     return GridSpec(grid.x_min, grid.h, min(end, n))
 
 
@@ -457,14 +461,13 @@ class VolatilityReport:
     ``applications`` of the step operator, the Perron root estimate
     ``eigenvalue`` (the mass one step keeps) and ``residual_l1``,
     ``||P v - eigenvalue v||_1`` for the unit-mass vector v. For the
-    eigensolve ``converged_at`` and ``steps_run`` are the application count;
-    for a trace they are its convergence step and its length.
+    eigensolve ``converged_at`` is the application count; for a trace it is
+    its convergence step, which is its length.
     """
 
     g: float
     noise_label: str
     converged_at: int | None
-    steps_run: int
     variance: float
     std: float
     iqr: float
@@ -484,7 +487,7 @@ class VolatilityReport:
 
 
 def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: int,
-                       steps_run: int, solver: dict) -> VolatilityReport:
+                       solver: dict) -> VolatilityReport:
     """Report on the growth increment for the reversed variable's fixed point p_y."""
     dz = volatility_pdf(p_y)
     variance = dz.variance()
@@ -496,7 +499,6 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
         g=config.g,
         noise_label=config.noise.label(),
         converged_at=converged_at,
-        steps_run=steps_run,
         variance=variance,
         std=math.sqrt(max(variance, 0.0)),
         iqr=quantiles["q75"] - quantiles["q25"],
@@ -609,8 +611,7 @@ def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
     if not config.g > 0.0:
         raise DomainError("steady_state_volatility requires g > 0")
     p_y, solver = _perron_density(config)
-    n = solver["applications"]
-    return _volatility_report(config, p_y, n, n, solver)
+    return _volatility_report(config, p_y, solver["applications"], solver)
 
 
 def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
@@ -636,7 +637,7 @@ def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
         "eigenvalue": eigenvalue,
         "residual_l1": eigenvalue * last.l1_prev,
     }
-    return _volatility_report(config, last.pdf, trace.converged_at, len(trace.steps), solver)
+    return _volatility_report(config, last.pdf, trace.converged_at, solver)
 
 
 # ----------------------------------------------------------------------

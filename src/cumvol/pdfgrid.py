@@ -141,11 +141,6 @@ class GriddedPdf:
     # evaluation
     # ------------------------------------------------------------------
 
-    def cdf_nodes(self) -> np.ndarray:
-        """Cumulative trapezoid at the nodes (starts at 0)."""
-        cells = 0.5 * (self.values[1:] + self.values[:-1]) * self.grid.h
-        return np.concatenate(([0.0], np.cumsum(cells)))
-
     def edge_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell edges, cumulative mass below each edge).
 
@@ -161,26 +156,21 @@ class GriddedPdf:
     # statistics
     # ------------------------------------------------------------------
 
-    def moment(self, order: int, central: bool = False) -> float:
-        """Trapezoidal moment of given order (1..4), raw or central."""
-        if order not in (1, 2, 3, 4):
-            raise ValueError("order must be one of 1, 2, 3, 4")
-        x = self.grid.points()
-        if central:
-            x = x - self.mean()
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
-            return float(np.trapezoid(x**order * self.values, self.grid.points()))
-
     def mean(self) -> float:
-        """The mean, computed once per density."""
+        """Trapezoidal mean, computed once per density."""
         mean = self.__dict__.get("_mean")
         if mean is None:
-            mean = self.moment(1)
+            x = self.grid.points()
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
+                mean = float(np.trapezoid(x * self.values, x))
             object.__setattr__(self, "_mean", mean)
         return mean
 
     def variance(self) -> float:
-        return self.moment(2, central=True)
+        """Trapezoidal central second moment."""
+        x = self.grid.points()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.trapezoid((x - self.mean())**2 * self.values, x))
 
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
@@ -195,7 +185,8 @@ class GriddedPdf:
         if np.any(probs <= 0.0) or np.any(probs >= 1.0):
             raise ValueError("probs must lie strictly inside (0, 1)")
         pts = self.grid.points()
-        cdf = self.cdf_nodes()
+        cells = 0.5 * (self.values[1:] + self.values[:-1]) * self.grid.h
+        cdf = np.concatenate(([0.0], np.cumsum(cells)))  # cumulative trapezoid at the nodes
         targets = probs * cdf[-1]
         idx = np.clip(np.searchsorted(cdf, targets, side="left"), 1, cdf.size - 1)
         c0, c1 = cdf[idx - 1], cdf[idx]

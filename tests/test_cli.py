@@ -10,8 +10,8 @@ import pytest
 
 import cumvol.cli as cli
 import cumvol.montecarlo as mc
-from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, evolve_y, evolve_z,
-                    gaussian, lorentzian, volatility_pdf)
+from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
+                    evolve_z, gaussian, lorentzian, volatility_pdf)
 from cumvol.cli import main
 from cumvol.pdfgrid import write_csv
 from helpers import sample_ks
@@ -85,7 +85,9 @@ def test_volatility_until_converged(tmp_path):
                 "--until-converged", "--tol", "1e-7", "--out", str(out)])
     assert code == 0
     manifest = read_manifest(out)
-    assert manifest["convergence"]["converged_at"] is not None
+    # the block restates neither config.tol nor a mode, and a converged
+    # trace's length is its convergence step
+    assert manifest["convergence"] == {"converged_at": len(manifest["steps"])}
     report = json.loads((out / "volatility_report.json").read_text(encoding="utf-8"))
     assert report["ratio_to_narrow"] == pytest.approx(1.0, abs=0.05)
     # the report describes the final density of the iterated trace itself
@@ -413,6 +415,31 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run(argv + ["--out", str(out)]) == 4
     assert "domain error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, cause", [
+    (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1", "--until-converged",
+      "--max-steps", "5"], 3, "numerical failure: trace did not converge within horizon=5"),
+    (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1e-160", "--until-converged"], 4,
+     "domain error: volatility_report.json.ratio_to_narrow is not finite"),
+    (["compare-saddle", "--g", "0.2", "--sigma-sweep", "1e-322"], 4,
+     "domain error: manifest.json.points[0].ratio is not finite"),
+    (["compare-saddle", "--g", "0.2", "--sigma-sweep", "5e-324"], 4,
+     "domain error: narrow_variance at sigma_a_sq=4.94066e-324 underflows to 0"),
+], ids=["volatility-unconverged", "volatility-report", "compare-saddle-inf",
+        "compare-saddle-zero"])
+def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, argv,
+                                                         code, cause):
+    # the results are checked before the first file is written. At these
+    # widths compare-saddle's y grid would have 2**21 points; the check does
+    # not depend on it (volatility passes its own 8192)
+    monkeypatch.setattr(cli, "default_y_grid", lambda g, noise, n_points=None:
+                        default_y_grid(g, noise, n_points or 4096))
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
     assert not out.exists()
 
 

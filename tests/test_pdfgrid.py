@@ -145,8 +145,6 @@ def test_moments_examples():
     assert p.variance() == pytest.approx(1.0, abs=1e-6)
     u = from_function(GridSpec(0.0, 0.01, 101), lambda x: np.ones_like(x))
     assert u.mean() == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        p.moment(5)
 
 
 def test_mean_computed_once(monkeypatch):
@@ -155,12 +153,13 @@ def test_mean_computed_once(monkeypatch):
     mean = float(np.trapezoid(x * p.values, x))
     variance = float(np.trapezoid((x - mean) ** 2 * p.values, x))
     calls = []
-    moment = GriddedPdf.moment
-    monkeypatch.setattr(GriddedPdf, "moment",
-                        lambda self, *a, **k: calls.append(a) or moment(self, *a, **k))
+    trapezoid = np.trapezoid
+    monkeypatch.setattr(np, "trapezoid", lambda y, x: calls.append(y) or trapezoid(y, x))
     assert (p.mean(), p.variance(), p.std(), p.mean()) == (mean, variance, math.sqrt(variance),
                                                            mean)
-    assert calls == [(1,), (2,), (2,)]  # the variance's centring reuses the mean
+    # one integral each for the mean, the variance and the std: the variance's
+    # centring and the second mean reuse the first
+    assert len(calls) == 3
 
 
 def test_quantiles_examples():

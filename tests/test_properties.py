@@ -73,9 +73,12 @@ def test_volatility_pdf_captures_or_truncates_all_mass(g, noise, grid, steps, dz
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(gs, noises, grids, st.integers(0, 3))
-def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, grid, steps):
-    # volatility_pdf puts no mass above x*, the image of y's first node, so
-    # the default grid stops there and loses nothing a longer grid would hold
+def test_default_dz_grid_ends_two_cells_past_where_y_mass_ends(g, noise, grid, steps):
+    # volatility_pdf interpolates y's node CDF, with 0 below y's first node
+    # y_1: above the image of y_k, the highest node where that CDF is below
+    # 1e-11 of y's mass, it puts less than 1e-11 of the mass, and above
+    # x* = -log(1 - e^{-y_1}) none. The default grid stops two cells past
+    # that image and drops no more than that.
     p_y = reversed_density(g, noise, grid, steps)
     sized = []  # the grid the sizing rule builds, before it is cut
 
@@ -94,14 +97,23 @@ def test_default_dz_grid_ends_two_zero_cells_past_the_first_y_node(g, noise, gri
     # a prefix of the sized grid: its spacing and nodes, bit for bit
     assert h == sized[0].h
     assert np.array_equal(dz.grid.points(), sized[0].points()[:n])
-    x_star = -math.log1p(-math.exp(-p_y.grid.x_min))
-    if x_star > dz.grid.x_max:
+    masses = p_y.node_masses()
+    below = np.flatnonzero(np.cumsum(masses) - 0.5 * masses < 1e-11 * masses.sum())
+    y_k = p_y.grid.points()[below[-1]] if below.size else p_y.grid.x_min
+    x_k = -math.log1p(-math.exp(-y_k))
+    if x_k > dz.grid.x_max:
         return  # the grid's sized end comes first: nothing is cut
-    assert not wide_cells[n:].any()
-    np.testing.assert_allclose(dz.values, wide.values[:n], rtol=1e-11, atol=0.0)
-    # the cell holding x* is followed by exactly two zero cells
-    assert dz.values[-1] == dz.values[-2] == 0.0
-    assert 1.5 * h < dz.grid.x_max - x_star <= 2.5 * h
+    if y_k == p_y.grid.x_min:
+        assert not wide_cells[n:].any()
+        # the cell holding x* is followed by two zero cells
+        assert dz.values[-1] == dz.values[-2] == 0.0
+    else:
+        assert wide_cells[n:].sum() < 1e-11
+    # the kept rows are the longer grid's, but for the normalisation and the
+    # end weight of the last node
+    np.testing.assert_allclose(dz.values[:-1], wide.values[:n - 1], rtol=1e-11, atol=0.0)
+    assert dz.values[-1] == pytest.approx(2.0 * wide.values[n - 1], rel=1e-11, abs=0.0)
+    assert 1.5 * h < dz.grid.x_max - x_k <= 2.5 * h
 
 
 ASYMMETRIC_TABLE = tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
