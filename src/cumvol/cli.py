@@ -255,9 +255,6 @@ def _sweep_point(g: float, sigma_sq: float, tol: float, horizon: int) -> dict:
     config = EvolutionConfig(g=g, noise=noise, grid=default_y_grid(g, noise),
                              horizon=horizon, convergence_tol=tol)
     rep = steady_state_volatility(config)
-    if not rep.narrow_variance:
-        raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
-                          "the ratio to it is not finite")
     return {
         "sigma_a_sq": sigma_sq,
         "ratio": rep.ratio_to_narrow,

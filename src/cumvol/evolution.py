@@ -71,8 +71,16 @@ _KERNEL_MARGIN = 25.0
 
 _REPORT_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
+# Most points of a default grid.
+_MAX_GRID_POINTS = 1 << 21
+
 # Krylov subspace size of the steady-state eigensolve.
 _ARNOLDI_NCV = 40
+
+# Grid columns per block of the eigensolve's in-place restart: a block of
+# the product of the kept Ritz vectors, about ncv/2 x 4096 doubles, stays
+# under 1 MB.
+_RESTART_BLOCK = 4096
 
 # The Perron vector is nonnegative; an eigenvector carrying more negative mass
 # than this (after normalisation to unit mass) is not it.
@@ -184,7 +192,8 @@ def _validated_edges(grid: GridSpec) -> np.ndarray:
 def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Linear-interpolation CDF of per-node masses at ``at`` (half of each
     node's own mass counts as below the node)."""
-    cum = np.cumsum(masses) - 0.5 * masses
+    cum = np.cumsum(masses)
+    cum -= 0.5 * masses
     return np.interp(at, nodes, cum, left=0.0, right=float(masses.sum()))
 
 
@@ -488,13 +497,20 @@ class VolatilityReport:
 
 def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: int,
                        solver: dict) -> VolatilityReport:
-    """Report on the growth increment for the reversed variable's fixed point p_y."""
-    dz = volatility_pdf(p_y)
-    variance = dz.variance()
-    quantiles = _quantile_fields(dz)
+    """Report on the growth increment for the reversed variable's fixed point p_y.
+
+    Finite-variance noise whose narrow-noise variance underflows to 0 is a
+    domain error: the ratio to it would not be finite.
+    """
     sigma_sq = config.noise.variance()
     finite_sigma = math.isfinite(sigma_sq)
     narrow = var_dz_saddle(config.g, math.sqrt(sigma_sq)) if finite_sigma else None
+    if narrow == 0.0:
+        raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
+                          "the ratio to it is not finite")
+    dz = volatility_pdf(p_y)
+    variance = dz.variance()
+    quantiles = _quantile_fields(dz)
     return VolatilityReport(
         g=config.g,
         noise_label=config.noise.label(),
@@ -506,7 +522,7 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
         quantiles=quantiles,
         sigma_a_sq=sigma_sq if finite_sigma else None,
         narrow_variance=narrow,
-        ratio_to_narrow=variance / narrow if narrow else None,
+        ratio_to_narrow=variance / narrow if finite_sigma else None,
         truncated_mass=dz.truncated_mass,
         variance_reliable=finite_sigma and dz.truncated_mass < 1e-3,
         solver=solver,
@@ -531,6 +547,13 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     across the restart. The unit-mass eigenvector goes through one more step,
     whose mass bookkeeping passes the per-step defect check; the resulting
     density's ``truncated_mass`` is that step's leak, 1 - lambda.
+
+    Besides the step operator's own arrays, the solve's workspace is the
+    basis, (ncv + 1) x n doubles (8.5 MB at 25,872 points), and the one
+    vector that Gram-Schmidt subtracts through: the restart, an orthogonal
+    change of basis, is applied in place in column blocks. The default y
+    grid refuses noise that would need more than 2^21 points, so the basis
+    stays below 41 x 2^21 doubles (688 MB).
     """
     rev = _reversed(config)
     g, noise, grid = rev.g, rev.noise, rev.grid
@@ -548,21 +571,24 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
             )
         return op.apply(v)
 
-    m = min(_ARNOLDI_NCV, grid.n_points)
-    basis = np.zeros((m + 1, grid.n_points))  # one Krylov vector per row
+    n = grid.n_points
+    m = min(_ARNOLDI_NCV, n)
+    basis = np.zeros((m + 1, n))  # one Krylov vector per row
     proj = np.zeros((m + 1, m))  # the projected matrix over its coupling row
-    basis[0] = first / np.linalg.norm(first)
+    np.divide(first, np.linalg.norm(first), out=basis[0])
+    del first
+    tmp = np.empty(n)  # the Gram-Schmidt projections, subtracted through it
     kept = 0
     while True:
         for j in range(kept, m):
             w = counted_apply(basis[j])[0]
             h = basis[:j + 1] @ w
-            w -= h @ basis[:j + 1]
+            w -= np.matmul(h, basis[:j + 1], out=tmp)
             again = basis[:j + 1] @ w
-            w -= again @ basis[:j + 1]
+            w -= np.matmul(again, basis[:j + 1], out=tmp)
             proj[:j + 1, j] = h + again
             proj[j + 1, j] = np.linalg.norm(w)
-            basis[j + 1] = w / proj[j + 1, j]
+            np.divide(w, proj[j + 1, j], out=basis[j + 1])
         theta, ritz = np.linalg.eig(proj[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
         top = order[0]
@@ -574,11 +600,16 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
         q = np.linalg.qr(np.hstack([ritz[:, chosen].real, ritz[:, pairs].imag]))[0]
         kept = q.shape[1]
         restart, coupling = q.T @ proj[:m] @ q, proj[m] @ q
-        basis[:kept], basis[kept] = q.T @ basis[:m], basis[m]
+        # the change of basis in place: each column block of the product is
+        # complete before it overwrites its own columns of the first rows
+        for s in range(0, n, _RESTART_BLOCK):
+            basis[:kept, s:s + _RESTART_BLOCK] = q.T @ basis[:m, s:s + _RESTART_BLOCK]
+        basis[kept] = basis[m]  # only now: the product read row kept
         proj[:] = 0.0
         proj[:kept, :kept], proj[kept, :kept] = restart, coupling
     # the Perron pair is real; a complex product would copy the basis as complex
     vec = ritz[:, top].real @ basis[:m]
+    del basis, tmp, w
     vec /= vec.sum()
     negative = float(-vec[vec < 0.0].sum())
     if negative > _MAX_NEGATIVE_MASS:
@@ -586,7 +617,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
             f"eigenvector carries negative mass {negative:.3e} (budget "
             f"{_MAX_NEGATIVE_MASS:g}); it is not the stationary density"
         )
-    vec = np.maximum(vec, 0.0)
+    np.maximum(vec, 0.0, out=vec)
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
     cells, new_trunc = counted_apply(vec)
@@ -647,7 +678,7 @@ def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
 
 def _grid_from(upper: float, h_target: float, n_points: int | None) -> GridSpec:
     if n_points is None:
-        n_points = int(np.clip(math.ceil(upper / h_target), 64, 1 << 21))
+        n_points = int(np.clip(math.ceil(upper / h_target), 64, _MAX_GRID_POINTS))
     return cell_grid(upper, n_points)
 
 
@@ -667,27 +698,36 @@ def default_z_grid(g: float, noise: NoiseModel, t_max: int,
         upper = mean_top + 12.0 * spread + 6.0 * sig + 1.0
         # earliest step is the narrowest: width ~ sigma * e^g/(1+e^g)
         narrow = sig / (1.0 + math.exp(-g))
-        h = min(0.005, max(narrow / 30.0, upper / float(1 << 21)))
+        h = min(0.005, max(narrow / 30.0, upper / float(_MAX_GRID_POINTS)))
     return _grid_from(upper, h, n_points)
 
 
 def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> GridSpec:
-    """Grid sized to hold the reversed variable out to its fixed point (g > 0)."""
+    """Grid sized to hold the reversed variable out to its fixed point (g > 0).
+
+    Without ``n_points`` the spacing is at most the target spacing (1/80 of
+    the fixed point's width, or gamma/40 for Lorentzian noise), and noise so
+    narrow that this needs more than 2^21 points is a domain error.
+    """
     if not g > 0.0:
         raise DomainError("default_y_grid requires g > 0")
     _check_drift(g)  # the sizing below overflows long before float64 does
     center = ybar(g, math.inf)
     if noise.kind == "lorentzian":
         upper = center + 12.0 * noise.gamma + 60.0 * noise.gamma / g
-        h = min(0.005, noise.gamma / 40.0)
+        target = noise.gamma / 40.0
     else:
         sig = math.sqrt(max(noise.variance(), 1e-30))
         width = sigma_y_fixed_point(g, sig)
         # stationary exponential upper tail with rate 2g/sigma^2
         tail = 9.5 * sig * sig / g
         upper = center + 12.0 * width + tail + 6.0 * sig + 0.5
-        h = min(0.005, max(width / 80.0, upper / float(1 << 21)))
-    return _grid_from(upper, h, n_points)
+        target = width / 80.0
+    if n_points is None and not upper / target <= _MAX_GRID_POINTS:
+        raise DomainError(f"{noise.label()} at g={g:g} needs more than the y grid's "
+                          f"{_MAX_GRID_POINTS} points: cells of width {target:.3g} "
+                          f"over [0, {upper:.3g}]")
+    return _grid_from(upper, min(0.005, target), n_points)
 
 
 def default_y_config(g: float, noise: NoiseModel, tol: float = 1e-9,

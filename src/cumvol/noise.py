@@ -14,8 +14,9 @@ one-dimensional density. Three families are supported:
 produces the volatility distribution runs on the mirrored density.
 
 Densities and distribution functions need only numpy and the standard
-library: the Gaussian CDF maps ``math.erfc`` over the array, and its
-kernel-window quantile comes from ``statistics.NormalDist``.
+library: the Gaussian CDF maps ``math.erfc`` over the arguments at which it
+is not saturated at 2 or 0, and its kernel-window quantile comes from
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,25 @@ TAIL_TOL = 1e-8
 _GAUSS_TAIL_Z = NormalDist().inv_cdf(1.0 - 0.5 * TAIL_TOL)
 
 _SQRT1_2 = math.sqrt(0.5)
+
+
+def _erfc_saturation(inside: float, outside: float, value: float) -> float:
+    """The argument nearest ``inside`` at which ``math.erfc`` is exactly
+    ``value``, found by bisection between ``inside`` (not saturated) and
+    ``outside`` (saturated) on this platform's ``math.erfc`` itself."""
+    while math.nextafter(inside, outside) != outside:
+        mid = 0.5 * (inside + outside)
+        if math.erfc(mid) == value:
+            outside = mid
+        else:
+            inside = mid
+    return outside
+
+
+# math.erfc is exactly 2.0 at and below the first and exactly 0.0 at and above
+# the second (-5.863584748755168 and 27.226364135742188 with glibc's libm)
+_ERFC_TWO_UPTO = _erfc_saturation(0.0, -30.0, 2.0)
+_ERFC_ZERO_FROM = _erfc_saturation(0.0, 30.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,8 +151,13 @@ class NoiseModel:
         if self.kind == "gaussian":
             # Phi(x) = erfc(-x/sqrt2)/2; erfc keeps the left tail's relative precision
             t = (arr / self.sigma) * -_SQRT1_2
-            erfc = np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size)
-            out = 0.5 * erfc.reshape(t.shape)
+            # math.erfc is mapped only where it is not saturated (or t is nan)
+            zero = t >= _ERFC_ZERO_FROM
+            erfc = np.where(zero, 0.0, 2.0)
+            inner = ~(zero | (t <= _ERFC_TWO_UPTO))
+            todo = t[inner]
+            erfc[inner] = np.fromiter(map(math.erfc, todo.tolist()), float, todo.size)
+            out = 0.5 * erfc
         elif self.kind == "lorentzian":
             out = 0.5 + np.arctan(arr / self.gamma) / math.pi
         else:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cumvol.cli as cli
+import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
 from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
                     evolve_z, gaussian, lorentzian, volatility_pdf)
@@ -427,19 +428,38 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
      "domain error: manifest.json.points[0].ratio is not finite"),
     (["compare-saddle", "--g", "0.2", "--sigma-sweep", "5e-324"], 4,
      "domain error: narrow_variance at sigma_a_sq=4.94066e-324 underflows to 0"),
+    (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=2.2e-162", "--until-converged"], 4,
+     "domain error: narrow_variance at sigma_a_sq=4.94066e-324 underflows to 0"),
 ], ids=["volatility-unconverged", "volatility-report", "compare-saddle-inf",
-        "compare-saddle-zero"])
+        "compare-saddle-zero", "volatility-zero"])
 def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, argv,
                                                          code, cause):
     # the results are checked before the first file is written. At these
-    # widths compare-saddle's y grid would have 2**21 points; the check does
-    # not depend on it (volatility passes its own 8192)
+    # widths compare-saddle's default y grid is refused (it would need more
+    # than 2**21 points); the check does not depend on the grid (volatility
+    # passes its own 8192)
     monkeypatch.setattr(cli, "default_y_grid", lambda g, noise, n_points=None:
                         default_y_grid(g, noise, n_points or 4096))
     out = tmp_path / "x"
     assert run(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert cause in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_y_grid_past_its_point_limit_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    # sigma_a^2 = 1e-322 would need far more than 2**21 y points: the default
+    # grid refuses it, so the eigensolve never starts and nothing is written
+    def no_solve(config):
+        raise AssertionError("the eigensolve started")
+
+    monkeypatch.setattr(evolution, "_perron_density", no_solve)
+    out = tmp_path / "x"
+    assert run(["compare-saddle", "--g", "0.2", "--sigma-sweep", "1e-322",
+                "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error: gaussian(sigma=9.94048e-162) at g=0.2 needs more than the y " \
+           "grid's 2097152 points" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,8 @@ from cumvol import (
     volatility_pdf,
 )
 from cumvol.cli import DEFAULT_GRID_POINTS
-from cumvol.evolution import _KERNEL_MARGIN, StepOperator, _assemble, _fast_len, _node_cdf
+from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, StepOperator, _assemble,
+                              _fast_len, _node_cdf)
 from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
 from helpers import interp_at, means, normalized, variances, warp_step
@@ -283,6 +285,22 @@ def test_hand_built_grid_must_resolve_steady_centre():
     fine = replace(cfg, grid=cell_grid(10.0, 40_000))
     dz = volatility_pdf(evolve_y(fine).density(3))
     assert dz.mean() == pytest.approx(3.0, abs=0.01)
+
+
+@pytest.mark.parametrize("g, builds, refused", [
+    (0.1, gaussian(1e-4), gaussian(1e-5)),
+    (0.2, gaussian(1e-4), gaussian(1e-5)),
+    (1.0, gaussian(1e-4), gaussian(1e-5)),
+    (0.2, lorentzian(1e-4), lorentzian(1e-5)),
+], ids=["gaussian-g0.1", "gaussian-g0.2", "gaussian-g1", "lorentzian-g0.2"])
+def test_default_y_grid_refuses_noise_that_needs_more_than_its_points(g, builds, refused):
+    # cells of 1/80 of the fixed point's width (gamma/40) need 0.70-1.94 M
+    # points at sigma_a^2 = 1e-8 (gamma = 1e-4) and more than 2^21 at 1e-10
+    # (1e-5); an explicit point count is kept
+    assert 500_000 < default_y_grid(g, builds).n_points <= 1 << 21
+    with pytest.raises(DomainError, match="more than the y grid's 2097152 points"):
+        default_y_grid(g, refused)
+    assert default_y_grid(g, refused, n_points=4096).n_points == 4096
 
 
 def test_contraction_volatility_below_noise_variance():
@@ -567,6 +585,25 @@ def test_eigensolve_application_cap():
         with pytest.raises(ConvergenceError):
             steady_state_volatility(replace(cfg, horizon=horizon))
     assert steady_state_volatility(replace(cfg, horizon=needed)).solver["applications"] == needed
+
+
+def test_eigensolve_workspace_is_its_krylov_basis():
+    # The restart is applied in place in column blocks and Gram-Schmidt
+    # subtracts through one vector, so the solve's traced peak is the
+    # (ncv + 1) x n basis and about ten more grid vectors (51 in all here).
+    # A restart that forms the kept Ritz vectors beside the basis peaks
+    # near 67.
+    cfg = default_y_config(0.1, gaussian(1.0), n_points=16384)
+    n = cfg.grid.n_points
+    assert n >= 4 * _RESTART_BLOCK
+    tracemalloc.start()
+    try:
+        solved = steady_state_volatility(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved.solver["applications"] > 2 * _ARNOLDI_NCV  # two restarts
+    assert peak < 55 * n * 8
 
 
 def _fftconvolve_step(p, noise, g):

@@ -5,7 +5,7 @@ import pytest
 from scipy import special, stats
 
 from cumvol import NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
-from cumvol.noise import TAIL_TOL, load_tabulated_csv
+from cumvol.noise import _ERFC_TWO_UPTO, _ERFC_ZERO_FROM, TAIL_TOL, load_tabulated_csv
 
 
 def draw(noise, count, seed):
@@ -119,6 +119,27 @@ def test_gaussian_cdf_matches_scipy_ndtr(sigma):
     assert np.all((got[~live] >= 0.0) & (got[~live] < 1e-307))
     assert isinstance(gaussian(sigma).cdf_at(0.3), float)
     assert list(gaussian(sigma).cdf_at(np.array([-np.inf, np.inf]))) == [0.0, 1.0]
+
+
+def test_erfc_saturation_bounds_are_the_last_saturated_arguments():
+    # math.erfc is exactly 2.0 at the first bound and exactly 0.0 at the
+    # second, and one step inward from either it is not saturated any more
+    assert math.erfc(_ERFC_TWO_UPTO) == 2.0
+    assert math.erfc(math.nextafter(_ERFC_TWO_UPTO, 0.0)) < 2.0
+    assert math.erfc(_ERFC_ZERO_FROM) == 0.0
+    assert math.erfc(math.nextafter(_ERFC_ZERO_FROM, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5])
+def test_gaussian_cdf_is_the_plain_erfc_map_bit_for_bit(sigma):
+    # skipping the saturated arguments leaves every value as the map over
+    # all of them gives it, at and beyond both bounds too
+    x = np.concatenate([np.linspace(-60.0, 60.0, 200_001) * sigma, [-np.inf, np.inf]])
+    t = (x / sigma) * -math.sqrt(0.5)
+    plain = 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, t.size)
+    got = gaussian(sigma).cdf_at(x)
+    assert got.tobytes() == plain.tobytes()
+    assert np.isnan(gaussian(sigma).cdf_at(np.nan))
 
 
 @pytest.mark.parametrize("sigma", [1e-12, 0.1, 1.0, 7.3])
