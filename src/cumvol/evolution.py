@@ -189,12 +189,17 @@ def _validated_edges(grid: GridSpec) -> np.ndarray:
     return grid.cell_edges()
 
 
-def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Linear-interpolation CDF of per-node masses at ``at`` (half of each
-    node's own mass counts as below the node)."""
+def _node_cum(masses: np.ndarray) -> np.ndarray:
+    """The node CDF of per-node masses at the nodes: half of each node's own
+    mass counts as below the node."""
     cum = np.cumsum(masses)
     cum -= 0.5 * masses
-    return np.interp(at, nodes, cum, left=0.0, right=float(masses.sum()))
+    return cum
+
+
+def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Linear interpolation of the node CDF (``_node_cum``) at ``at``."""
+    return np.interp(at, nodes, _node_cum(masses), left=0.0, right=float(masses.sum()))
 
 
 def _check_normalized(p: GriddedPdf) -> None:
@@ -376,8 +381,8 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
     grid = cell_grid(upper, n)
     nodes, masses = p_y.grid.points(), p_y.node_masses()
-    cdf = _node_cdf(masses, nodes, nodes)
-    above = int(np.argmax(cdf >= 1e-11 * masses.sum()))  # the first node past the cut
+    # the first node past the cut
+    above = int(np.argmax(_node_cum(masses) >= 1e-11 * masses.sum()))
     x_end = -math.log1p(-math.exp(-float(nodes[max(above - 1, 0)])))
     end = max(int(x_end / grid.h) + 3, 64) if x_end < upper else n
     return GridSpec(grid.x_min, grid.h, min(end, n))

@@ -16,6 +16,13 @@ row at a time, and ``simulate_stream`` folds each row, while it is still in
 cache, into per-step moments, KS counts and the kept head paths. It holds one
 block of draws plus a few rows of BLOCK_PATHS values, whatever the number of
 paths.
+
+A KS count needs, for each sample, only its number of cell edges at or below
+it. On a uniform grid that is the sample's scaled offset (x - x_min)/h + 1
+rounded to the nearest integer, found with one multiply and one subtract per
+sample; only the few samples whose scaled offset lies within the rounding
+error of an edge are placed again with a binary search over the edges. So a
+row's counts cost O(n), not the O(n log n) of a sort, and are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .noise import NoiseModel
-from .pdfgrid import GriddedPdf
+from .pdfgrid import GriddedPdf, GridSpec
 
 __all__ = ["McEnsemble", "simulate_stream"]
 
@@ -86,6 +93,62 @@ def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
     return edges, (1.0 - p.truncated_mass) * cum / cum[-1]
 
 
+class _EdgeCounts:
+    """Counts of samples strictly below each cell edge of a grid, summed over rows.
+
+    Edge k lies at k + 1/2 on the scale u = (x - x_min)/h + 1, so rint(u),
+    clipped to 0..n_edges, is the number of edges at or below x. Computed
+    as x * (1/h) - shift, u differs from x's place among the edges (as
+    ``GridSpec.cell_edges`` rounds them) by the roundings of 1/h, the
+    product, the shift and the edges: a few ulp of the largest |edge| over
+    h. ``window`` is four times that bound, and a sample within it of an
+    edge is placed with ``searchsorted``. The number of samples below edge
+    k is then the cumulative sum, over j <= k, of the samples with j edges
+    at or below them. Where the window reaches half a cell (h within a few
+    ulp of the edges, or 1/h past the float64 range), every sample is
+    searched.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.edges = grid.cell_edges()
+        n_edges = self.edges.size
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite window searches all
+            self._scale = 1.0 / grid.h
+            self._shift = grid.x_min * self._scale - 1.0
+            reach = max(abs(self.edges[0]), abs(self.edges[-1])) * self._scale
+            window = 16.0 * np.finfo(float).eps * (reach + n_edges)
+        self._search_all = not window < 0.5  # then every sample would be in doubt
+        self._doubt = 0.5 - window  # |u - rint(u)| above this is near an edge
+        self._counts = np.zeros(n_edges + 1, dtype=np.intp)
+
+    def add(self, x: np.ndarray, scratch: np.ndarray, spare: np.ndarray) -> None:
+        """Count the row ``x``, overwriting ``scratch`` and ``spare``, rows of
+        its size; ``spare``, viewed as intp, ends up holding each sample's
+        number of edges at or below it."""
+        n_edges = self.edges.size
+        j = spare.view(np.intp)
+        if self._search_all:
+            j[:] = np.searchsorted(self.edges, x, side="right")
+        else:
+            u, r = spare, scratch
+            with np.errstate(over="ignore"):  # a sample far past the grid scales to +-inf
+                np.multiply(x, self._scale, out=u)
+            np.subtract(u, self._shift, out=u)
+            np.clip(u, 0.0, n_edges, out=u)  # samples past the ends land on exact integers
+            np.rint(u, out=r)
+            np.subtract(u, r, out=u)
+            np.abs(u, out=u)
+            near = np.flatnonzero(u > self._doubt)
+            np.copyto(j, r, casting="unsafe")
+            if near.size:
+                j[near] = np.searchsorted(self.edges, x[near], side="right")
+        self._counts += np.bincount(j, minlength=n_edges + 1)
+
+    def below(self) -> np.ndarray:
+        """The number of samples counted strictly below each edge."""
+        return np.cumsum(self._counts)[:-1]
+
+
 def _ks(below: np.ndarray, n: int, model: np.ndarray) -> float:
     """KS statistic from the counts of samples strictly below each edge."""
     return float(np.max(np.abs(below / n - model)))
@@ -110,13 +173,14 @@ def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
 
 
 def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
-    """Yield (lo, t, z_{t-1}, z_t) for each block of paths lo.. and each step t = 1..t_max.
+    """Yield (lo, t, z_{t-1}, z_t, spare) for each block of paths lo.. and step t = 1..t_max.
 
     Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
     i-th child of SeedSequence(seed), drawn path-major in chunks (the stream
     of one whole-block draw) and copied step-major into a buffer reused across
     blocks. The rows are reused buffers: z_t is valid until the next yield,
-    and the caller may overwrite z_{t-1}.
+    and the caller may overwrite z_{t-1} and the recurrence's scratch row
+    ``spare``.
     """
     children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
     with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
@@ -144,7 +208,7 @@ def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
                 raise DomainError(
                     f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
                     "log cumulative production exceeds the float64 range")
-            yield lo, t, prev, cur
+            yield lo, t, prev, cur, buf
             prev, cur = cur, prev
 
 
@@ -166,20 +230,18 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
         raise ValueError("n_paths must be >= 1")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    targets = {t: _ks_target(p) for t, p in (targets or {}).items()}
+    targets = targets or {}
     if any(not 1 <= t <= t_max for t in targets):
         raise ValueError(f"KS target steps must lie in 1..{t_max}")
-    below = {t: 0 for t in targets}
+    counts = {t: _EdgeCounts(p.grid) for t, p in targets.items()}
     zm, dzm = _Moments(t_max), _Moments(t_max)
     head = np.zeros((min(head_paths, n_paths), t_max + 1))
-    for lo, t, zp, zt in _rows(g, noise, t_max, n_paths, seed):
+    for lo, t, zp, zt, spare in _rows(g, noise, t_max, n_paths, seed):
         # zp is scratch once dz_t = z_t - z_{t-1} is reduced
         dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
         zm.row(t - 1, zt, zp)
-        if t in targets:
-            np.copyto(zp, zt)
-            zp.sort()
-            below[t] = below[t] + np.searchsorted(zp, targets[t][0], side="left")
+        if t in counts:
+            counts[t].add(zt, zp, spare)
         if lo < head.shape[0]:
             head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
     return McEnsemble(
@@ -194,6 +256,6 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
             "mean_dz": dzm.mean.tolist(),
             "var_dz": dzm.variance().tolist(),
         },
-        ks={t: _ks(below[t], n_paths, targets[t][1]) for t in targets},
+        ks={t: _ks(c.below(), n_paths, _ks_target(targets[t])[1]) for t, c in counts.items()},
         head=head,
     )

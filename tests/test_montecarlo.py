@@ -142,22 +142,41 @@ def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
         assert np.array_equal(run.head, head), noise.label()
 
 
+def _traced_peak(t_max, targets=None):
+    """Traced peak memory of a stream of two full blocks and a partial one."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        simulate_stream(0.2, gaussian(1.0), t_max=t_max, n_paths=2 * BLOCK_PATHS + 1000,
+                        seed=3, targets=targets)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _every_step_target(t_max):
+    grid = cell_grid(40.0, 512)
+    p = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)))
+    return {t: p for t in range(1, t_max + 1)}
+
+
 def test_stream_holds_one_block_of_draws():
     # two full blocks and a partial one, 30 steps, every step a KS target: the
     # stream keeps one step-major block of draws plus a few rows, where
     # whole-block passes peaked above five blocks
-    import tracemalloc
     t_max = 30
-    grid = cell_grid(40.0, 512)
-    p = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)))
-    tracemalloc.start()
-    try:
-        simulate_stream(0.2, gaussian(1.0), t_max=t_max, n_paths=2 * BLOCK_PATHS + 1000,
-                        seed=3, targets={t: p for t in range(1, t_max + 1)})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * t_max * BLOCK_PATHS * 8
+    assert _traced_peak(t_max, _every_step_target(t_max)) < 2 * t_max * BLOCK_PATHS * 8
+
+
+def test_ks_counts_add_less_than_a_row(monkeypatch):
+    # the KS counts work in the stream's spare rows: 30 targets add less than
+    # one row of BLOCK_PATHS doubles to the traced peak. Small sampling chunks
+    # keep the draws' own temporaries below what the counts add.
+    import cumvol.montecarlo as mc
+    monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
+    t_max = 30
+    extra = _traced_peak(t_max, _every_step_target(t_max)) - _traced_peak(t_max)
+    assert extra < BLOCK_PATHS * 8
 
 
 def _row_logaddexp(x, y):

@@ -1,15 +1,17 @@
-"""Randomised mass accounting of the step operator and the dz involution, and
-randomised agreement of the exact z densities with the Monte Carlo oracle."""
+"""Randomised mass accounting of the step operator and the dz involution,
+randomised agreement of the exact z densities with the Monte Carlo oracle, and
+the oracle's KS counts against a sort of the samples."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cumvol.evolution as ev
+import cumvol.montecarlo as mc
 from cumvol import (
     EvolutionConfig,
     GridSpec,
@@ -136,3 +138,47 @@ def test_exact_z_density_agrees_with_monte_carlo(g, noise, t_max):
     run = simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=2024,
                           targets={t: tr.density(t) for t in range(1, t_max + 1)})
     assert max(run.ks.values()) < 3.0 / math.sqrt(n)
+
+
+@st.composite
+def prefixes(draw):
+    # what GriddedPdf.from_csv returns for a file that ends before its grid
+    grid = draw(grids)
+    return GridSpec(grid.x_min, grid.h, draw(st.integers(16, grid.n_points)))
+
+
+# grids far from 0, with h down to 1e-9 of |x_min|
+far_grids = st.builds(lambda sign, mag, rel, n: GridSpec(sign * 10.0**mag, 10.0**(mag + rel), n),
+                      st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 12.0), st.floats(-9.0, 0.0),
+                      st.integers(16, 1024))
+
+
+def edge_samples(grid, seed):
+    """Samples over a grid's cells, on its edges and one ulp either side of
+    them, past both ends, and at +-1e300, shuffled."""
+    rng = np.random.default_rng(seed)
+    edges = grid.cell_edges()
+    span = edges[-1] - edges[0]
+    on = rng.choice(edges, 300)
+    return rng.permutation(np.concatenate([
+        rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 1000),
+        on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        [edges[0] - span, edges[-1] + span, -1e300, 1e300],
+    ]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(grids, prefixes(), far_grids), st.integers(0, 2**32 - 1))
+# every sample is searched where h is within a few ulp of the edges, or 1/h overflows
+@example(GridSpec(1.0, 1e-15, 64), 0)
+@example(GridSpec(1e-300, 1e-310, 64), 1)
+def test_ks_counts_equal_a_search_of_the_sorted_samples(grid, seed):
+    # the oracle counts samples strictly below each cell edge from a rounded
+    # estimate of each sample's cell, summed over rows; the counts must be
+    # those of a binary search of the edges in the sorted samples
+    samples = edge_samples(grid, seed)
+    counts = mc._EdgeCounts(grid)
+    for row in (samples[:700], samples[700:]):
+        counts.add(row, np.empty_like(row), np.empty_like(row))
+    want = np.searchsorted(np.sort(samples), grid.cell_edges(), side="left")
+    assert np.array_equal(counts.below(), want)
