@@ -31,6 +31,7 @@ from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
     _quantile_fields,
+    default_y_config,
     default_y_grid,
     default_z_grid,
     evolve_y,
@@ -203,6 +204,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_volatility(args) -> int:
+    if args.steps is None:  # resolved before the config is echoed
+        args.steps = 10_000 if args.until_converged else 50
     if args.until_converged and not args.g > 0.0:
         raise DomainError("--until-converged requires g > 0 (no fixed point otherwise)")
     out_dir = Path(args.out)
@@ -212,13 +215,12 @@ def cmd_volatility(args) -> int:
         grid = default_y_grid(args.g, args.noise, n_points=DEFAULT_GRID_POINTS)
     else:
         raise DomainError("g <= 0 needs an explicit --grid for the reversed variable")
-    horizon = args.max_steps if args.until_converged else args.steps
     config = EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
-                             horizon=horizon, convergence_tol=args.tol)
+                             horizon=args.steps, convergence_tol=args.tol)
     trace = evolve_y(config)
     report = None
     if args.until_converged or (args.g > 0.0 and trace.converged_at is not None):
-        report = trace_volatility(trace).to_dict()  # ConvergenceError if not converged
+        report = asdict(trace_volatility(trace))  # ConvergenceError if not converged
         _check_finite(report, "volatility_report.json")  # before any density is written
 
     outputs, rows = [], []
@@ -250,17 +252,14 @@ def cmd_volatility(args) -> int:
     return 0
 
 
-def _sweep_point(g: float, sigma_sq: float, tol: float, horizon: int) -> dict:
-    noise = gaussian(math.sqrt(sigma_sq))
-    config = EvolutionConfig(g=g, noise=noise, grid=default_y_grid(g, noise),
-                             horizon=horizon, convergence_tol=tol)
-    rep = steady_state_volatility(config)
+def _sweep_point(g: float, sigma_sq: float, tol: float) -> dict:
+    rep = steady_state_volatility(default_y_config(g, gaussian(math.sqrt(sigma_sq)), tol))
     return {
         "sigma_a_sq": sigma_sq,
         "ratio": rep.ratio_to_narrow,
         "variance": rep.variance,
         "narrow_variance": rep.narrow_variance,
-        "converged_at": rep.converged_at,
+        "converged_at": rep.solver["applications"],
         "truncated_mass": rep.truncated_mass,
         "solver": rep.solver,
     }
@@ -271,7 +270,7 @@ def cmd_compare_saddle(args) -> int:
         raise DomainError("compare-saddle requires g > 0")
     out_dir = Path(args.out)
 
-    rows = [_sweep_point(args.g, s2, args.tol, args.max_steps) for s2 in args.sigma_sweep]
+    rows = [_sweep_point(args.g, s2, args.tol) for s2 in args.sigma_sweep]
     manifest = _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"], {"points": rows})
     _check_finite(manifest, "manifest.json")  # before the CSV is written
 
@@ -386,13 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volatility", parents=[common],
                        help="evolve the reversed variable and emit growth-increment densities")
-    p.add_argument("--steps", type=_positive_int, default=50)
+    p.add_argument("--steps", type=_positive_int, default=None,
+                   help="horizon: the most steps to run (default 50, or 10000 with "
+                        "--until-converged)")
     p.add_argument("--grid", type=_grid_arg, default=None)
     p.add_argument("--tol", type=_relative_tol, default=1e-8,
                    help="L1 distance between successive densities to stop at, in (0, 1)")
     p.add_argument("--until-converged", action="store_true",
                    help="iterate to the fixed point (requires g > 0)")
-    p.add_argument("--max-steps", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_volatility)
 
     p = sub.add_parser("compare-saddle",
@@ -405,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in (0, 1): bounds the eigensolve's Ritz estimate relative to the "
                         "eigenvalue, not the variance's error (at g=0.03, sigma_a=2, tol 1e-9 "
                         "leaves 2.4e-6 relative)")
-    p.add_argument("--max-steps", type=_positive_int, default=10_000,
-                   help="cap on step-operator applications per sweep point")
     p.set_defaults(func=cmd_compare_saddle)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo path oracle")

@@ -35,7 +35,7 @@ grid's edges. The package runs on numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -330,21 +330,25 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     mass. When no grid is given one is sized from the input's moments.
     """
     _check_normalized(p_y)
+    masses = p_y.node_masses()
+    cum = np.cumsum(masses)  # y's CDF at its cells' upper edges
     if grid is None:
-        grid = _default_dz_grid(p_y)
+        grid = _default_dz_grid(p_y, masses, cum)
+    cum -= 0.5 * masses  # y's node CDF (``_node_cum``)
     # v = +inf at x = 0, where the CDF is the total mass
-    cv = _node_cdf(p_y.node_masses(), p_y.grid.points(),
-                   _reciprocal_edges(_validated_edges(grid)))
+    cv = np.interp(_reciprocal_edges(_validated_edges(grid)), p_y.grid.points(), cum,
+                   left=0.0, right=float(masses.sum()))
     cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # v decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
     return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
 
 
-def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
-    """The dz grid for a reversed-variable density: cells of width upper/n
-    sized from its moments and tails, ending two cells past the cell that
-    holds the image -log(1 - e^{-y_k}) of y_k, the highest y node at which
-    y's node CDF is below 1e-11 of y's mass (y's first node y_1 when none is).
+def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray, cum: np.ndarray) -> GridSpec:
+    """The dz grid for a reversed-variable density with node masses ``masses``
+    and their cumulative sum ``cum``: cells of width upper/n sized from its
+    moments and tails, ending two cells past the cell that holds the image
+    -log(1 - e^{-y_k}) of y_k, the highest y node at which y's node CDF is
+    below 1e-11 of y's mass (y's first node y_1 when none is).
 
     ``volatility_pdf`` interpolates that node CDF, with 0 below y_1, so the
     cells past the end hold less than 1e-11 of the mass between them, and
@@ -365,10 +369,10 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     upper = center + 30.0 * width
     # The map swaps dz -> infinity with the reversed variable's lower range,
     # so the domain must reach the image of y's low quantile: find the lowest
-    # cell edge below which y carries essentially no mass.
-    edges, cum = p_y.edge_cdf()
-    idx = int(np.searchsorted(cum, 1e-11 * cum[-1]))
-    y_lo = float(edges[min(idx, edges.size - 1)])
+    # cell edge below which y carries essentially no mass (edge k + 1 has
+    # cum[k] below it; the mass is positive, so edge 0 never qualifies).
+    idx = int(np.searchsorted(cum, 1e-11 * cum[-1])) + 1
+    y_lo = float(p_y.grid.cell_edges()[min(idx, masses.size)])
     with np.errstate(divide="ignore"):
         upper = max(upper, float(-np.log1p(-np.exp(-max(y_lo, 1e-26)))))
     # Integrable spike at 0 maps from y's far upper tail; give its own
@@ -380,10 +384,9 @@ def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
     h = min(width / 80.0, 0.002)
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
     grid = cell_grid(upper, n)
-    nodes, masses = p_y.grid.points(), p_y.node_masses()
     # the first node past the cut
-    above = int(np.argmax(_node_cum(masses) >= 1e-11 * masses.sum()))
-    x_end = -math.log1p(-math.exp(-float(nodes[max(above - 1, 0)])))
+    above = int(np.argmax(cum - 0.5 * masses >= 1e-11 * masses.sum()))
+    x_end = -math.log1p(-math.exp(-float(p_y.grid.points()[max(above - 1, 0)])))
     end = max(int(x_end / grid.h) + 3, 64) if x_end < upper else n
     return GridSpec(grid.x_min, grid.h, min(end, n))
 
@@ -474,18 +477,13 @@ class VolatilityReport:
     ``method`` ("arnoldi" for the eigensolve, "power" for an iterated trace),
     ``applications`` of the step operator, the Perron root estimate
     ``eigenvalue`` (the mass one step keeps) and ``residual_l1``,
-    ``||P v - eigenvalue v||_1`` for the unit-mass vector v. For the
-    eigensolve ``converged_at`` is the application count; for a trace it is
-    its convergence step, which is its length.
+    ``||P v - eigenvalue v||_1`` for the unit-mass vector v. ``noise`` is
+    the noise model's label. ``dataclasses.asdict`` gives the JSON report.
     """
 
     g: float
-    noise_label: str
-    converged_at: int | None
+    noise: str
     variance: float
-    std: float
-    iqr: float
-    width90: float
     quantiles: dict
     sigma_a_sq: float | None
     narrow_variance: float | None
@@ -494,14 +492,8 @@ class VolatilityReport:
     variance_reliable: bool
     solver: dict
 
-    def to_dict(self) -> dict:
-        row = asdict(self)
-        row["noise"] = row.pop("noise_label")
-        return row
 
-
-def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: int,
-                       solver: dict) -> VolatilityReport:
+def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, solver: dict) -> VolatilityReport:
     """Report on the growth increment for the reversed variable's fixed point p_y.
 
     Finite-variance noise whose narrow-noise variance underflows to 0 is a
@@ -515,16 +507,11 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, converged_at: i
                           "the ratio to it is not finite")
     dz = volatility_pdf(p_y)
     variance = dz.variance()
-    quantiles = _quantile_fields(dz)
     return VolatilityReport(
         g=config.g,
-        noise_label=config.noise.label(),
-        converged_at=converged_at,
+        noise=config.noise.label(),
         variance=variance,
-        std=math.sqrt(max(variance, 0.0)),
-        iqr=quantiles["q75"] - quantiles["q25"],
-        width90=quantiles["q95"] - quantiles["q05"],
-        quantiles=quantiles,
+        quantiles=_quantile_fields(dz),
         sigma_a_sq=sigma_sq if finite_sigma else None,
         narrow_variance=narrow,
         ratio_to_narrow=variance / narrow if finite_sigma else None,
@@ -647,7 +634,7 @@ def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
     if not config.g > 0.0:
         raise DomainError("steady_state_volatility requires g > 0")
     p_y, solver = _perron_density(config)
-    return _volatility_report(config, p_y, solver["applications"], solver)
+    return _volatility_report(config, p_y, solver)
 
 
 def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
@@ -673,7 +660,7 @@ def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
         "eigenvalue": eigenvalue,
         "residual_l1": eigenvalue * last.l1_prev,
     }
-    return _volatility_report(config, last.pdf, trace.converged_at, solver)
+    return _volatility_report(config, last.pdf, solver)
 
 
 # ----------------------------------------------------------------------

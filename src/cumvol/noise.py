@@ -38,7 +38,6 @@ __all__ = [
     "load_tabulated_csv",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _KINDS = ("gaussian", "lorentzian", "tabulated")
 
 # Noise mass beyond the kernel window that a light-tailed kernel may drop
@@ -134,23 +133,15 @@ class NoiseModel:
     # density / distribution function
     # ------------------------------------------------------------------
 
-    def pdf_at(self, x):
-        """Density at x (vectorised; zero outside a tabulated support)."""
-        arr, scalar = _as_array(x)
-        if self.kind == "gaussian":
-            out = np.exp(-0.5 * (arr / self.sigma) ** 2) / (self.sigma * _SQRT2PI)
-        elif self.kind == "lorentzian":
-            out = self.gamma / (math.pi * (arr * arr + self.gamma * self.gamma))
-        else:
-            out = np.interp(arr, self.xs, self.ys, left=0.0, right=0.0)
-        return float(out) if scalar else out
-
     def cdf_at(self, x):
-        """Distribution function at x; exact integral of ``pdf_at``."""
+        """Distribution function at x (vectorised); for tabulated noise the
+        exact integral of the interpolated density."""
         arr, scalar = _as_array(x)
         if self.kind == "gaussian":
-            # Phi(x) = erfc(-x/sqrt2)/2; erfc keeps the left tail's relative precision
-            t = (arr / self.sigma) * -_SQRT1_2
+            # Phi(x) = erfc(-x/sqrt2)/2; erfc keeps the left tail's relative precision.
+            # Below sigma ~ 1e-308 x/sigma overflows to +-inf, where Phi is 1 or 0.
+            with np.errstate(over="ignore"):
+                t = (arr / self.sigma) * -_SQRT1_2
             # math.erfc is mapped only where it is not saturated (or t is nan)
             zero = t >= _ERFC_ZERO_FROM
             erfc = np.where(zero, 0.0, 2.0)
@@ -159,7 +150,8 @@ class NoiseModel:
             erfc[inner] = np.fromiter(map(math.erfc, todo.tolist()), float, todo.size)
             out = 0.5 * erfc
         elif self.kind == "lorentzian":
-            out = 0.5 + np.arctan(arr / self.gamma) / math.pi
+            with np.errstate(over="ignore"):  # as above: arctan(+-inf) is the limit
+                out = 0.5 + np.arctan(arr / self.gamma) / math.pi
         else:
             out = self._tabulated_cdf(arr)
         return float(out) if scalar else out
@@ -191,15 +183,15 @@ class NoiseModel:
     # ------------------------------------------------------------------
 
     def sample_with(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """I.i.d. draws of the given shape from a caller-owned generator."""
+        """I.i.d. draws of the given shape from a caller-owned generator; for
+        tabulated noise, from the interpolated density."""
         if self.kind == "gaussian":
             return self.sigma * rng.standard_normal(shape)
         if self.kind == "lorentzian":
             u = rng.random(shape)
             return self.gamma * np.tan(math.pi * (u - 0.5))
-        # tabulated: invert the exact CDF of the interpolated density, so the
-        # sampling distribution is identical to pdf_at even for coarse tables
-        # (within a table cell the CDF is quadratic, not linear)
+        # tabulated: invert the exact CDF, which is quadratic within a table
+        # cell, so draws follow the interpolated density even for coarse tables
         xs, ys = self.xs, self.ys
         widths = np.diff(xs)
         cum = self._cum / self._cum[-1]

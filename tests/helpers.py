@@ -9,6 +9,20 @@ from cumvol import DomainError, GriddedPdf, ybar
 from cumvol.evolution import StepOperator, _assemble, _check_normalized
 
 
+def pdf_at(noise, x):
+    """Density of a noise model at x (vectorised; a float for a scalar x): the
+    reference the noise CDFs and kernels are checked against. Tabulated noise
+    is its linearly interpolated table, zero outside the support."""
+    arr = np.asarray(x, dtype=float)
+    if noise.kind == "gaussian":
+        out = np.exp(-0.5 * (arr / noise.sigma) ** 2) / (noise.sigma * math.sqrt(2.0 * math.pi))
+    elif noise.kind == "lorentzian":
+        out = noise.gamma / (math.pi * (arr * arr + noise.gamma * noise.gamma))
+    else:
+        out = np.interp(arr, noise.xs, noise.ys, left=0.0, right=0.0)
+    return float(out) if arr.ndim == 0 else out
+
+
 def normalized(p: GriddedPdf) -> GriddedPdf:
     """p divided by its trapezoidal integral."""
     total = p.integral()

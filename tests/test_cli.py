@@ -90,10 +90,16 @@ def test_volatility_until_converged(tmp_path):
     # trace's length is its convergence step
     assert manifest["convergence"] == {"converged_at": len(manifest["steps"])}
     report = json.loads((out / "volatility_report.json").read_text(encoding="utf-8"))
+    # each fact once: no width that restates variance or quantiles, and no
+    # convergence step that restates the solver's or the manifest's
+    assert set(report) == {"g", "noise", "variance", "quantiles", "sigma_a_sq",
+                           "narrow_variance", "ratio_to_narrow", "truncated_mass",
+                           "variance_reliable", "solver"}
+    assert set(report["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
     assert report["ratio_to_narrow"] == pytest.approx(1.0, abs=0.05)
     # the report describes the final density of the iterated trace itself
     last = manifest["steps"][-1]
-    assert report["converged_at"] == manifest["convergence"]["converged_at"] == last["t"]
+    assert manifest["convergence"]["converged_at"] == last["t"]
     assert report["variance"] == last["dz_variance"]
     assert report["solver"]["method"] == "power"
     assert report["solver"]["applications"] == last["t"] - 1
@@ -132,6 +138,35 @@ def test_volatility_large_drift_with_resolved_centre(tmp_path):
                 "--out", str(out)]) == 0
     rows = read_manifest(out)["steps"]
     assert rows[-1]["dz_mean"] == pytest.approx(5.0, abs=0.02)
+
+
+def test_volatility_steps_default_to_the_mode_and_are_echoed(tmp_path):
+    # --steps is the horizon in both modes; left out it is 10000 with
+    # --until-converged (this run converges at t = 95) and 50 without, and
+    # the manifest echoes the horizon used
+    fixed, plain = tmp_path / "fixed", tmp_path / "plain"
+    argv = ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1"]
+    assert run(argv + ["--until-converged", "--out", str(fixed)]) == 0
+    manifest = read_manifest(fixed)
+    assert manifest["config"]["steps"] == 10_000 and "max_steps" not in manifest["config"]
+    assert manifest["convergence"]["converged_at"] == len(manifest["steps"]) == 95
+    assert run(argv + ["--out", str(plain)]) == 0
+    manifest = read_manifest(plain)
+    assert manifest["config"]["steps"] == 50
+    assert manifest["convergence"]["converged_at"] is None and len(manifest["steps"]) == 50
+    assert "volatility_report.json" not in manifest["outputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["volatility", "--noise", "gaussian:sigma=0.1", "--until-converged"],
+    ["compare-saddle", "--sigma-sweep", "0.01"],
+], ids=["volatility", "compare-saddle"])
+def test_max_steps_is_usage_error(tmp_path, capsys, argv):
+    # one horizon option per command: --steps, or the eigensolve's own cap
+    out = tmp_path / "x"
+    assert run(argv + ["--g", "0.2", "--max-steps", "5", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --max-steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_volatility_rejects_nonpositive_drift_with_convergence_flag(tmp_path):
@@ -421,7 +456,7 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, code, cause", [
     (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1", "--until-converged",
-      "--max-steps", "5"], 3, "numerical failure: trace did not converge within horizon=5"),
+      "--steps", "5"], 3, "numerical failure: trace did not converge within horizon=5"),
     (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1e-160", "--until-converged"], 4,
      "domain error: volatility_report.json.ratio_to_narrow is not finite"),
     (["compare-saddle", "--g", "0.2", "--sigma-sweep", "1e-322"], 4,
@@ -438,7 +473,7 @@ def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monke
     # widths compare-saddle's default y grid is refused (it would need more
     # than 2**21 points); the check does not depend on the grid (volatility
     # passes its own 8192)
-    monkeypatch.setattr(cli, "default_y_grid", lambda g, noise, n_points=None:
+    monkeypatch.setattr(evolution, "default_y_grid", lambda g, noise, n_points=None:
                         default_y_grid(g, noise, n_points or 4096))
     out = tmp_path / "x"
     assert run(argv + ["--out", str(out)]) == code

@@ -6,6 +6,7 @@ from scipy import special, stats
 
 from cumvol import NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
 from cumvol.noise import _ERFC_TWO_UPTO, _ERFC_ZERO_FROM, TAIL_TOL, load_tabulated_csv
+from helpers import pdf_at
 
 
 def draw(noise, count, seed):
@@ -14,26 +15,26 @@ def draw(noise, count, seed):
 
 
 def test_gaussian_density_at_zero():
-    assert gaussian(1.0).pdf_at(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
+    assert pdf_at(gaussian(1.0), 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
 
 
 def test_lorentzian_density_values():
     n = lorentzian(1.0)
-    assert n.pdf_at(0.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
-    assert n.pdf_at(1.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
+    assert pdf_at(n, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
+    assert pdf_at(n, 1.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
 
 
 def test_tabulated_renormalisation():
     # trapezoid mass of the raw table is 1.5, so densities scale by 1/1.5
     n = tabulated([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
-    assert n.pdf_at(0.0) == pytest.approx(1.0 / 1.5)
+    assert pdf_at(n, 0.0) == pytest.approx(1.0 / 1.5)
     assert np.trapezoid(n.ys, n.xs) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tabulated_outside_support_is_zero():
     n = tabulated([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
-    assert n.pdf_at(2.0) == 0.0
-    assert n.pdf_at(-5.0) == 0.0
+    assert pdf_at(n, 2.0) == 0.0
+    assert pdf_at(n, -5.0) == 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -70,15 +71,15 @@ def test_mirror_is_pointwise_reflection_and_involution():
     n = tabulated([(0.0, 0.2), (0.5, 1.0), (2.0, 0.1)])
     m = n.mirror()
     xs = np.linspace(-3, 3, 301)
-    assert np.allclose(m.pdf_at(xs), n.pdf_at(-xs))
+    assert np.allclose(pdf_at(m, xs), pdf_at(n, -xs))
     back = m.mirror()
-    assert np.allclose(back.pdf_at(xs), n.pdf_at(xs))
+    assert np.allclose(pdf_at(back, xs), pdf_at(n, xs))
 
 
 def test_mirror_gaussian_is_even():
     n = gaussian(0.7)
     xs = np.linspace(-4, 4, 101)
-    assert np.allclose(n.mirror().pdf_at(xs), n.pdf_at(xs))
+    assert np.allclose(pdf_at(n.mirror(), xs), pdf_at(n, xs))
 
 
 def test_mirror_preserves_mass_and_negates_mean():
@@ -97,7 +98,7 @@ def test_cdf_matches_density_integral():
         xs = np.sort(rng.uniform(-3, 3, 7))
         for a, b in zip(xs[:-1], xs[1:]):
             grid = np.linspace(a, b, 4001)
-            quad = np.trapezoid(n.pdf_at(grid), grid)
+            quad = np.trapezoid(pdf_at(n, grid), grid)
             assert n.cdf_at(b) - n.cdf_at(a) == pytest.approx(quad, abs=tol)
 
 
@@ -140,6 +141,15 @@ def test_gaussian_cdf_is_the_plain_erfc_map_bit_for_bit(sigma):
     got = gaussian(sigma).cdf_at(x)
     assert got.tobytes() == plain.tobytes()
     assert np.isnan(gaussian(sigma).cdf_at(np.nan))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise", [gaussian(5e-324), lorentzian(1e-308)])
+def test_cdf_of_subnormal_width_saturates_without_warning(noise):
+    # x / width overflows to +-inf at |x| = 2, which lands on the CDF's limits
+    x = np.array([-np.inf, -2.0, 0.0, 2.0, np.inf])
+    assert list(noise.cdf_at(x)) == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert noise.cdf_at(-2.0) == 0.0 and noise.cdf_at(2.0) == 1.0
 
 
 @pytest.mark.parametrize("sigma", [1e-12, 0.1, 1.0, 7.3])
@@ -202,10 +212,10 @@ def test_tabulated_sampling_matches_density_chi_square():
 
 def test_unit_mass_on_wide_grid():
     grid = np.linspace(-10, 10, 20001)
-    assert np.trapezoid(gaussian(1.0).pdf_at(grid), grid) == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(pdf_at(gaussian(1.0), grid), grid) == pytest.approx(1.0, abs=1e-6)
 
     glor = np.linspace(-50, 50, 40001)
-    inside = np.trapezoid(lorentzian(1.0).pdf_at(glor), glor)
+    inside = np.trapezoid(pdf_at(lorentzian(1.0), glor), glor)
     analytic_outside = 1.0 - (2.0 / math.pi) * math.atan(50.0)
     assert inside + analytic_outside == pytest.approx(1.0, abs=1e-6)
 
@@ -236,10 +246,10 @@ def test_parse_noise_spec_and_csv(tmp_path):
     path.write_text("x,density\n-1,0.5\n0,1.0\n1,0.5\n", encoding="utf-8")
     n = parse_noise_spec(f"table:{path}")
     assert n.kind == "tabulated"
-    assert n.pdf_at(0.0) == pytest.approx(1.0 / 1.5)
+    assert pdf_at(n, 0.0) == pytest.approx(1.0 / 1.5)
     headerless = tmp_path / "bare.csv"
     headerless.write_text("-1,0.5\n0,1.0\n1,0.5\n", encoding="utf-8")
-    assert load_tabulated_csv(headerless).pdf_at(0.0) == pytest.approx(1.0 / 1.5)
+    assert pdf_at(load_tabulated_csv(headerless), 0.0) == pytest.approx(1.0 / 1.5)
     with pytest.raises(ValueError):
         parse_noise_spec("gaussian:width=1")
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import cumvol.pdfgrid as pdfgrid
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
-from helpers import interp_at, ks_distance, normalized
+from helpers import interp_at, ks_distance, normalized, pdf_at
 
 
 def gauss_fn(sigma, mu=0.0):
@@ -27,7 +27,7 @@ def from_function(grid: GridSpec, source, truncated_mass: float | None = None) -
     """
     pts = grid.points()
     if isinstance(source, NoiseModel):
-        values = source.pdf_at(pts)
+        values = pdf_at(source, pts)
         if truncated_mass is None:
             covered = source.cdf_at(grid.x_max) - source.cdf_at(grid.x_min)
             truncated_mass = float(min(max(1.0 - covered, 0.0), 1.0 - 1e-15))
