@@ -31,13 +31,13 @@ from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
     _quantile_fields,
+    _trace_report,
     default_y_config,
     default_y_grid,
     default_z_grid,
     evolve_y,
     evolve_z,
     steady_state_volatility,
-    trace_volatility,
     volatility_pdf,
 )
 from .montecarlo import simulate_stream
@@ -218,14 +218,17 @@ def cmd_volatility(args) -> int:
     config = EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
                              horizon=args.steps, convergence_tol=args.tol)
     trace = evolve_y(config)
-    report = None
+    report = final_dz = None
     if args.until_converged or (args.g > 0.0 and trace.converged_at is not None):
-        report = asdict(trace_volatility(trace))  # ConvergenceError if not converged
+        rep, final_dz = _trace_report(trace)  # ConvergenceError if not converged
+        report = asdict(rep)
         _check_finite(report, "volatility_report.json")  # before any density is written
 
     outputs, rows = [], []
     for rec in trace.steps:
-        dz = volatility_pdf(rec.pdf)
+        # the report built the final step's density, so each step's is built once
+        reuse = final_dz is not None and rec is trace.final()
+        dz = final_dz if reuse else volatility_pdf(rec.pdf)
         name = f"rho_dz_t{rec.t:04d}.csv"
         dz.to_csv(out_dir / name)
         outputs.append(name)

@@ -493,8 +493,10 @@ class VolatilityReport:
     solver: dict
 
 
-def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, solver: dict) -> VolatilityReport:
-    """Report on the growth increment for the reversed variable's fixed point p_y.
+def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf,
+                       solver: dict) -> tuple[VolatilityReport, GriddedPdf]:
+    """Report on the growth increment for the reversed variable's fixed point p_y,
+    and the growth increment's density it is read from.
 
     Finite-variance noise whose narrow-noise variance underflows to 0 is a
     domain error: the ratio to it would not be finite.
@@ -518,7 +520,7 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf, solver: dict) -
         truncated_mass=dz.truncated_mass,
         variance_reliable=finite_sigma and dz.truncated_mass < 1e-3,
         solver=solver,
-    )
+    ), dz
 
 
 def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
@@ -634,7 +636,7 @@ def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
     if not config.g > 0.0:
         raise DomainError("steady_state_volatility requires g > 0")
     p_y, solver = _perron_density(config)
-    return _volatility_report(config, p_y, solver)
+    return _volatility_report(config, p_y, solver)[0]
 
 
 def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
@@ -644,6 +646,11 @@ def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
     its last step kept ``eigenvalue`` of the mass and moved the normalised
     density by ``l1_prev``.
     """
+    return _trace_report(trace)[0]
+
+
+def _trace_report(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
+    """``trace_volatility``'s report and the final step's growth-increment density."""
     config = trace.config
     if not config.g > 0.0:
         raise DomainError("trace_volatility requires g > 0")

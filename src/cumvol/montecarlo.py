@@ -10,12 +10,13 @@ loop by a few ulp (at most 4).
 
 Paths are generated in fixed-size blocks, each from a seed derived from the
 block index, so the ensemble is reproducible and independent of how blocks
-are scheduled. A block's draws are sampled in chunks into one step-major
-buffer; the recurrence then produces z_t of every path in the block one step
-row at a time, and ``simulate_stream`` folds each row, while it is still in
-cache, into per-step moments, KS counts and the kept head paths. It holds one
-block of draws plus a few rows of BLOCK_PATHS values, whatever the number of
-paths.
+are scheduled. A block is produced in tiles of TILE_PATHS paths, each the
+next part of the block's draw stream: a tile's draws are sampled in chunks
+into one step-major buffer; the recurrence then produces z_t of every path in
+the tile one step row at a time, and ``simulate_stream`` folds each row,
+while it is still in cache, into per-step moments, KS counts and the kept
+head paths. It holds one tile of draws plus a few rows of TILE_PATHS values,
+whatever the number of paths.
 
 A KS count needs, for each sample, only its number of cell edges at or below
 it. On a uniform grid that is the sample's scaled offset (x - x_min)/h + 1
@@ -37,7 +38,8 @@ from .pdfgrid import GriddedPdf, GridSpec
 
 __all__ = ["McEnsemble", "simulate_stream"]
 
-BLOCK_PATHS = 65536
+BLOCK_PATHS = 65536  # paths per seeded block
+TILE_PATHS = 16384  # paths per tile: a tile's step-major draws are what the stream holds
 _CHUNK_PATHS = 2048  # paths sampled per call: a chunk of draws stays in L2 cache
 
 
@@ -57,10 +59,10 @@ class McEnsemble:
 
 
 class _Moments:
-    """Per-step count, mean and sum of squared deviations of a block stream.
+    """Per-step count, mean and sum of squared deviations of a tile stream.
 
-    Each step's row of a block (one column per path) is reduced two-pass by
-    ``row``, in step order; the block's last row merges its row moments into
+    Each step's row of a tile (one column per path) is reduced two-pass by
+    ``row``, in step order; the tile's last row merges its row moments into
     the running totals with the pairwise update of Chan, Golub & LeVeque
     (1983), so the result does not lose precision with the number of paths.
     """
@@ -69,19 +71,23 @@ class _Moments:
         self.n = 0
         self.mean = np.zeros(k)
         self.m2 = np.zeros(k)
-        self._mb, self._m2b = np.empty(k), np.empty(k)  # the current block's rows
+        self._mb, self._m2b = np.empty(k), np.empty(k)  # the current tile's rows
 
     def row(self, i: int, x: np.ndarray, dev: np.ndarray) -> None:
-        """Reduce row i of the current block, with ``dev`` (which may be x) as scratch."""
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
-            self._mb[i] = mb = x.mean()
-            self._m2b[i] = np.square(np.subtract(x, mb, out=dev), out=dev).sum()
-            if i == self.mean.size - 1:
-                nb, n = x.size, self.n + x.size
-                delta = self._mb - self.mean
-                self.mean = self.mean + delta * (nb / n)
-                self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
-                self.n = n
+        """Reduce row i of the current tile, with ``dev`` (which may be x) as scratch.
+
+        Non-finite moments are left for the output check: the caller runs
+        this under ``np.errstate`` that ignores overflow and invalid values.
+        """
+        # np.add.reduce is x.mean()'s and x.sum()'s own pairwise sum, without their call layers
+        self._mb[i] = mb = np.add.reduce(x) / x.size
+        self._m2b[i] = np.add.reduce(np.square(np.subtract(x, mb, out=dev), out=dev))
+        if i == self.mean.size - 1:
+            nb, n = x.size, self.n + x.size
+            delta = self._mb - self.mean
+            self.mean = self.mean + delta * (nb / n)
+            self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
+            self.n = n
 
     def variance(self) -> np.ndarray:
         return self.m2 / (self.n - 1)
@@ -173,50 +179,54 @@ def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
 
 
 def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
-    """Yield (lo, t, z_{t-1}, z_t, spare) for each block of paths lo.. and step t = 1..t_max.
+    """Yield (lo, t, z_{t-1}, z_t, spare) for each tile of paths lo.. and step t = 1..t_max.
 
     Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
-    i-th child of SeedSequence(seed), drawn path-major in chunks (the stream
-    of one whole-block draw) and copied step-major into a buffer reused across
-    blocks. The rows are reused buffers: z_t is valid until the next yield,
-    and the caller may overwrite z_{t-1} and the recurrence's scratch row
-    ``spare``.
+    i-th child of SeedSequence(seed). Its paths are produced in tiles of
+    TILE_PATHS (the last tile of a partial block is shorter): each tile's
+    draws are the next part of the block's stream, drawn path-major in chunks
+    (the stream of one whole-block draw) and copied step-major into a buffer
+    reused across tiles. The rows are reused buffers: z_t is valid until the
+    next yield, and the caller may overwrite z_{t-1} and the recurrence's
+    scratch row ``spare``. Run under ``np.errstate`` that ignores overflow
+    and invalid values: a non-finite path fails the finiteness check.
     """
     children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
-    with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
-        jg = g * np.arange(1, t_max + 1)
-    a_buf = np.empty((t_max, min(BLOCK_PATHS, n_paths)))  # row t - 1: t-th draws, then sums
-    rows = np.empty((3, a_buf.shape[1]))
+    jg = g * np.arange(1, t_max + 1)
+    width = min(TILE_PATHS, BLOCK_PATHS, n_paths)
+    a_buf = np.empty((t_max, width))  # row t - 1: t-th draws, then sums
+    rows = np.empty((3, width))
 
     for bi, child in enumerate(children):
-        lo = bi * BLOCK_PATHS
-        n = min(BLOCK_PATHS, n_paths - lo)
+        block_lo = bi * BLOCK_PATHS
+        block_n = min(BLOCK_PATHS, n_paths - block_lo)
         rng = np.random.default_rng(child)
-        a = a_buf[:, :n]
-        for c in range(0, n, _CHUNK_PATHS):
-            chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
-            a[:, c:c + chunk.shape[0]] = chunk.T
-        prev, cur, buf = rows[:, :n]
-        prev.fill(0.0)
-        for t in range(1, t_max + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
+        for tile_lo in range(0, block_n, width):
+            n = min(width, block_n - tile_lo)
+            a = a_buf[:, :n]
+            for c in range(0, n, _CHUNK_PATHS):
+                chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
+                a[:, c:c + chunk.shape[0]] = chunk.T
+            prev, cur, buf = rows[:, :n]
+            prev.fill(0.0)
+            for t in range(1, t_max + 1):
                 if t > 1:
                     np.add(a[t - 1], a[t - 2], out=a[t - 1])  # running sum, as np.cumsum adds
                 np.add(a[t - 1], jg[t - 1], out=cur)  # log of every path's t-th term
                 _logaddexp_into(prev, cur, buf)
-            if not np.isfinite(cur).all():
-                raise DomainError(
-                    f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
-                    "log cumulative production exceeds the float64 range")
-            yield lo, t, prev, cur, buf
-            prev, cur = cur, prev
+                if not np.isfinite(cur).all():
+                    raise DomainError(
+                        f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
+                        "log cumulative production exceeds the float64 range")
+                yield block_lo + tile_lo, t, prev, cur, buf
+                prev, cur = cur, prev
 
 
 def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
                     targets: dict | None = None, head_paths: int = 0) -> McEnsemble:
-    """Simulate ``n_paths`` paths of z for ``t_max`` steps, one block at a time.
+    """Simulate ``n_paths`` paths of z for ``t_max`` steps, one tile at a time.
 
-    Each step row of a block is folded into per-step moments of z and dz and,
+    Each step row of a tile is folded into per-step moments of z and dz and,
     for each step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the
     counts of z_t samples strictly below that density's cell edges. The
     gridded CDF is evaluated at those edges (the resolution at which a binned
@@ -236,14 +246,15 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
     counts = {t: _EdgeCounts(p.grid) for t, p in targets.items()}
     zm, dzm = _Moments(t_max), _Moments(t_max)
     head = np.zeros((min(head_paths, n_paths), t_max + 1))
-    for lo, t, zp, zt, spare in _rows(g, noise, t_max, n_paths, seed):
-        # zp is scratch once dz_t = z_t - z_{t-1} is reduced
-        dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
-        zm.row(t - 1, zt, zp)
-        if t in counts:
-            counts[t].add(zt, zp, spare)
-        if lo < head.shape[0]:
-            head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
+        for lo, t, zp, zt, spare in _rows(g, noise, t_max, n_paths, seed):
+            # zp is scratch once dz_t = z_t - z_{t-1} is reduced
+            dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
+            zm.row(t - 1, zt, zp)
+            if t in counts:
+                counts[t].add(zt, zp, spare)
+            if lo < head.shape[0]:
+                head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
     return McEnsemble(
         summary={
             "g": g,

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
 from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
-                    evolve_z, gaussian, lorentzian, volatility_pdf)
+                    evolve_z, gaussian, lorentzian, trace_volatility, volatility_pdf)
 from cumvol.cli import main
 from cumvol.pdfgrid import write_csv
 from helpers import sample_ks
@@ -106,6 +107,37 @@ def test_volatility_until_converged(tmp_path):
     # growth-increment densities settle: early steps change far more than late
     l1 = [s["y_l1_prev"] for s in manifest["steps"] if s["y_l1_prev"] is not None]
     assert l1[0] > 100 * l1[-1]
+
+
+def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
+    # the report reads the final step's growth-increment density, and the
+    # step loop writes that same density instead of building it again; every
+    # file equals one written from the library's own densities and report
+    calls = []
+
+    def counted(p_y, grid=None):
+        calls.append(p_y)
+        return volatility_pdf(p_y, grid)
+
+    monkeypatch.setattr(evolution, "volatility_pdf", counted)
+    monkeypatch.setattr(cli, "volatility_pdf", counted)
+    out = tmp_path / "vol"
+    assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1",
+                "--until-converged", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    trace = evolve_y(EvolutionConfig(g=0.2, noise=gaussian(0.1),
+                                     grid=default_y_grid(0.2, gaussian(0.1), n_points=8192),
+                                     horizon=10_000, convergence_tol=1e-8))
+    assert len(calls) == len(trace.steps) == read_manifest(out)["convergence"]["converged_at"]
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for rec in trace.steps:
+        name = f"rho_dz_t{rec.t:04d}.csv"
+        volatility_pdf(rec.pdf).to_csv(ref / name)
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    cli._write_json(ref / "volatility_report.json", asdict(trace_volatility(trace)))
+    assert ((out / "volatility_report.json").read_bytes()
+            == (ref / "volatility_report.json").read_bytes())
 
 
 def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import cumvol as cv
 from cumvol import GriddedPdf, cell_grid, gaussian, lorentzian, simulate_stream
-from cumvol.montecarlo import BLOCK_PATHS, _logaddexp_into
+from cumvol.montecarlo import BLOCK_PATHS, TILE_PATHS, _logaddexp_into
 from helpers import (
     block_draws,
     bootstrap_variance,
@@ -73,8 +73,8 @@ def test_blocks_independent_of_scheduling(monkeypatch):
         assert np.array_equal(split, z), noise.label()
 
 
-class _WholeBlockMoments:
-    # the whole-block reduction the row kernel replaced: axis=1 two-pass
+class _WholeTileMoments:
+    # the whole-tile reduction the row kernel replaced: axis=1 two-pass
     # moments, merged with the Chan-Golub-LeVeque update
     def __init__(self, k):
         self.n, self.mean, self.m2 = 0, np.zeros(k), np.zeros(k)
@@ -91,11 +91,11 @@ class _WholeBlockMoments:
 
 
 def _whole_block_stream(g, noise, t_max, n, seed, targets, head_paths):
-    """Summary lists, KS and head from whole step-major blocks, block by block."""
+    """Summary lists, KS and head from whole step-major blocks, moments merged per tile."""
     import cumvol.montecarlo as mc
     children = np.random.SeedSequence(seed).spawn(-(-n // mc.BLOCK_PATHS))
     jg = g * np.arange(1, t_max + 1)
-    zm, dzm = _WholeBlockMoments(t_max), _WholeBlockMoments(t_max)
+    zm, dzm = _WholeTileMoments(t_max), _WholeTileMoments(t_max)
     below = {t: 0 for t in targets}
     head = []
     for bi, child in enumerate(children):
@@ -106,8 +106,10 @@ def _whole_block_stream(g, noise, t_max, n, seed, targets, head_paths):
         buf = np.empty(m)
         for t in range(1, t_max + 1):
             _logaddexp_into(z[t - 1], z[t], buf)
-        zm.add(z[1:])
-        dzm.add(np.diff(z, axis=0))
+        for lo in range(0, m, mc.TILE_PATHS):
+            tile = z[:, lo:lo + mc.TILE_PATHS]
+            zm.add(tile[1:])
+            dzm.add(np.diff(tile, axis=0))
         for t, (edges, _) in targets.items():
             below[t] = below[t] + np.searchsorted(np.sort(z[t]), edges, side="left")
         head.append(z[:, :max(head_paths - bi * mc.BLOCK_PATHS, 0)].T)
@@ -118,13 +120,16 @@ def _whole_block_stream(g, noise, t_max, n, seed, targets, head_paths):
 
 
 def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
-    # the stream produces and reduces each block one step row at a time, from
-    # draws sampled in chunks; every output must equal the whole-block
-    # arithmetic bit for bit (2500 paths in blocks of 1000 end in a partial
-    # block, chunks of 384 paths split every block, the head spans two blocks)
+    # the stream produces and reduces each block one step row at a time, in
+    # tiles, from draws sampled in chunks; every output must equal the
+    # whole-block arithmetic, with moments merged per tile, bit for bit
+    # (2500 paths in blocks of 1000 end in a partial block, tiles of 384 end
+    # each block in a partial tile, chunks of 128 split every tile, and the
+    # head spans tiles and two blocks)
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
-    monkeypatch.setattr(mc, "_CHUNK_PATHS", 384)
+    monkeypatch.setattr(mc, "TILE_PATHS", 384)
+    monkeypatch.setattr(mc, "_CHUNK_PATHS", 128)
     g, t_max, n = 0.2, 12, 2500
     grid = cell_grid(30.0, 3000)
     p = normalized(GriddedPdf(grid, np.exp(-np.abs(grid.points() - 4.0) / 3.0)))
@@ -140,6 +145,30 @@ def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
             assert run.summary[key] == values, (noise.label(), key)
         assert run.ks == ks and list(run.ks) == list(targets), noise.label()
         assert np.array_equal(run.head, head), noise.label()
+
+
+def test_tile_size_moves_only_the_moments_roundoff(monkeypatch):
+    # tiles split each seeded block without changing its draws or paths:
+    # head and KS are identical for tiles of 384 and 1000 paths (neither a
+    # multiple of the 2048-path sampling chunk) and of a whole block, and
+    # only the per-tile moment merge moves the summary, by roundoff
+    import cumvol.montecarlo as mc
+    g, t_max, n = 0.2, 6, BLOCK_PATHS + 4500
+    grid = cell_grid(20.0, 1000)
+    p = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 2.0) / 1.5) ** 2)))
+    for noise in (gaussian(1.0), lorentzian(0.5)):
+        runs = []
+        for tile in (384, 1000, BLOCK_PATHS):
+            monkeypatch.setattr(mc, "TILE_PATHS", tile)
+            runs.append(simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=5,
+                                        targets={2: p, 6: p}, head_paths=BLOCK_PATHS + 10))
+        whole = runs[-1]
+        for run in runs[:-1]:
+            assert np.array_equal(run.head, whole.head), noise.label()
+            assert run.ks == whole.ks, noise.label()
+            for key in ("mean_z", "var_z", "mean_dz", "var_dz"):
+                np.testing.assert_allclose(run.summary[key], whole.summary[key],
+                                           rtol=1e-14, atol=0.0, err_msg=key)
 
 
 def _traced_peak(t_max, targets=None):
@@ -160,23 +189,28 @@ def _every_step_target(t_max):
     return {t: p for t in range(1, t_max + 1)}
 
 
-def test_stream_holds_one_block_of_draws():
+def test_stream_holds_one_tile_of_draws():
     # two full blocks and a partial one, 30 steps, every step a KS target: the
-    # stream keeps one step-major block of draws plus a few rows, where
-    # whole-block passes peaked above five blocks
+    # stream keeps one step-major tile of draws plus a few rows, where a
+    # step-major block of draws peaked at 19.3 MB and whole-block passes
+    # above five blocks
     t_max = 30
-    assert _traced_peak(t_max, _every_step_target(t_max)) < 2 * t_max * BLOCK_PATHS * 8
+    assert _traced_peak(t_max, _every_step_target(t_max)) < 2 * t_max * TILE_PATHS * 8
 
 
 def test_ks_counts_add_less_than_a_row(monkeypatch):
-    # the KS counts work in the stream's spare rows: 30 targets add less than
-    # one row of BLOCK_PATHS doubles to the traced peak. Small sampling chunks
-    # keep the draws' own temporaries below what the counts add.
+    # the KS counts work in the stream's spare rows: 30 targets add their own
+    # edges and tallies plus less than one tile row of doubles to the traced
+    # peak. Small sampling chunks keep the draws' own temporaries below what
+    # the counts add.
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
     t_max = 30
-    extra = _traced_peak(t_max, _every_step_target(t_max)) - _traced_peak(t_max)
-    assert extra < BLOCK_PATHS * 8
+    targets = _every_step_target(t_max)
+    counter = mc._EdgeCounts(targets[1].grid)
+    held = t_max * (counter.edges.nbytes + counter._counts.nbytes)
+    extra = _traced_peak(t_max, targets) - _traced_peak(t_max)
+    assert extra < held + TILE_PATHS * 8
 
 
 def _row_logaddexp(x, y):
@@ -223,7 +257,7 @@ def test_row_logaddexp_kernel_matches_numpy():
 
 def test_stream_reductions_match_whole_ensemble(monkeypatch):
     # 12 345 paths in blocks of 1000 end in a partial block; the streamed KS
-    # counts and the blockwise moment merge must agree with reductions over
+    # counts and the per-tile moment merge must agree with reductions over
     # the whole ensemble, and a short head must be the first rows of a full one
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
@@ -241,7 +275,7 @@ def test_stream_reductions_match_whole_ensemble(monkeypatch):
         assert run.ks[t] == sample_ks(z[:, t], p) > 0.0
     assert run.summary == full.summary
     assert np.array_equal(run.head, z[:2500])
-    # the blockwise merge against plain two-pass reductions over all paths
+    # the per-tile merge against plain two-pass reductions over all paths
     dz = np.diff(z, axis=1)
     two_pass = {"mean_z": z[:, 1:].mean(axis=0), "var_z": z[:, 1:].var(axis=0, ddof=1),
                 "mean_dz": dz.mean(axis=0), "var_dz": dz.var(axis=0, ddof=1)}
