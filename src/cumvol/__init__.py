@@ -8,7 +8,7 @@ reversed recursion's fixed point, and cross-validates everything against
 closed-form narrow-noise formulas and a Monte Carlo path simulator.
 """
 
-from .analytic import sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
+from .analytic import sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, CumvolError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
@@ -47,6 +47,6 @@ __all__ = [
     "init_first_step", "evolve_z", "evolve_y", "volatility_pdf",
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
     "default_y_config",
-    "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point",
+    "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
     "McEnsemble", "simulate_stream",
 ]

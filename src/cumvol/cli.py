@@ -406,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=_relative_tol, default=1e-9,
                    help="in (0, 1): bounds the eigensolve's Ritz estimate relative to the "
-                        "eigenvalue, not the variance's error (at g=0.03, sigma_a=2, tol 1e-9 "
-                        "leaves 2.4e-6 relative)")
+                        "eigenvalue, not the variance's error")
     p.set_defaults(func=cmd_compare_saddle)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo path oracle")

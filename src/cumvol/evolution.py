@@ -27,9 +27,11 @@ The reversed variable's fixed point is P's Perron vector, which
 iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
 and ARPACK's stopping rule (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J.
 Matrix Anal. Appl. 23, 2001). It needs tens of applications, where power
-iteration needs of the order of sigma_a^2/g^2 steps. The Perron root lambda
-is the mass one step keeps, so 1 - lambda is the per-step leak through the
-grid's edges. The package runs on numpy alone.
+iteration needs of the order of sigma_a^2/g^2 steps. Above the bulk of y the
+fixed point is a geometric tail of known rate (``analytic.tail_exponent``),
+so the eigensolve runs on the bulk's node masses plus that tail's amplitude.
+The Perron root lambda is the mass one step keeps, so 1 - lambda is the
+per-step leak through the grid's edges. The package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
+from .analytic import (sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle,
+                       ybar)
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .noise import NoiseModel
 from .pdfgrid import GriddedPdf, GridSpec, cell_grid
@@ -76,6 +79,12 @@ _MAX_GRID_POINTS = 1 << 21
 
 # Krylov subspace size of the steady-state eigensolve.
 _ARNOLDI_NCV = 40
+
+# The eigensolve's bulk grid ends this many widths of the fixed point and
+# noise standard deviations above the reversed variable's steady centre;
+# the stationary density above it is geometric (``_TailClosure``).
+_BULK_WIDTHS = 6.0
+_BULK_SIGMAS = 8.0
 
 # Grid columns per block of the eigensolve's in-place restart: a block of
 # the product of the kept Ritz vectors, about ncv/2 x 4096 doubles, stays
@@ -297,6 +306,20 @@ class StepOperator:
         self._leak_from = int(np.searchsorted(share, 0.0, side="right"))
         self._leak_share = share[self._leak_from:].copy()  # the tail only
 
+    def transport(self, masses: np.ndarray) -> tuple[np.ndarray, float]:
+        """Output cell masses and the leak past the top warped edge, both
+        linear in ``masses``; the kernel's clipped mass is in neither."""
+        kern = self.kernel
+        conv = np.fft.irfft(np.fft.rfft(masses, self._fft_len) * self._kernel_fft,
+                            self._fft_len)[:self._conv_len]
+        cells = np.diff(_node_cdf(conv, self._nodes, self._warped))
+        if kern.capped:
+            # Heavy-tail window: jumps past the capped left edge overshoot the
+            # whole domain and collapse onto x ~ 0+, so (thanks to the kernel
+            # margin) their mass belongs in the first cell to sub-cell accuracy.
+            cells[0] += kern.clip_left * float(masses.sum())
+        return cells, float(np.dot(conv[self._leak_from:], self._leak_share))
+
     def apply(self, masses: np.ndarray) -> tuple[np.ndarray, float]:
         """Output cell masses and newly truncated mass, both linear in ``masses``.
 
@@ -304,17 +327,9 @@ class StepOperator:
         """
         kern = self.kernel
         total_in = float(masses.sum())
-        conv = np.fft.irfft(np.fft.rfft(masses, self._fft_len) * self._kernel_fft,
-                            self._fft_len)[:self._conv_len]
-        cells = np.diff(_node_cdf(conv, self._nodes, self._warped))
-        leak = float(np.dot(conv[self._leak_from:], self._leak_share))
+        cells, leak = self.transport(masses)
         new_trunc = kern.clip_right * total_in + leak
-        if kern.capped:
-            # Heavy-tail window: jumps past the capped left edge overshoot the
-            # whole domain and collapse onto x ~ 0+, so (thanks to the kernel
-            # margin) their mass belongs in the first cell to sub-cell accuracy.
-            cells[0] += kern.clip_left * total_in
-        else:
+        if not kern.capped:
             # Light tails: the clip is below noise.TAIL_TOL and its destination
             # is not resolved; count it as truncated rather than misplace it.
             new_trunc += kern.clip_left * total_in
@@ -523,13 +538,82 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf,
     ), dz
 
 
+class _TailClosure:
+    """The reversed step on its grid's bulk prefix plus one tail amplitude.
+
+    Above y_T = ybar(g, inf) + 6 widths of the fixed point + 8 noise
+    standard deviations the reversed step is a random walk with drift, whose
+    stationary density is geometric at the rate kappa of
+    ``analytic.tail_exponent``. A vector (b, A) of n_T + 1 entries stands
+    for the grid's node masses b on the n_T nodes of its prefix through y_T
+    and A t above them, where t is the unit-mass geometric tail, t_i
+    proportional to e^{-kappa h (i - n_T)}. One step sends b through the
+    prefix grid's own step operator: its cells stay in the bulk and its leak
+    past y_T joins the amplitude (its kernel clips are lost, as on the full
+    grid). The tail's share comes from one application of the full grid's
+    step operator to t, made once: A times that image's first n_T cells
+    joins the bulk, and A times the mass of the others the amplitude.
+    Noise with no exponential tail, and a grid that ends before y_T, keep
+    the full grid: n_T = n and no amplitude.
+    """
+
+    def __init__(self, config: EvolutionConfig):
+        self.reversed = rev = _reversed(config)
+        grid = rev.grid
+        self.full = self.bulk = StepOperator(rev.g, rev.noise, grid)
+        self.tail = None
+        kappa = tail_exponent(config.noise, config.g)
+        if kappa is None:
+            return
+        sig = math.sqrt(config.noise.variance())
+        y_t = (ybar(config.g, math.inf) + _BULK_WIDTHS * sigma_y_fixed_point(config.g, sig)
+               + _BULK_SIGMAS * sig)
+        n_bulk = max(math.ceil(y_t / grid.h), 16)
+        if n_bulk >= grid.n_points:
+            return
+        self.bulk = StepOperator(rev.g, rev.noise, GridSpec(grid.x_min, grid.h, n_bulk))
+        # r = 0 (a tail on one node) where kappa h overflows
+        self.tail = math.exp(-kappa * grid.h) ** np.arange(grid.n_points - n_bulk, dtype=float)
+        self.tail /= self.tail.sum()
+        image = self.full.apply(np.concatenate((np.zeros(n_bulk), self.tail)))[0]
+        self._image, self._kept = image[:n_bulk].copy(), float(image[n_bulk:].sum())
+
+    def restrict(self, masses: np.ndarray) -> np.ndarray:
+        """The vector of full-grid node masses: the bulk's, then the mass above y_T."""
+        if self.tail is None:
+            return masses
+        n_bulk = self.bulk.grid.n_points
+        return np.append(masses[:n_bulk], masses[n_bulk:].sum())
+
+    def extend(self, v: np.ndarray) -> np.ndarray:
+        """The full grid's node masses of a vector (b, A)."""
+        if self.tail is None:
+            return v
+        return np.concatenate((v[:-1], v[-1] * self.tail))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """One step of a vector (b, A); linear in it."""
+        if self.tail is None:
+            return self.bulk.apply(v)[0]
+        cells, leak = self.bulk.transport(v[:-1])
+        out = np.empty(v.size)
+        np.multiply(self._image, v[-1], out=out[:-1])
+        out[:-1] += cells
+        out[-1] = leak + v[-1] * self._kept
+        return out
+
+
 def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     """Fixed point of the reversed recursion as the step operator's Perron vector.
 
-    A thick-restart Arnoldi iteration in numpy (Morgan, Math. Comp. 65, 1996;
-    Stewart, SIAM J. Matrix Anal. Appl. 23, 2001) builds a Krylov space of
-    ``_ARNOLDI_NCV`` vectors from the first-step density, so repeated solves
-    are bit-identical. Each new vector is orthogonalised by classical
+    The eigensolve runs on ``_TailClosure``'s vectors of the bulk prefix's
+    node masses plus one tail amplitude (the whole grid when the noise has
+    no exponential tail), so its basis and applications are sized by the
+    bulk, not by the grid's exponential tail. A thick-restart Arnoldi
+    iteration in numpy (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J.
+    Matrix Anal. Appl. 23, 2001) builds a Krylov space of ``_ARNOLDI_NCV``
+    vectors from the first-step density, so repeated solves are
+    bit-identical. Each new vector is orthogonalised by classical
     Gram-Schmidt with one reorthogonalisation pass. After each full cycle the
     Ritz pair (theta, y) of largest modulus of the projected matrix stops the
     solve once ARPACK's Ritz estimate beta |y_last| is at most
@@ -538,24 +622,24 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     modulus, followed by the old last basis vector. A conjugate pair enters
     that basis once, as its real and imaginary parts, so the basis spans an
     invariant subspace of the projected matrix and the Arnoldi relation holds
-    across the restart. The unit-mass eigenvector goes through one more step,
-    whose mass bookkeeping passes the per-step defect check; the resulting
-    density's ``truncated_mass`` is that step's leak, 1 - lambda.
+    across the restart. The unit-mass eigenvector, extended onto the full
+    grid, goes through one more step of the full grid's operator, whose mass
+    bookkeeping passes the per-step defect check; the resulting density's
+    ``truncated_mass`` is that step's leak, about 1 - lambda. The tail's
+    image and that last step are counted as applications.
 
-    Besides the step operator's own arrays, the solve's workspace is the
-    basis, (ncv + 1) x n doubles (8.5 MB at 25,872 points), and the one
-    vector that Gram-Schmidt subtracts through: the restart, an orthogonal
-    change of basis, is applied in place in column blocks. The default y
-    grid refuses noise that would need more than 2^21 points, so the basis
-    stays below 41 x 2^21 doubles (688 MB).
+    Besides the two step operators' own arrays and a few full-grid vectors,
+    the solve's workspace is the basis, (ncv + 1) x (n_T + 1) doubles
+    (1.5 MB for the 4,621 bulk points of the 25,872-point grid at
+    sigma_a^2 = 1, g = 0.1), and the one vector that Gram-Schmidt subtracts
+    through: the restart, an orthogonal change of basis, is applied in place
+    in column blocks. The default y grid refuses noise that would need more
+    than 2^21 points, so the basis stays below 41 x 2^21 doubles (688 MB).
     """
-    rev = _reversed(config)
-    g, noise, grid = rev.g, rev.noise, rev.grid
-    first = init_first_step(noise, g, grid).node_masses()
-    op = StepOperator(g, noise, grid)
-    applications = 0
+    closure = _TailClosure(config)
+    applications = 0 if closure.tail is None else 1
 
-    def counted_apply(v):
+    def counted(apply, v):
         nonlocal applications
         applications += 1
         if applications > config.horizon:
@@ -563,9 +647,12 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
                 f"no fixed point within horizon={config.horizon} operator applications "
                 f"at tol={config.convergence_tol:g}"
             )
-        return op.apply(v)
+        return apply(v)
 
-    n = grid.n_points
+    rev = closure.reversed
+    # the first step's full-grid vectors are gone before the basis is made
+    first = closure.restrict(init_first_step(rev.noise, rev.g, rev.grid).node_masses())
+    n = first.size
     m = min(_ARNOLDI_NCV, n)
     basis = np.zeros((m + 1, n))  # one Krylov vector per row
     proj = np.zeros((m + 1, m))  # the projected matrix over its coupling row
@@ -575,7 +662,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     kept = 0
     while True:
         for j in range(kept, m):
-            w = counted_apply(basis[j])[0]
+            w = counted(closure.apply, basis[j])
             h = basis[:j + 1] @ w
             w -= np.matmul(h, basis[:j + 1], out=tmp)
             again = basis[:j + 1] @ w
@@ -602,7 +689,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
         proj[:] = 0.0
         proj[:kept, :kept], proj[kept, :kept] = restart, coupling
     # the Perron pair is real; a complex product would copy the basis as complex
-    vec = ritz[:, top].real @ basis[:m]
+    vec = closure.extend(ritz[:, top].real @ basis[:m])
     del basis, tmp, w
     vec /= vec.sum()
     negative = float(-vec[vec < 0.0].sum())
@@ -614,8 +701,8 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     np.maximum(vec, 0.0, out=vec)
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
-    cells, new_trunc = counted_apply(vec)
-    pdf, _ = _assemble(grid, cells, 0.0, new_trunc)
+    cells, new_trunc = counted(closure.full.apply, vec)
+    pdf, _ = _assemble(rev.grid, cells, 0.0, new_trunc)
     return pdf, {
         "method": "arnoldi",
         "applications": applications,

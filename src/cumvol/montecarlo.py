@@ -93,10 +93,12 @@ class _Moments:
         return self.m2 / (self.n - 1)
 
 
-def _ks_target(p: GriddedPdf) -> tuple[np.ndarray, np.ndarray]:
-    """(cell edges, model CDF at each edge) of a gridded density."""
-    edges, cum = p.edge_cdf()
-    return edges, (1.0 - p.truncated_mass) * cum / cum[-1]
+def _ks_model(p: GriddedPdf) -> np.ndarray:
+    """The model CDF of a gridded density at its cell edges: its node masses
+    accumulated cell by cell, exact for densities built by conservative
+    (cell-mass) operations, and scaled by 1 - truncated_mass."""
+    cum = np.concatenate(([0.0], np.cumsum(p.node_masses())))
+    return (1.0 - p.truncated_mass) * cum / cum[-1]
 
 
 class _EdgeCounts:
@@ -115,8 +117,8 @@ class _EdgeCounts:
     searched.
     """
 
-    def __init__(self, grid: GridSpec):
-        self.edges = grid.cell_edges()
+    def __init__(self, grid: GridSpec, edges: np.ndarray):
+        self.edges = edges  # the grid's cell edges, perhaps a view of a longer grid's
         n_edges = self.edges.size
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite window searches all
             self._scale = 1.0 / grid.h
@@ -243,7 +245,14 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
     targets = targets or {}
     if any(not 1 <= t <= t_max for t in targets):
         raise ValueError(f"KS target steps must lie in 1..{t_max}")
-    counts = {t: _EdgeCounts(p.grid) for t, p in targets.items()}
+    # targets with one origin and spacing share the longest one's edges: a
+    # prefix grid's edges are its parent's first ones, bit for bit
+    shared = {}
+    for p in sorted(targets.values(), key=lambda p: -p.grid.n_points):
+        if (p.grid.x_min, p.grid.h) not in shared:
+            shared[p.grid.x_min, p.grid.h] = p.grid.cell_edges()
+    counts = {t: _EdgeCounts(p.grid, shared[p.grid.x_min, p.grid.h][:p.grid.n_points + 1])
+              for t, p in targets.items()}
     zm, dzm = _Moments(t_max), _Moments(t_max)
     head = np.zeros((min(head_paths, n_paths), t_max + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
@@ -267,6 +276,6 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
             "mean_dz": dzm.mean.tolist(),
             "var_dz": dzm.variance().tolist(),
         },
-        ks={t: _ks(c.below(), n_paths, _ks_target(targets[t])[1]) for t, c in counts.items()},
+        ks={t: _ks(c.below(), n_paths, _ks_model(targets[t])) for t, c in counts.items()},
         head=head,
     )

@@ -83,8 +83,14 @@ class GridSpec:
         return done[:rows]
 
     def cell_edges(self) -> np.ndarray:
-        """n_points + 1 edges of the cells whose centres are the nodes."""
-        return self.x_min + self.h * (np.arange(self.n_points + 1) - 0.5)
+        """n_points + 1 edges of the cells whose centres are the nodes,
+        computed once per grid and returned read-only."""
+        edges = self.__dict__.get("_edges")
+        if edges is None:
+            edges = self.x_min + self.h * (np.arange(self.n_points + 1) - 0.5)
+            edges.setflags(write=False)
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     def node_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights (h/2 at the ends, h inside)."""
@@ -136,21 +142,6 @@ class GriddedPdf:
     def node_masses(self) -> np.ndarray:
         """Per-node mass = value * quadrature weight; sums to integral()."""
         return self.values * self.grid.node_weights()
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-
-    def edge_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cell edges, cumulative mass below each edge).
-
-        The edge CDF accumulates node masses cell by cell, so it is exact for
-        densities built by conservative (cell-mass) operations; used for
-        empirical-vs-gridded comparisons.
-        """
-        edges = self.grid.cell_edges()
-        cum = np.concatenate(([0.0], np.cumsum(self.node_masses())))
-        return edges, cum
 
     # ------------------------------------------------------------------
     # statistics

@@ -117,9 +117,8 @@ def sample_ks(samples: np.ndarray, p: GriddedPdf) -> float:
     Samples are counted strictly below each of the density's cell edges, as
     ``simulate_stream`` counts them for its ``targets``.
     """
-    edges, model = mc._ks_target(p)
-    below = np.searchsorted(np.sort(samples), edges, side="left")
-    return float(np.max(np.abs(below / samples.size - model)))
+    below = np.searchsorted(np.sort(samples), p.grid.cell_edges(), side="left")
+    return float(np.max(np.abs(below / samples.size - mc._ks_model(p))))
 
 
 def sigma_recursion_step(sigma_t: float, sigma_a: float, g: float, t) -> float:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cumvol import DomainError, sigma_y_fixed_point, var_dz_saddle, var_logZ_saddle, ybar
+from cumvol import (DomainError, gaussian, lorentzian, sigma_y_fixed_point, tabulated,
+                    tail_exponent, var_dz_saddle, var_logZ_saddle, ybar)
 from helpers import sigma_dz_narrow, sigma_recursion_step
 
 
@@ -118,3 +119,52 @@ def test_recursion_contracts_from_any_start():
             targets.append(sigma)
         assert max(targets) - min(targets) < 1e-12
         assert targets[0] == pytest.approx(sigma_y_fixed_point(g, 0.4), abs=1e-10)
+
+
+def test_gaussian_tail_exponent_is_two_g_over_variance():
+    for g, sigma in ((0.1, 1.0), (0.03, 2.0), (1.0, 0.2)):
+        assert tail_exponent(gaussian(sigma), g) == pytest.approx(2.0 * g / sigma**2, rel=1e-15)
+    # noise so narrow that the rate overflows has no tail at all
+    assert tail_exponent(gaussian(1e-162), 0.2) == math.inf
+    with pytest.raises(DomainError):
+        tail_exponent(gaussian(1.0), 0.0)
+
+
+def _moment_by_quadrature(noise, g, kappa):
+    """E[e^{-kappa (g + a)}] by a fine trapezoid of the interpolated density."""
+    x = np.linspace(noise.xs[0], noise.xs[-1], 400_001)
+    return float(np.trapezoid(np.interp(x, noise.xs, noise.ys) * np.exp(-kappa * (g + x)), x))
+
+
+@pytest.mark.parametrize("points, g", [
+    ([(-0.8, 0.5), (-0.6, 1.0), (0.2, 0.8), (0.8, 0.9)], 0.03),
+    ([(-0.8, 0.5), (-0.6, 1.0), (0.2, 0.8), (0.8, 0.9)], 0.1),
+    ([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)], 0.25),
+    ([(-3.0, 0.0), (-1.0, 0.2), (0.0, 1.0), (2.0, 0.0)], 0.05),  # zero-density ends
+])
+def test_table_tail_exponent_solves_the_moment_equation(points, g):
+    # the closed-form moment of the piecewise-linear density, checked by
+    # quadrature at the root and either side of it
+    noise = tabulated(points)
+    kappa = tail_exponent(noise, g)
+    assert kappa > 0.0
+    assert _moment_by_quadrature(noise, g, kappa) == pytest.approx(1.0, abs=1e-9)
+    assert _moment_by_quadrature(noise, g, 0.5 * kappa) < 1.0 < _moment_by_quadrature(
+        noise, g, 1.5 * kappa)
+
+
+def test_finely_tabulated_gaussian_has_the_gaussian_tail_exponent():
+    x = np.linspace(-10.0, 10.0, 4001)
+    noise = tabulated(zip(x, np.exp(-0.5 * x * x)))
+    assert tail_exponent(noise, 0.1) == pytest.approx(0.2, rel=1e-5)
+
+
+def test_tail_exponent_is_none_without_an_exponential_tail():
+    # Cauchy noise has no exponential moments
+    assert tail_exponent(lorentzian(1.0), 0.2) is None
+    # g + a is never negative: the reversed variable never climbs
+    assert tail_exponent(tabulated([(-0.1, 1.0), (0.3, 1.0)]), 0.2) is None
+    # only zero density reaches below -g
+    assert tail_exponent(tabulated([(-1.0, 0.0), (-0.2, 0.0), (0.3, 1.0)]), 0.2) is None
+    # g + E[a] <= 0: no stationary law
+    assert tail_exponent(tabulated([(-2.0, 1.0), (0.0, 1.0)]), 0.2) is None

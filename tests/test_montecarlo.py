@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cumvol as cv
-from cumvol import GriddedPdf, cell_grid, gaussian, lorentzian, simulate_stream
+from cumvol import GridSpec, GriddedPdf, cell_grid, gaussian, lorentzian, simulate_stream
 from cumvol.montecarlo import BLOCK_PATHS, TILE_PATHS, _logaddexp_into
 from helpers import (
     block_draws,
@@ -140,7 +140,8 @@ def test_row_kernel_matches_whole_block_arithmetic(monkeypatch):
                                  targets=targets, head_paths=1500)
         with np.errstate(over="ignore", invalid="ignore"):
             summary, ks, head = _whole_block_stream(
-                g, noise, t_max, n, 31, {t: mc._ks_target(q) for t, q in targets.items()}, 1500)
+                g, noise, t_max, n, 31,
+                {t: (q.grid.cell_edges(), mc._ks_model(q)) for t, q in targets.items()}, 1500)
         for key, values in summary.items():
             assert run.summary[key] == values, (noise.label(), key)
         assert run.ks == ks and list(run.ks) == list(targets), noise.label()
@@ -183,9 +184,13 @@ def _traced_peak(t_max, targets=None):
         tracemalloc.stop()
 
 
+def _bump(grid):
+    """A normalised Gaussian bump on a grid."""
+    return normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)))
+
+
 def _every_step_target(t_max):
-    grid = cell_grid(40.0, 512)
-    p = normalized(GriddedPdf(grid, np.exp(-0.5 * ((grid.points() - 5.0) / 2.0) ** 2)))
+    p = _bump(cell_grid(40.0, 512))
     return {t: p for t in range(1, t_max + 1)}
 
 
@@ -200,17 +205,33 @@ def test_stream_holds_one_tile_of_draws():
 
 def test_ks_counts_add_less_than_a_row(monkeypatch):
     # the KS counts work in the stream's spare rows: 30 targets add their own
-    # edges and tallies plus less than one tile row of doubles to the traced
-    # peak. Small sampling chunks keep the draws' own temporaries below what
-    # the counts add.
+    # tallies, one edge array and less than one tile row of doubles to the
+    # traced peak. Each target has its own grid, equal to or a prefix of the
+    # longest, so only edges shared by origin and spacing keep it to one
+    # array (a copy per target adds 0.95 MB here). Small sampling chunks keep
+    # the draws' own temporaries below what the counts add.
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "_CHUNK_PATHS", 64)
-    t_max = 30
-    targets = _every_step_target(t_max)
-    counter = mc._EdgeCounts(targets[1].grid)
-    held = t_max * (counter.edges.nbytes + counter._counts.nbytes)
+    t_max, n = 30, 4096
+    longest = cell_grid(40.0, n)
+    targets = {t: _bump(GridSpec(longest.x_min, longest.h, n - t % 3)) for t in range(1, t_max + 1)}
+    tallies = sum((p.grid.n_points + 2) * np.dtype(np.intp).itemsize for p in targets.values())
     extra = _traced_peak(t_max, targets) - _traced_peak(t_max)
-    assert extra < held + TILE_PATHS * 8
+    assert extra < (n + 1) * 8 + tallies + TILE_PATHS * 8
+
+
+def test_targets_share_the_longest_grids_edges():
+    # a prefix grid's edges are its parent's first ones, bit for bit, so the
+    # KS counts of every target read views of one array
+    longest = cell_grid(40.0, 512)
+    targets = {t: _bump(GridSpec(longest.x_min, longest.h, k))
+               for t, k in enumerate((512, 300, 512), start=1)}
+
+    def ks(targets):
+        return simulate_stream(0.2, gaussian(1.0), t_max=3, n_paths=5000, seed=9,
+                               targets=targets).ks
+
+    assert ks(targets) == {t: ks({t: p})[t] for t, p in targets.items()}
 
 
 def _row_logaddexp(x, y):

@@ -177,7 +177,7 @@ def test_ks_counts_equal_a_search_of_the_sorted_samples(grid, seed):
     # estimate of each sample's cell, summed over rows; the counts must be
     # those of a binary search of the edges in the sorted samples
     samples = edge_samples(grid, seed)
-    counts = mc._EdgeCounts(grid)
+    counts = mc._EdgeCounts(grid, grid.cell_edges())
     for row in (samples[:700], samples[700:]):
         counts.add(row, np.empty_like(row), np.empty_like(row))
     want = np.searchsorted(np.sort(samples), grid.cell_edges(), side="left")
