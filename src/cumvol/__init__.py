@@ -15,7 +15,6 @@ from .evolution import (
     EvolutionTrace,
     StepRecord,
     VolatilityReport,
-    default_y_config,
     default_y_grid,
     default_z_grid,
     evolve_y,
@@ -46,7 +45,6 @@ __all__ = [
     "EvolutionConfig", "EvolutionTrace", "StepRecord", "VolatilityReport",
     "init_first_step", "evolve_z", "evolve_y", "volatility_pdf",
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
-    "default_y_config",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
     "McEnsemble", "simulate_stream",
 ]

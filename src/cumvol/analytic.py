@@ -131,12 +131,8 @@ def tail_exponent(noise, g: float) -> float | None:
     if noise.kind != "tabulated":
         return None
     xs, ys = noise.xs, noise.ys
-    width = np.diff(xs)
-    # the interpolated density's own mean (the trapezoid of x * density is not)
-    mean = float(np.sum(width * (xs[:-1] * (ys[:-1] + ys[1:]) / 2.0
-                                 + width * (ys[:-1] / 6.0 + ys[1:] / 3.0))))
     live = np.flatnonzero((ys[:-1] > 0.0) | (ys[1:] > 0.0))
-    if not (xs[live[0]] < -g and g + mean > 0.0):
+    if not (xs[live[0]] < -g and g + noise.mean() > 0.0):
         return None
 
     def excess(kappa):  # log E[e^{-kappa (g + a)}], convex in kappa, 0 at kappa = 0

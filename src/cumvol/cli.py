@@ -31,13 +31,12 @@ from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
     _quantile_fields,
-    _trace_report,
-    default_y_config,
     default_y_grid,
     default_z_grid,
     evolve_y,
     evolve_z,
     steady_state_volatility,
+    trace_volatility,
     volatility_pdf,
 )
 from .montecarlo import simulate_stream
@@ -215,12 +214,11 @@ def cmd_volatility(args) -> int:
         grid = default_y_grid(args.g, args.noise, n_points=DEFAULT_GRID_POINTS)
     else:
         raise DomainError("g <= 0 needs an explicit --grid for the reversed variable")
-    config = EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
-                             horizon=args.steps, convergence_tol=args.tol)
-    trace = evolve_y(config)
+    trace = evolve_y(EvolutionConfig(g=args.g, noise=args.noise, grid=grid, horizon=args.steps),
+                     tol=args.tol)
     report = final_dz = None
     if args.until_converged or (args.g > 0.0 and trace.converged_at is not None):
-        rep, final_dz = _trace_report(trace)  # ConvergenceError if not converged
+        rep, final_dz = trace_volatility(trace)  # ConvergenceError if not converged
         report = asdict(rep)
         _check_finite(report, "volatility_report.json")  # before any density is written
 
@@ -256,7 +254,7 @@ def cmd_volatility(args) -> int:
 
 
 def _sweep_point(g: float, sigma_sq: float, tol: float) -> dict:
-    rep = steady_state_volatility(default_y_config(g, gaussian(math.sqrt(sigma_sq)), tol))
+    rep = steady_state_volatility(g, gaussian(math.sqrt(sigma_sq)), tol)
     return {
         "sigma_a_sq": sigma_sq,
         "ratio": rep.ratio_to_narrow,

@@ -37,7 +37,7 @@ per-step leak through the grid's edges. The package runs on numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "trace_volatility",
     "default_z_grid",
     "default_y_grid",
-    "default_y_config",
 ]
 
 # Per-step budget for unexplained mass loss; conservative cell transport keeps
@@ -79,6 +78,9 @@ _MAX_GRID_POINTS = 1 << 21
 
 # Krylov subspace size of the steady-state eigensolve.
 _ARNOLDI_NCV = 40
+
+# Most step-operator applications of one eigensolve.
+_MAX_APPLICATIONS = 4000
 
 # The eigensolve's bulk grid ends this many widths of the fixed point and
 # noise standard deviations above the reversed variable's steady centre;
@@ -110,28 +112,21 @@ _NONFINITE_Y = ("the reversed variable's mean or width is not finite: "
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Inputs of one evolution run.
+    """Inputs of one per-step run (``evolve_z`` or ``evolve_y``).
 
     ``grid`` is the node grid of the evolving density; its cells must tile
     [0, upper] exactly (build it with ``cell_grid`` or the default_* helpers).
-    ``convergence_tol`` governs the reversed variable only: ``evolve_y`` stops
-    once the L1 distance between successive densities falls below it, and
-    ``steady_state_volatility`` uses it as the eigensolve's relative
-    tolerance on ARPACK's Ritz estimate. ``evolve_z`` always runs ``horizon``
-    steps.
+    ``horizon`` is the most steps the run takes.
     """
 
     g: float
     noise: NoiseModel
     grid: GridSpec
     horizon: int
-    convergence_tol: float = 1e-8
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.convergence_tol > 0.0:
-            raise ValueError("convergence_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -418,31 +413,32 @@ def _check_drift(g: float) -> None:
                           f"of {_DZ_CAP:g}")
 
 
-def _reversed(config: EvolutionConfig) -> EvolutionConfig:
-    """The reversed recursion's run: drift negated, noise mirrored.
+def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, NoiseModel]:
+    """The reversed recursion's drift and noise: drift negated, noise mirrored.
 
     ``evolve_y`` and the eigensolve both start here, whether their grid was
     given or defaulted, so the drift cap and the steady centre's resolution
     (judged once the grid's scale admits finite moments) hold on every route to dz.
     """
-    _check_drift(config.g)
-    grid = config.grid
+    _check_drift(g)
     if not math.isfinite(grid.x_max * grid.x_max):
         raise DomainError(_NONFINITE_Y)
-    if config.g > 0.0 and ybar(config.g, math.inf) < _MIN_CENTRE_CELLS * grid.h:
-        raise DomainError(f"g={config.g:g} puts the reversed variable's steady centre "
-                          f"{ybar(config.g, math.inf):.3g} within {_MIN_CENTRE_CELLS:g} "
+    if g > 0.0 and ybar(g, math.inf) < _MIN_CENTRE_CELLS * grid.h:
+        raise DomainError(f"g={g:g} puts the reversed variable's steady centre "
+                          f"{ybar(g, math.inf):.3g} within {_MIN_CENTRE_CELLS:g} "
                           f"y cells of width {grid.h:.3g}; dz is not resolved there")
-    return replace(config, g=-config.g, noise=config.noise.mirror())
+    return -g, noise.mirror()
 
 
-def _evolve(config: EvolutionConfig, tol: float) -> EvolutionTrace:
-    """Per-step run that stops once the L1 distance between successive
-    densities falls below ``tol``, or after ``horizon`` steps."""
+def _evolve(config: EvolutionConfig, g: float, noise: NoiseModel,
+            tol: float) -> EvolutionTrace:
+    """Run drift g and noise on ``config``'s grid until the L1 distance
+    between successive densities falls below ``tol``, or for ``horizon``
+    steps; the trace keeps ``config``."""
     grid = config.grid
-    cells, new_trunc = _first_step(config.noise, config.g, grid)
+    cells, new_trunc = _first_step(noise, g, grid)
     pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
-    op = StepOperator(config.g, config.noise, grid)
+    op = StepOperator(g, noise, grid)
     steps = [StepRecord(1, pdf, defect, new_trunc, None)]
     converged_at = None
     for t in range(2, config.horizon + 1):
@@ -460,23 +456,24 @@ def _evolve(config: EvolutionConfig, tol: float) -> EvolutionTrace:
 def evolve_z(config: EvolutionConfig) -> EvolutionTrace:
     """Evolve the density of log cumulative production for ``horizon`` steps.
 
-    It never stops early (an L1 distance is never below 0), so its
-    ``converged_at`` is None: for g > 0, z has no fixed point, as its mean
-    grows by about g and its variance by about sigma_a^2 per step.
+    It never stops early, so its ``converged_at`` is None: for g > 0, z has
+    no fixed point, as its mean grows by about g and its variance by about
+    sigma_a^2 per step.
     """
-    return _evolve(config, tol=0.0)
+    return _evolve(config, config.g, config.noise, tol=0.0)
 
 
-def evolve_y(config: EvolutionConfig) -> EvolutionTrace:
+def evolve_y(config: EvolutionConfig, tol: float = 1e-8) -> EvolutionTrace:
     """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})).
 
     Identical machinery to ``evolve_z`` with the drift negated and the noise
     mirrored; for g > 0 the densities reach a genuine fixed point, and the run
     stops once the L1 distance between successive densities falls below
-    ``convergence_tol``.
+    ``tol``, or after ``horizon`` steps.
     """
-    trace = _evolve(_reversed(config), config.convergence_tol)
-    return EvolutionTrace(config=config, steps=trace.steps, converged_at=trace.converged_at)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    return _evolve(config, *_reversed(config.g, config.noise, config.grid), tol)
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +505,7 @@ class VolatilityReport:
     solver: dict
 
 
-def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf,
+def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
                        solver: dict) -> tuple[VolatilityReport, GriddedPdf]:
     """Report on the growth increment for the reversed variable's fixed point p_y,
     and the growth increment's density it is read from.
@@ -516,17 +513,17 @@ def _volatility_report(config: EvolutionConfig, p_y: GriddedPdf,
     Finite-variance noise whose narrow-noise variance underflows to 0 is a
     domain error: the ratio to it would not be finite.
     """
-    sigma_sq = config.noise.variance()
+    sigma_sq = noise.variance()
     finite_sigma = math.isfinite(sigma_sq)
-    narrow = var_dz_saddle(config.g, math.sqrt(sigma_sq)) if finite_sigma else None
+    narrow = var_dz_saddle(g, math.sqrt(sigma_sq)) if finite_sigma else None
     if narrow == 0.0:
         raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
                           "the ratio to it is not finite")
     dz = volatility_pdf(p_y)
     variance = dz.variance()
     return VolatilityReport(
-        g=config.g,
-        noise=config.noise.label(),
+        g=g,
+        noise=noise.label(),
         variance=variance,
         quantiles=_quantile_fields(dz),
         sigma_a_sq=sigma_sq if finite_sigma else None,
@@ -557,21 +554,19 @@ class _TailClosure:
     the full grid: n_T = n and no amplitude.
     """
 
-    def __init__(self, config: EvolutionConfig):
-        self.reversed = rev = _reversed(config)
-        grid = rev.grid
-        self.full = self.bulk = StepOperator(rev.g, rev.noise, grid)
+    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
+        self.reversed = _reversed(g, noise, grid)
+        self.full = self.bulk = StepOperator(*self.reversed, grid)
         self.tail = None
-        kappa = tail_exponent(config.noise, config.g)
+        kappa = tail_exponent(noise, g)
         if kappa is None:
             return
-        sig = math.sqrt(config.noise.variance())
-        y_t = (ybar(config.g, math.inf) + _BULK_WIDTHS * sigma_y_fixed_point(config.g, sig)
-               + _BULK_SIGMAS * sig)
+        sig = math.sqrt(noise.variance())
+        y_t = ybar(g, math.inf) + _BULK_WIDTHS * sigma_y_fixed_point(g, sig) + _BULK_SIGMAS * sig
         n_bulk = max(math.ceil(y_t / grid.h), 16)
         if n_bulk >= grid.n_points:
             return
-        self.bulk = StepOperator(rev.g, rev.noise, GridSpec(grid.x_min, grid.h, n_bulk))
+        self.bulk = StepOperator(*self.reversed, GridSpec(grid.x_min, grid.h, n_bulk))
         # r = 0 (a tail on one node) where kappa h overflows
         self.tail = math.exp(-kappa * grid.h) ** np.arange(grid.n_points - n_bulk, dtype=float)
         self.tail /= self.tail.sum()
@@ -603,7 +598,8 @@ class _TailClosure:
         return out
 
 
-def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
+def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
+                    tol: float) -> tuple[GriddedPdf, dict]:
     """Fixed point of the reversed recursion as the step operator's Perron vector.
 
     The eigensolve runs on ``_TailClosure``'s vectors of the bulk prefix's
@@ -617,7 +613,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     Gram-Schmidt with one reorthogonalisation pass. After each full cycle the
     Ritz pair (theta, y) of largest modulus of the projected matrix stops the
     solve once ARPACK's Ritz estimate beta |y_last| is at most
-    ``convergence_tol`` |theta|. Otherwise the cycle restarts from an
+    ``tol`` |theta|. Otherwise the cycle restarts from an
     orthonormal real basis of the half of the Ritz vectors with the largest
     modulus, followed by the old last basis vector. A conjugate pair enters
     that basis once, as its real and imaginary parts, so the basis spans an
@@ -626,7 +622,8 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     grid, goes through one more step of the full grid's operator, whose mass
     bookkeeping passes the per-step defect check; the resulting density's
     ``truncated_mass`` is that step's leak, about 1 - lambda. The tail's
-    image and that last step are counted as applications.
+    image and that last step are counted as applications, at most
+    ``_MAX_APPLICATIONS`` of them.
 
     Besides the two step operators' own arrays and a few full-grid vectors,
     the solve's workspace is the basis, (ncv + 1) x (n_T + 1) doubles
@@ -636,22 +633,22 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     in column blocks. The default y grid refuses noise that would need more
     than 2^21 points, so the basis stays below 41 x 2^21 doubles (688 MB).
     """
-    closure = _TailClosure(config)
+    closure = _TailClosure(g, noise, grid)
     applications = 0 if closure.tail is None else 1
 
     def counted(apply, v):
         nonlocal applications
         applications += 1
-        if applications > config.horizon:
+        if applications > _MAX_APPLICATIONS:
             raise ConvergenceError(
-                f"no fixed point within horizon={config.horizon} operator applications "
-                f"at tol={config.convergence_tol:g}"
+                f"no fixed point within {_MAX_APPLICATIONS} operator applications "
+                f"at tol={tol:g}"
             )
         return apply(v)
 
-    rev = closure.reversed
+    rev_g, rev_noise = closure.reversed
     # the first step's full-grid vectors are gone before the basis is made
-    first = closure.restrict(init_first_step(rev.noise, rev.g, rev.grid).node_masses())
+    first = closure.restrict(init_first_step(rev_noise, rev_g, grid).node_masses())
     n = first.size
     m = min(_ARNOLDI_NCV, n)
     basis = np.zeros((m + 1, n))  # one Krylov vector per row
@@ -673,7 +670,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
         theta, ritz = np.linalg.eig(proj[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
         top = order[0]
-        if abs(proj[m] @ ritz[:, top]) <= config.convergence_tol * abs(theta[top]):
+        if abs(proj[m] @ ritz[:, top]) <= tol * abs(theta[top]):
             break
         chosen = order[:m // 2]
         chosen = chosen[theta[chosen].imag >= 0.0]  # each conjugate pair once
@@ -702,7 +699,7 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
     cells, new_trunc = counted(closure.full.apply, vec)
-    pdf, _ = _assemble(rev.grid, cells, 0.0, new_trunc)
+    pdf, _ = _assemble(grid, cells, 0.0, new_trunc)
     return pdf, {
         "method": "arnoldi",
         "applications": applications,
@@ -711,41 +708,40 @@ def _perron_density(config: EvolutionConfig) -> tuple[GriddedPdf, dict]:
     }
 
 
-def steady_state_volatility(config: EvolutionConfig) -> VolatilityReport:
+def steady_state_volatility(g: float, noise: NoiseModel, tol: float = 1e-9,
+                            grid: GridSpec | None = None) -> VolatilityReport:
     """Solve the reversed recursion for its fixed point and report the volatility.
 
     Requires g > 0 (otherwise the reversed recursion has no fixed point).
-    ``convergence_tol`` is the eigensolve's relative tolerance on ARPACK's
-    Ritz estimate and ``horizon`` caps the number of operator applications.
-    Raises ``ConvergenceError`` when the cap is exceeded or the eigenvector
-    is not a density.
+    ``tol`` is the eigensolve's relative tolerance on ARPACK's Ritz
+    estimate; ``grid`` is the reversed variable's, ``default_y_grid(g,
+    noise)`` when not given. Raises ``ConvergenceError`` when the solve
+    needs more than ``_MAX_APPLICATIONS`` operator applications or the
+    eigenvector is not a density.
     """
-    if not config.g > 0.0:
+    if not g > 0.0:
         raise DomainError("steady_state_volatility requires g > 0")
-    p_y, solver = _perron_density(config)
-    return _volatility_report(config, p_y, solver)[0]
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if grid is None:
+        grid = default_y_grid(g, noise)
+    p_y, solver = _perron_density(g, noise, grid, tol)
+    return _volatility_report(g, noise, p_y, solver)[0]
 
 
-def trace_volatility(trace: EvolutionTrace) -> VolatilityReport:
-    """Steady-state report from the final density of a converged ``evolve_y`` trace.
+def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
+    """Steady-state report from the final density of a converged ``evolve_y``
+    trace, and that density's growth increment, which the report is read from.
 
     The solver block describes the power iteration that produced the trace:
     its last step kept ``eigenvalue`` of the mass and moved the normalised
     density by ``l1_prev``.
     """
-    return _trace_report(trace)[0]
-
-
-def _trace_report(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
-    """``trace_volatility``'s report and the final step's growth-increment density."""
     config = trace.config
     if not config.g > 0.0:
         raise DomainError("trace_volatility requires g > 0")
     if trace.converged_at is None:
-        raise ConvergenceError(
-            f"trace did not converge within horizon={config.horizon} at "
-            f"tol={config.convergence_tol:g}"
-        )
+        raise ConvergenceError(f"trace did not converge within horizon={config.horizon}")
     last = trace.final()
     eigenvalue = 1.0 - last.new_truncation
     solver = {
@@ -754,7 +750,7 @@ def _trace_report(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
         "eigenvalue": eigenvalue,
         "residual_l1": eigenvalue * last.l1_prev,
     }
-    return _volatility_report(config, last.pdf, solver)
+    return _volatility_report(config.g, config.noise, last.pdf, solver)
 
 
 # ----------------------------------------------------------------------
@@ -814,15 +810,3 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
                           f"{_MAX_GRID_POINTS} points: cells of width {target:.3g} "
                           f"over [0, {upper:.3g}]")
     return _grid_from(upper, min(0.005, target), n_points)
-
-
-def default_y_config(g: float, noise: NoiseModel, tol: float = 1e-9,
-                     horizon: int = 4000, n_points: int | None = None) -> EvolutionConfig:
-    """Ready-to-run configuration for the reversed recursion."""
-    return EvolutionConfig(
-        g=g,
-        noise=noise,
-        grid=default_y_grid(g, noise, n_points),
-        horizon=horizon,
-        convergence_tol=tol,
-    )

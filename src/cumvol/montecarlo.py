@@ -238,8 +238,8 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
     ``head_paths`` paths of z are kept, path-major: ``head_paths=n_paths``
     keeps every path.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2: one path has no sample variance")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     targets = targets or {}

@@ -210,21 +210,31 @@ class NoiseModel:
     # ------------------------------------------------------------------
 
     def mean(self) -> float:
-        """Mean of the density (nan for lorentzian, which has none)."""
+        """Mean of the density (nan for lorentzian, which has none); for
+        tabulated noise, of the interpolated density, in closed form per
+        table cell."""
         if self.kind == "gaussian":
             return 0.0
         if self.kind == "lorentzian":
             return math.nan
-        return float(np.trapezoid(self.xs * self.ys, self.xs))
+        xs, ys = self.xs, self.ys
+        w = np.diff(xs)
+        return float(np.sum(w * (xs[:-1] * (ys[:-1] + ys[1:]) / 2.0
+                                 + w * (ys[:-1] / 6.0 + ys[1:] / 3.0))))
 
     def variance(self) -> float:
-        """Variance of the density (inf for lorentzian)."""
+        """Variance of the density (inf for lorentzian); for tabulated noise,
+        of the interpolated density, as ``mean``."""
         if self.kind == "gaussian":
             return self.sigma * self.sigma
         if self.kind == "lorentzian":
             return math.inf
-        m = self.mean()
-        return float(np.trapezoid((self.xs - m) ** 2 * self.ys, self.xs))
+        xs, ys = self.xs, self.ys
+        w = np.diff(xs)
+        d = xs[:-1] - self.mean()  # each cell's left end, centred
+        return float(np.sum(w * (d * d * (ys[:-1] + ys[1:]) / 2.0
+                                 + 2.0 * d * w * (ys[:-1] / 6.0 + ys[1:] / 3.0)
+                                 + w * w * (ys[:-1] / 12.0 + ys[1:] / 4.0))))
 
     def label(self) -> str:
         if self.kind == "gaussian":

@@ -17,7 +17,6 @@ import numpy as np
 import cumvol as cv
 from cumvol import (
     EvolutionConfig,
-    default_y_config,
     default_z_grid,
     evolve_y,
     evolve_z,
@@ -27,7 +26,8 @@ from cumvol import (
     simulate_stream,
     steady_state_volatility,
 )
-from helpers import block_draws, interp_at, reciprocal_increment_gap, sigma_dz_narrow, variances
+from helpers import (block_draws, interp_at, reciprocal_increment_gap, sigma_dz_narrow, variances,
+                     y_config)
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -47,7 +47,7 @@ def _var_logZ_narrow(g: float, sigma_a: float, t: int) -> float:
 
 def test_criterion_1_saddle_point_limit():
     t0 = time.perf_counter()
-    rep = steady_state_volatility(default_y_config(0.1, gaussian(0.05)))
+    rep = steady_state_volatility(0.1, gaussian(0.05))
     elapsed = time.perf_counter() - t0
     ratio = rep.ratio_to_narrow
     ok = abs(ratio - 1.0) <= 0.02 and elapsed < 10.0
@@ -61,7 +61,7 @@ def test_criterion_2_ratio_sweep_shape():
     sweep = [0.01, 0.04, 0.16, 0.64, 1.0]
     ratios = {}
     for s2 in sweep:
-        rep = steady_state_volatility(default_y_config(0.1, gaussian(math.sqrt(s2))))
+        rep = steady_state_volatility(0.1, gaussian(math.sqrt(s2)))
         ratios[s2] = rep.ratio_to_narrow
     elapsed = time.perf_counter() - t0
     interior = [ratios[s2] for s2 in (0.04, 0.16, 0.64)]
@@ -82,7 +82,7 @@ def test_criterion_2_ratio_sweep_shape():
 
 def test_criterion_3_fixed_point_variance():
     g, sig = 0.2, 0.05
-    tr = evolve_y(default_y_config(g, gaussian(sig)))
+    tr = evolve_y(y_config(g, gaussian(sig)), tol=1e-9)
     got = tr.final().pdf.variance()
     target = sig**2 / math.expm1(2.0 * g)
     rel = abs(got - target) / target
@@ -106,7 +106,7 @@ def test_criterion_5_explicit_variance_value():
     g, sig, t = 0.2, 0.1, 10
     noise = gaussian(sig)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, t),
-                          horizon=t, convergence_tol=1e-300)
+                          horizon=t)
     got = variances(evolve_z(cfg))[-1]
     # Finite-t leading order, 0.052932. The large-t asymptote var_logZ_saddle
     # gives 0.0300 here (and is negative for t <= 7 at g = 0.2); the reference
@@ -132,7 +132,7 @@ def test_criterion_6_oracle_equivalence():
                          ("lorentzian gamma=1", lorentzian(1.0))):
         t0 = time.perf_counter()
         cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 20),
-                              horizon=20, convergence_tol=1e-300)
+                              horizon=20)
         tr = evolve_z(cfg)
         ks = simulate_stream(g, noise, t_max=20, n_paths=100_000, seed=42,
                              targets={t: tr.density(t) for t in (1, 5, 20)}).ks
@@ -160,7 +160,7 @@ def test_criterion_8_invariant_suite():
     # normalisation, non-negativity, support for both noise families
     for noise in (gaussian(1.0), lorentzian(1.0)):
         cfg = EvolutionConfig(g=0.2, noise=noise, grid=default_z_grid(0.2, noise, 8),
-                              horizon=8, convergence_tol=1e-300)
+                              horizon=8)
         for rec in evolve_z(cfg).steps:
             assert abs(rec.pdf.integral() - 1.0) <= 1e-6
             assert np.all(rec.pdf.values >= 0.0)
@@ -168,8 +168,7 @@ def test_criterion_8_invariant_suite():
     checks.append("normalisation 1e-6 + non-negativity + z support > 0")
 
     # growth increments live strictly above zero
-    cfgy = default_y_config(0.2, gaussian(0.3))
-    dz = cv.volatility_pdf(evolve_y(cfgy).final().pdf)
+    dz = cv.volatility_pdf(evolve_y(y_config(0.2, gaussian(0.3)), tol=1e-9).final().pdf)
     assert dz.grid.x_min > 0.0
     assert interp_at(dz, -0.01) == 0.0 and interp_at(dz, 0.0) == 0.0
     checks.append("dz support > 0")
@@ -177,10 +176,8 @@ def test_criterion_8_invariant_suite():
     # mirror identity: reversed evolution equals negated-drift mirrored-noise evolution
     noise = cv.tabulated([(-0.6, 0.3), (0.0, 1.0), (0.9, 0.5)])
     grid = cv.cell_grid(6.0, 1500)
-    ty = evolve_y(EvolutionConfig(g=0.25, noise=noise, grid=grid, horizon=10,
-                                  convergence_tol=1e-300))
-    tz = evolve_z(EvolutionConfig(g=-0.25, noise=noise.mirror(), grid=grid, horizon=10,
-                                  convergence_tol=1e-300))
+    ty = evolve_y(EvolutionConfig(g=0.25, noise=noise, grid=grid, horizon=10), tol=1e-300)
+    tz = evolve_z(EvolutionConfig(g=-0.25, noise=noise.mirror(), grid=grid, horizon=10))
     worst = max(np.max(np.abs(a.pdf.values - b.pdf.values))
                 for a, b in zip(ty.steps, tz.steps))
     assert worst <= 1e-12
@@ -188,7 +185,7 @@ def test_criterion_8_invariant_suite():
 
     # contraction: steady-state growth volatility below the noise variance
     for g, sig in ((0.1, 0.05), (0.1, 0.3), (0.5, 0.3)):
-        rep = steady_state_volatility(default_y_config(g, gaussian(sig)))
+        rep = steady_state_volatility(g, gaussian(sig))
         assert rep.variance < sig**2
     checks.append("contraction Var(dz) < sigma_a^2")
 

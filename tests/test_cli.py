@@ -47,8 +47,8 @@ def test_evolve_writes_densities_and_manifest(tmp_path):
     # prefix of the manifest's grid
     assert manifest["grid"]["n_points"] == 2048
     grid = cell_grid(30.0, 2048)
-    values = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=grid, horizon=4,
-                                      convergence_tol=1e-15)).steps[0].pdf.values
+    config = EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=grid, horizon=4)
+    values = evolve_z(config).steps[0].pdf.values
     last = np.flatnonzero(values)[-1]
     assert last + 2 < 2048
     assert len(first) - 1 == max(16, last + 2)
@@ -127,7 +127,7 @@ def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     trace = evolve_y(EvolutionConfig(g=0.2, noise=gaussian(0.1),
                                      grid=default_y_grid(0.2, gaussian(0.1), n_points=8192),
-                                     horizon=10_000, convergence_tol=1e-8))
+                                     horizon=10_000), tol=1e-8)
     assert len(calls) == len(trace.steps) == read_manifest(out)["convergence"]["converged_at"]
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -135,7 +135,7 @@ def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
         name = f"rho_dz_t{rec.t:04d}.csv"
         volatility_pdf(rec.pdf).to_csv(ref / name)
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    cli._write_json(ref / "volatility_report.json", asdict(trace_volatility(trace)))
+    cli._write_json(ref / "volatility_report.json", asdict(trace_volatility(trace)[0]))
     assert ((out / "volatility_report.json").read_bytes()
             == (ref / "volatility_report.json").read_bytes())
 
@@ -147,7 +147,7 @@ def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):
     assert run(["volatility", "--g", "0.2", "--noise", "lorentzian:gamma=1", "--steps", "3",
                 "--grid", "0,20,1024", "--out", str(out)]) == 0
     trace = evolve_y(EvolutionConfig(g=0.2, noise=lorentzian(1.0), grid=cell_grid(20.0, 1024),
-                                     horizon=3, convergence_tol=1e-8))
+                                     horizon=3))
     rows = read_manifest(out)["steps"]
     assert len(rows) == len(trace.steps) == 3
     for row, rec in zip(rows, trace.steps):
@@ -295,7 +295,7 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
         assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
     # the trimmed files give the KS of the untrimmed in-memory densities
     trace = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=cell_grid(40.0, 4096),
-                                     horizon=5, convergence_tol=1e-15))
+                                     horizon=5))
     for row, rec in zip(ks["ks_per_step"], trace.steps):
         assert rec.pdf.grid.n_points == 4096
         assert row["ks"] == pytest.approx(sample_ks(z[:, rec.t], rec.pdf), abs=1e-12)
@@ -497,8 +497,12 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
      "domain error: narrow_variance at sigma_a_sq=4.94066e-324 underflows to 0"),
     (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=2.2e-162", "--until-converged"], 4,
      "domain error: narrow_variance at sigma_a_sq=4.94066e-324 underflows to 0"),
+    # one path has no sample variance: a usage error before any draw, not a
+    # float64 overflow of its nan moments
+    (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1", "--steps", "2"],
+     2, "invalid input: n_paths must be >= 2: one path has no sample variance"),
 ], ids=["volatility-unconverged", "volatility-report", "compare-saddle-inf",
-        "compare-saddle-zero", "volatility-zero"])
+        "compare-saddle-zero", "volatility-zero", "simulate-one-path"])
 def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, argv,
                                                          code, cause):
     # the results are checked before the first file is written. At these
@@ -517,7 +521,7 @@ def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monke
 def test_y_grid_past_its_point_limit_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
     # sigma_a^2 = 1e-322 would need far more than 2**21 y points: the default
     # grid refuses it, so the eigensolve never starts and nothing is written
-    def no_solve(config):
+    def no_solve(*args):
         raise AssertionError("the eigensolve started")
 
     monkeypatch.setattr(evolution, "_perron_density", no_solve)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import cumvol as cv
+import cumvol.evolution as evolution
 from cumvol import (
     ConvergenceError,
     DomainError,
     EvolutionConfig,
     MassDefectError,
     cell_grid,
-    default_y_config,
     default_y_grid,
     default_z_grid,
     evolve_y,
@@ -33,7 +33,7 @@ from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, Step
                               _fast_len, _node_cdf, _TailClosure)
 from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
-from helpers import interp_at, means, normalized, pdf_at, variances, warp_step
+from helpers import interp_at, means, normalized, pdf_at, variances, warp_step, y_config
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
 
@@ -120,7 +120,7 @@ def test_assemble_raises_on_mass_defect():
 def test_evolve_z_deterministic_means_match_geometric_sum():
     g = 0.2
     grid = default_z_grid(g, gaussian(0.01), 10)
-    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=10, convergence_tol=1e-300)
+    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=10)
     tr = evolve_z(cfg)
     for t, mean in enumerate(means(tr), start=1):
         exact = math.log(sum(math.exp(g * j) for j in range(t + 1)))
@@ -131,7 +131,7 @@ def test_evolve_z_variance_tracks_monte_carlo():
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 10),
-                          horizon=10, convergence_tol=1e-300)
+                          horizon=10)
     tr = evolve_z(cfg)
     var_z = cv.simulate_stream(g, noise, t_max=10, n_paths=400_000, seed=91).summary["var_z"]
     for t in (1, 5, 10):
@@ -144,7 +144,7 @@ def test_evolve_z_variance_reaches_closed_form_asymptote():
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
-                          horizon=40, convergence_tol=1e-300)
+                          horizon=40)
     tr = evolve_z(cfg)
     assert variances(tr)[-1] == pytest.approx(cv.var_logZ_saddle(g, sig, 40), rel=0.01)
 
@@ -153,7 +153,7 @@ def test_evolve_z_mean_increment_approaches_drift():
     g = 0.2
     noise = gaussian(0.1)
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
-                          horizon=40, convergence_tol=1e-300)
+                          horizon=40)
     m = means(evolve_z(cfg))
     assert m[-1] - m[-2] == pytest.approx(g, abs=1e-3)
 
@@ -161,11 +161,9 @@ def test_evolve_z_mean_increment_approaches_drift():
 def test_evolve_y_equals_mirrored_negated_evolve_z():
     noise = tabulated([(-0.5, 0.2), (0.1, 1.0), (0.8, 0.4)])
     grid = cell_grid(6.0, 2000)
-    cfg_y = EvolutionConfig(g=0.25, noise=noise, grid=grid, horizon=12,
-                            convergence_tol=1e-300)
-    cfg_z = EvolutionConfig(g=-0.25, noise=noise.mirror(), grid=grid, horizon=12,
-                            convergence_tol=1e-300)
-    ty, tz = evolve_y(cfg_y), evolve_z(cfg_z)
+    cfg_y = EvolutionConfig(g=0.25, noise=noise, grid=grid, horizon=12)
+    cfg_z = EvolutionConfig(g=-0.25, noise=noise.mirror(), grid=grid, horizon=12)
+    ty, tz = evolve_y(cfg_y, tol=1e-300), evolve_z(cfg_z)
     for a, b in zip(ty.steps, tz.steps):
         assert np.array_equal(a.pdf.values, b.pdf.values)
 
@@ -174,8 +172,8 @@ def test_evolve_y_spike_noise_fixed_point_location():
     g = 0.2
     target = -math.log1p(-math.exp(-g))  # 1.70777
     grid = cell_grid(3.0, 3000)
-    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=300, convergence_tol=1e-10)
-    tr = evolve_y(cfg)
+    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=300)
+    tr = evolve_y(cfg, tol=1e-10)
     assert tr.converged_at is not None
     final = tr.final().pdf
     assert final.mean() == pytest.approx(target, abs=0.01)
@@ -183,8 +181,7 @@ def test_evolve_y_spike_noise_fixed_point_location():
 
 def test_evolve_y_fixed_point_variance_matches_narrow_formula():
     g, sig = 0.2, 0.05
-    cfg = default_y_config(g, gaussian(sig))
-    tr = evolve_y(cfg)
+    tr = evolve_y(y_config(g, gaussian(sig)), tol=1e-9)
     assert tr.converged_at is not None
     target = sig**2 / math.expm1(2 * g)
     assert tr.final().pdf.variance() == pytest.approx(target, rel=0.02)
@@ -193,7 +190,7 @@ def test_evolve_y_fixed_point_variance_matches_narrow_formula():
 def test_densities_are_normalised_and_supported_on_positive_axis():
     noise = lorentzian(1.0)
     cfg = EvolutionConfig(g=0.2, noise=noise, grid=default_z_grid(0.2, noise, 8),
-                          horizon=8, convergence_tol=1e-300)
+                          horizon=8)
     tr = evolve_z(cfg)
     for rec in tr.steps:
         assert rec.pdf.integral() == pytest.approx(1.0, abs=1e-6)
@@ -220,16 +217,14 @@ def test_volatility_pdf_spike_maps_fixed_point_to_drift():
 
 def test_volatility_pdf_narrow_noise_variance():
     g, sig = 0.2, 0.01
-    cfg = default_y_config(g, gaussian(sig))
-    tr = evolve_y(cfg)
+    tr = evolve_y(y_config(g, gaussian(sig)), tol=1e-9)
     dz = volatility_pdf(tr.final().pdf)
     assert dz.variance() == pytest.approx(sig**2 * math.tanh(g / 2), rel=0.01)
     assert dz.grid.x_min > 0.0
 
 
 def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
-    cfg = default_y_config(0.2, gaussian(1.0), tol=1e-9)
-    tr = evolve_y(cfg)
+    tr = evolve_y(y_config(0.2, gaussian(1.0)), tol=1e-9)
     dz = volatility_pdf(tr.final().pdf)
     # density rises toward the origin but the total mass stays 1
     assert dz.values[0] > interp_at(dz, 0.05) > 0.0
@@ -237,7 +232,7 @@ def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
 
 
 def test_steady_state_volatility_report_gaussian():
-    rep = steady_state_volatility(default_y_config(0.1, gaussian(0.05)))
+    rep = steady_state_volatility(0.1, gaussian(0.05))
     assert rep.solver["method"] == "arnoldi" and rep.solver["applications"] > 0
     assert rep.ratio_to_narrow == pytest.approx(1.0, abs=0.02)
     assert rep.variance_reliable
@@ -247,45 +242,45 @@ def test_steady_state_volatility_report_gaussian():
 
 
 def test_steady_state_volatility_report_lorentzian_flags_unreliable():
-    noise = lorentzian(1.0)
-    grid = default_y_grid(0.2, noise)
-    cfg = EvolutionConfig(g=0.2, noise=noise, grid=grid, horizon=4000,
-                          convergence_tol=1e-7)
-    rep = steady_state_volatility(cfg)
+    rep = steady_state_volatility(0.2, lorentzian(1.0), tol=1e-7)
     assert rep.ratio_to_narrow is None
     assert not rep.variance_reliable
     assert rep.truncated_mass > 0.0
     assert rep.quantiles["q75"] > rep.quantiles["q25"]
 
 
-def test_steady_state_volatility_domain_and_convergence_errors():
-    negated = replace(default_y_config(0.2, gaussian(0.1)), g=-0.2)
+def test_steady_state_volatility_domain_and_convergence_errors(monkeypatch):
     with pytest.raises(DomainError):
-        steady_state_volatility(negated)
-    cfg = default_y_config(0.2, gaussian(0.1), tol=1e-13, horizon=3)
+        steady_state_volatility(-0.2, gaussian(0.1), grid=default_y_grid(0.2, gaussian(0.1)))
+    for solve in (lambda: steady_state_volatility(0.2, gaussian(0.1), tol=0.0),
+                  lambda: evolve_y(y_config(0.2, gaussian(0.1), horizon=3), tol=0.0)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve()
+    monkeypatch.setattr(evolution, "_MAX_APPLICATIONS", 3)
     with pytest.raises(ConvergenceError):
-        steady_state_volatility(cfg)
+        steady_state_volatility(0.2, gaussian(0.1), tol=1e-13)
 
 
 @pytest.mark.parametrize("g", [100.0, 1e308])
 def test_hand_built_grid_keeps_drift_cap(g):
     # the growth increment sits near g, past the dz grid's cap of 60, whether
     # the reversed variable's grid was defaulted or given
-    cfg = EvolutionConfig(g=g, noise=gaussian(1.0), grid=cell_grid(10.0, 1000), horizon=2)
-    for solve in (evolve_y, steady_state_volatility):
-        with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
-            solve(cfg)
+    noise, grid = gaussian(1.0), cell_grid(10.0, 1000)
+    with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
+        evolve_y(EvolutionConfig(g=g, noise=noise, grid=grid, horizon=2))
+    with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
+        steady_state_volatility(g, noise, grid=grid)
 
 
 def test_hand_built_grid_must_resolve_steady_centre():
     # ybar(3, inf) = 0.051 spans 0.5 cells of width 0.1 above y = 0: the y
     # density falls into the first cell and dz would read about log(2/h), so
     # every route to dz refuses the grid; 200 cells of width 2.5e-4 resolve it
-    cfg = EvolutionConfig(g=3.0, noise=gaussian(1.0), grid=cell_grid(10.0, 100),
-                          horizon=3, convergence_tol=1e-300)
-    for solve in (evolve_y, steady_state_volatility):
-        with pytest.raises(DomainError, match="dz is not resolved there"):
-            solve(cfg)
+    cfg = EvolutionConfig(g=3.0, noise=gaussian(1.0), grid=cell_grid(10.0, 100), horizon=3)
+    with pytest.raises(DomainError, match="dz is not resolved there"):
+        evolve_y(cfg)
+    with pytest.raises(DomainError, match="dz is not resolved there"):
+        steady_state_volatility(cfg.g, cfg.noise, grid=cfg.grid)
     fine = replace(cfg, grid=cell_grid(10.0, 40_000))
     dz = volatility_pdf(evolve_y(fine).density(3))
     assert dz.mean() == pytest.approx(3.0, abs=0.01)
@@ -310,7 +305,7 @@ def test_default_y_grid_refuses_noise_that_needs_more_than_its_points(g, builds,
 def test_contraction_volatility_below_noise_variance():
     for g in (0.1, 0.5):
         for sig in (0.05, 0.3):
-            rep = steady_state_volatility(default_y_config(g, gaussian(sig)))
+            rep = steady_state_volatility(g, gaussian(sig))
             assert rep.variance < sig**2
 
 
@@ -320,7 +315,7 @@ def test_small_sigma_ratio_converges_to_one():
     floor = 5e-4
     gaps = []
     for sig in (0.2, 0.1, 0.05, 0.025):
-        rep = steady_state_volatility(default_y_config(0.1, gaussian(sig)))
+        rep = steady_state_volatility(0.1, gaussian(sig))
         gaps.append(abs(rep.ratio_to_narrow - 1.0))
     clipped = [max(gap, floor) for gap in gaps]
     assert all(b <= a for a, b in zip(clipped, clipped[1:]))
@@ -330,16 +325,15 @@ def test_small_sigma_ratio_converges_to_one():
 def test_ratio_crossover_location_at_small_drift():
     # discovered empirically: at g=0.1 the exact-to-narrow ratio sits above 1
     # for very small noise and dips below 1 before sigma_a^2 reaches 0.04
-    above = steady_state_volatility(default_y_config(0.1, gaussian(0.05)))
-    below = steady_state_volatility(default_y_config(0.1, gaussian(0.2)))
+    above = steady_state_volatility(0.1, gaussian(0.05))
+    below = steady_state_volatility(0.1, gaussian(0.2))
     assert above.ratio_to_narrow > 1.0
     assert below.ratio_to_narrow < 1.0
 
 
 def test_per_step_reporting():
-    cfg = default_y_config(0.2, gaussian(0.1), tol=1e-6, horizon=500)
-    tr = evolve_y(cfg)
-    rep = trace_volatility(tr)
+    tr = evolve_y(y_config(0.2, gaussian(0.1), horizon=500), tol=1e-6)
+    rep = trace_volatility(tr)[0]
     assert tr.converged_at == len(tr.steps)
     l1 = [rec.l1_prev for rec in tr.steps if rec.l1_prev is not None]
     # early steps change a lot, later steps barely at all
@@ -351,11 +345,11 @@ def test_per_step_reporting():
 
 
 def test_evolve_z_runs_every_step():
-    # z has no fixed point: a tolerance that the later steps' L1 gaps meet
-    # does not stop the forward run
+    # z has no fixed point: the run does not stop when the later steps' L1
+    # gaps are small
     noise = gaussian(0.3)
     cfg = EvolutionConfig(g=0.3, noise=noise, grid=default_z_grid(0.3, noise, 12),
-                          horizon=12, convergence_tol=0.5)
+                          horizon=12)
     tr = evolve_z(cfg)
     assert tr.converged_at is None
     assert [rec.t for rec in tr.steps] == list(range(1, 13))
@@ -491,26 +485,21 @@ def test_kernel_halfcells_on_benchmark_grids_match_scipy_quantile():
 
 
 _SOLVER_CASES = {
-    "gaussian-0.01": lambda: default_y_config(0.2, gaussian(0.1), tol=1e-12, horizon=5000,
-                                              n_points=1500),
-    "gaussian-0.16": lambda: default_y_config(0.2, gaussian(0.4), tol=1e-12, horizon=5000,
-                                              n_points=1500),
-    "lorentzian-coarse": lambda: EvolutionConfig(g=0.2, noise=lorentzian(1.0),
-                                                 grid=cell_grid(60.0, 600), horizon=5000,
-                                                 convergence_tol=1e-12),
-    "tabulated-asymmetric": lambda: EvolutionConfig(
-        g=0.25, noise=tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)]),
-        grid=cell_grid(12.0, 1500), horizon=5000, convergence_tol=1e-12),
+    "gaussian-0.01": (0.2, gaussian(0.1), default_y_grid(0.2, gaussian(0.1), n_points=1500)),
+    "gaussian-0.16": (0.2, gaussian(0.4), default_y_grid(0.2, gaussian(0.4), n_points=1500)),
+    "lorentzian-coarse": (0.2, lorentzian(1.0), cell_grid(60.0, 600)),
+    "tabulated-asymmetric": (0.25, tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)]),
+                             cell_grid(12.0, 1500)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SOLVER_CASES))
 def test_eigensolve_matches_power_iteration(case):
-    cfg = _SOLVER_CASES[case]()
-    tr = evolve_y(cfg)
+    g, noise, grid = _SOLVER_CASES[case]
+    tr = evolve_y(EvolutionConfig(g=g, noise=noise, grid=grid, horizon=5000), tol=1e-12)
     assert tr.converged_at is not None
-    power = trace_volatility(tr)
-    solved = steady_state_volatility(cfg)
+    power = trace_volatility(tr)[0]
+    solved = steady_state_volatility(g, noise, tol=1e-12, grid=grid)
     assert solved.variance == pytest.approx(power.variance, rel=1e-6)
     iqr = [rep.quantiles["q75"] - rep.quantiles["q25"] for rep in (solved, power)]
     assert iqr[0] == pytest.approx(iqr[1], rel=1e-6)
@@ -523,10 +512,10 @@ def test_eigensolve_matches_power_iteration(case):
     # positive through the grid's edges for the other noises
     leak = 1.0 - solver["eigenvalue"]
     assert -1e-12 < leak < 0.02
-    assert (leak > 1e-9) == (cfg.noise.kind != "tabulated")
+    assert (leak > 1e-9) == (noise.kind != "tabulated")
 
 
-def _arpack_reference(cfg, closure=None):
+def _arpack_reference(g, noise, grid, closure=None, tol=1e-9):
     """ARPACK's Perron pair of the reversed step, from the eigensolve's start
     vector, Krylov size and tolerance, on the full grid's operator or on the
     eigensolve's bulk-plus-tail ``closure``: the dz variance of its unit-mass
@@ -540,7 +529,7 @@ def _arpack_reference(cfg, closure=None):
     ||P ext(u) - ext(M u)||_1, measured (0 without a tail)."""
     from scipy.sparse.linalg import LinearOperator, eigs
 
-    noise, g, grid = cfg.noise.mirror(), -cfg.g, cfg.grid
+    noise, g = noise.mirror(), -g
     full = StepOperator(g, noise, grid)
     apply, restrict, extend = (lambda v: full.apply(v)[0]), (lambda v: v), (lambda v: v)
     applications = 1
@@ -556,13 +545,13 @@ def _arpack_reference(cfg, closure=None):
     v0 = restrict(init_first_step(noise, g, grid).node_masses())
     n = v0.size
     values, vectors = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, ncv=40,
-                           tol=cfg.convergence_tol, v0=v0)
+                           tol=tol, v0=v0)
     eigenvalue = float(values[0].real)
     u = np.maximum((vectors[:, 0] / vectors[:, 0].sum()).real, 0.0)
     u /= u.sum()
     vec = extend(u)
     p_y = warp_step(GriddedPdf(grid, vec / grid.node_weights()), noise, g)
-    allowed = cfg.convergence_tol * eigenvalue * math.sqrt(n) * float(np.linalg.norm(u))
+    allowed = tol * eigenvalue * math.sqrt(n) * float(np.linalg.norm(u))
     gap = float(np.abs(full.apply(vec)[0] - extend(apply(u))).sum())
     return volatility_pdf(p_y).variance(), eigenvalue, applications, allowed + gap
 
@@ -577,15 +566,16 @@ def _arpack_reference(cfg, closure=None):
     (0.1, gaussian(1.0)),
 ], ids=["gaussian-0.1-g0.03", "table-g0.03", "lorentzian-0.3-g0.5", "gaussian-1-g0.1"])
 def test_eigensolve_matches_arpack(g, noise):
-    cfg = default_y_config(g, noise)
-    solved = steady_state_volatility(cfg)
-    variance = _arpack_reference(cfg)[0]
+    grid = default_y_grid(g, noise)
+    solved = steady_state_volatility(g, noise)
+    variance = _arpack_reference(g, noise, grid)[0]
     assert solved.variance == pytest.approx(variance, rel=1e-6)
     # The tail closure moves the eigenvalue by up to about 1e-10 and leaves
     # a full-grid residual of about 5e-9 (none without a tail, as for the
     # Lorentzian case), so the solver's own facts compare with ARPACK on the
     # same closed operator.
-    _, eigenvalue, applications, allowed = _arpack_reference(cfg, _TailClosure(cfg))
+    _, eigenvalue, applications, allowed = _arpack_reference(
+        g, noise, grid, _TailClosure(g, noise, grid))
     assert solved.solver["eigenvalue"] == pytest.approx(eigenvalue, abs=1e-10)
     assert solved.solver["residual_l1"] < allowed
     assert solved.solver["applications"] <= applications
@@ -603,10 +593,10 @@ def test_tail_closure_stays_within_its_budget(g, noise):
     # the bulk-plus-tail solve reports the full grid's variance and ratio
     # within 3e-7 relative at the paper sweep's points and for an
     # asymmetric table (1.1e-7 at sigma_a^2 = 1, the largest)
-    cfg = default_y_config(g, noise)
-    assert _TailClosure(cfg).tail is not None
-    solved = steady_state_volatility(cfg)
-    variance = _arpack_reference(cfg)[0]
+    grid = default_y_grid(g, noise)
+    assert _TailClosure(g, noise, grid).tail is not None
+    solved = steady_state_volatility(g, noise)
+    variance = _arpack_reference(g, noise, grid)[0]
     assert solved.variance == pytest.approx(variance, rel=3e-7)
     assert solved.ratio_to_narrow == pytest.approx(variance / solved.narrow_variance, rel=3e-7)
 
@@ -617,14 +607,14 @@ def test_table_tail_exponent_matches_the_full_grids_tail_slope():
     from scipy.sparse.linalg import LinearOperator, eigs
 
     g, noise = 0.1, ASYMMETRIC
-    cfg = default_y_config(g, noise, tol=1e-12)
-    op = StepOperator(-g, noise.mirror(), cfg.grid)
-    start = init_first_step(noise.mirror(), -g, cfg.grid).node_masses()
-    n = cfg.grid.n_points
+    grid = default_y_grid(g, noise)
+    op = StepOperator(-g, noise.mirror(), grid)
+    start = init_first_step(noise.mirror(), -g, grid).node_masses()
+    n = grid.n_points
     vectors = eigs(LinearOperator((n, n), matvec=lambda v: op.apply(np.ravel(v))[0],
                                   dtype=float), k=1, ncv=40, tol=1e-12, v0=start)[1]
     density = np.abs(vectors[:, 0].real)
-    y = cfg.grid.points()
+    y = grid.points()
     sigma = math.sqrt(noise.variance())
     lo = ybar(g, math.inf) + 6.0 * sigma_y_fixed_point(g, sigma)
     beyond = (y > lo) & (y < lo + 8.0 * sigma)
@@ -633,20 +623,24 @@ def test_table_tail_exponent_matches_the_full_grids_tail_slope():
 
 
 def test_eigensolve_is_bit_identical_on_repeat():
-    cfg = default_y_config(0.1, gaussian(0.5), n_points=2000)
-    assert asdict(steady_state_volatility(cfg)) == asdict(steady_state_volatility(cfg))
+    grid = default_y_grid(0.1, gaussian(0.5), n_points=2000)
+    assert (asdict(steady_state_volatility(0.1, gaussian(0.5), grid=grid))
+            == asdict(steady_state_volatility(0.1, gaussian(0.5), grid=grid)))
 
 
-def test_eigensolve_application_cap():
+def test_eigensolve_application_cap(monkeypatch):
     # near-critical drift: the closed solve restarts once
-    cfg = default_y_config(0.01, gaussian(1.0), n_points=20000)
-    needed = steady_state_volatility(cfg).solver["applications"]
+    g, noise = 0.01, gaussian(1.0)
+    grid = default_y_grid(g, noise, n_points=20000)
+    needed = steady_state_volatility(g, noise, grid=grid).solver["applications"]
     assert needed > 41 + _ARNOLDI_NCV // 2
     # the cap holds mid-solve as well as inside the first Arnoldi cycle
-    for horizon in (10, 41, 50, needed - 1):
+    for cap in (10, 41, 50, needed - 1):
+        monkeypatch.setattr(evolution, "_MAX_APPLICATIONS", cap)
         with pytest.raises(ConvergenceError):
-            steady_state_volatility(replace(cfg, horizon=horizon))
-    assert steady_state_volatility(replace(cfg, horizon=needed)).solver["applications"] == needed
+            steady_state_volatility(g, noise, grid=grid)
+    monkeypatch.setattr(evolution, "_MAX_APPLICATIONS", needed)
+    assert steady_state_volatility(g, noise, grid=grid).solver["applications"] == needed
 
 
 def test_eigensolve_workspace_is_its_krylov_basis():
@@ -656,14 +650,13 @@ def test_eigensolve_workspace_is_its_krylov_basis():
     # vectors, and a few full-grid vectors: the full grid's operator and
     # tail, and its last step (57 bulk vectors in all here). A restart that
     # forms the kept Ritz vectors beside the basis peaks near 77.
-    cfg = EvolutionConfig(g=0.005, noise=gaussian(1.0), grid=cell_grid(90.0, 24000),
-                          horizon=4000, convergence_tol=1e-9)
-    n = cfg.grid.n_points
-    n_bulk = _TailClosure(cfg).bulk.grid.n_points
+    g, noise, grid = 0.005, gaussian(1.0), cell_grid(90.0, 24000)
+    n = grid.n_points
+    n_bulk = _TailClosure(g, noise, grid).bulk.grid.n_points
     assert n_bulk >= 4 * _RESTART_BLOCK
     tracemalloc.start()
     try:
-        solved = steady_state_volatility(cfg)
+        solved = steady_state_volatility(g, noise, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -705,7 +698,7 @@ def _fftconvolve_step(p, noise, g):
 def test_evolve_z_matches_fftconvolve_steps(noise):
     g = 0.2
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 6, n_points=2048),
-                          horizon=6, convergence_tol=1e-300)
+                          horizon=6)
     tr = evolve_z(cfg)
     ref = tr.density(1)
     for rec in tr.steps[1:]:

@@ -1,9 +1,10 @@
-"""Every exported name resolves and every imported name is used, so a
-deletion leaves no stale export or import behind."""
+"""Every exported name resolves, has a caller and every imported name is
+used, so a deletion leaves no stale export or import behind."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,41 @@ def test_unused_import_guard_sees_an_unused_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(source: str) -> set:
+    """Names that code loads, as a name or as an attribute, outside the
+    ``def`` or ``class`` that defines them."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.update({node.id} - enclosing)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.update({node.attr} - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_reference_guard_skips_a_names_own_definition():
+    source = ("def f():\n    return f()\n"
+              "class C:\n    def m(self):\n        return C.m, g.h\n"
+              "x = y\n")
+    assert referenced_names(source) == {"g", "h", "y"}
+
+
+def test_every_export_has_a_caller():
+    # an export that only tests call is surface without a use: the package's
+    # own code or the README's library quick start must reference it
+    used = set()
+    for path in sorted((ROOT / "src" / "cumvol").glob("*.py")):
+        used |= referenced_names(path.read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    used |= referenced_names(re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1))
+    assert sorted(set(cumvol.__all__) - used) == []

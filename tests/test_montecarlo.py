@@ -284,7 +284,7 @@ def test_stream_reductions_match_whole_ensemble(monkeypatch):
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
     g, noise, n = 0.2, gaussian(1.0), 12_345
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 4),
-                             horizon=4, convergence_tol=1e-300)
+                             horizon=4)
     tr = cv.evolve_z(cfg)
     targets = {t: tr.density(t) for t in (4, 1, 3)}
     run = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, targets=targets,
@@ -365,8 +365,8 @@ def test_finite_time_volatility_variance_dual_engine():
     # variance of the t=20 growth increment: path oracle vs recursion engine
     g, noise = 0.2, gaussian(1.0)
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_y_grid(g, noise),
-                             horizon=20, convergence_tol=1e-300)
-    tr = cv.evolve_y(cfg)
+                             horizon=20)
+    tr = cv.evolve_y(cfg, tol=1e-300)  # all 20 steps
     engine_var = cv.volatility_pdf(tr.density(20)).variance()
     mc_var, se = dz_variance(g, noise, 20, n_paths=100_000, seed=19)
     assert abs(mc_var - engine_var) < 3 * se
@@ -378,9 +378,7 @@ def test_steady_state_volatility_dual_engine_tabulated():
     # against oracle
     noise = cv.tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)])
     g = 0.25
-    cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_y_grid(g, noise),
-                             horizon=3000, convergence_tol=1e-10)
-    rep = cv.steady_state_volatility(cfg)
+    rep = cv.steady_state_volatility(g, noise, tol=1e-10)
     mc_var, se = dz_variance(g, noise, 60, n_paths=100_000, seed=23)
     assert abs(mc_var - rep.variance) < 3 * se
 
@@ -388,7 +386,7 @@ def test_steady_state_volatility_dual_engine_tabulated():
 def test_ks_dual_engine_gaussian():
     g, noise = 0.2, gaussian(1.0)
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 10),
-                             horizon=10, convergence_tol=1e-300)
+                             horizon=10)
     tr = cv.evolve_z(cfg)
     run = simulate_stream(g, noise, t_max=10, n_paths=100_000, seed=17,
                           targets={10: tr.density(10)})
@@ -400,7 +398,7 @@ def test_ks_dual_engine_tabulated_asymmetric():
     noise = cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
     g = 0.15
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 10),
-                             horizon=10, convergence_tol=1e-300)
+                             horizon=10)
     tr = cv.evolve_z(cfg)
     run = simulate_stream(g, noise, t_max=10, n_paths=50_000, seed=21,
                           targets={t: tr.density(t) for t in (1, 5, 10)})
@@ -412,7 +410,7 @@ def test_ks_dual_engine_negative_drift():
     # the forward recursion stays valid for g < 0 (totals saturate)
     g, noise = -0.15, gaussian(0.5)
     cfg = cv.EvolutionConfig(g=g, noise=noise, grid=cv.default_z_grid(g, noise, 12),
-                             horizon=12, convergence_tol=1e-300)
+                             horizon=12)
     tr = cv.evolve_z(cfg)
     run = simulate_stream(g, noise, t_max=12, n_paths=50_000, seed=22,
                           targets={12: tr.density(12)})
@@ -431,6 +429,8 @@ def test_input_validation():
         simulate_stream(0.2, gaussian(1.0), t_max=0, n_paths=10, seed=0)
     with pytest.raises(ValueError):
         simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=0, seed=0)
+    with pytest.raises(ValueError, match="one path has no sample variance"):
+        simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=1, seed=0)
     p = normalized(GriddedPdf(cell_grid(8.0, 64), np.ones(64)))
     with pytest.raises(ValueError):
         simulate_stream(0.2, gaussian(1.0), t_max=5, n_paths=10, seed=0, targets={6: p})

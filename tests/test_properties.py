@@ -133,7 +133,7 @@ def test_exact_z_density_agrees_with_monte_carlo(g, noise, t_max):
     # KS stays within 3/sqrt(n), the bound the benchmark's oracle check uses
     n = 20_000
     cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, t_max, n_points=8192),
-                          horizon=t_max, convergence_tol=1e-300)
+                          horizon=t_max)
     tr = evolve_z(cfg)
     run = simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=2024,
                           targets={t: tr.density(t) for t in range(1, t_max + 1)})
