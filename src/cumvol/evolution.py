@@ -25,11 +25,13 @@ outputs apply it repeatedly and renormalise (power iteration).
 The reversed variable's fixed point is P's Perron vector, which
 ``steady_state_volatility`` finds directly with a thick-restart Arnoldi
 iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
-and ARPACK's stopping rule (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J.
-Matrix Anal. Appl. 23, 2001). It needs tens of applications, where power
-iteration needs of the order of sigma_a^2/g^2 steps. Above the bulk of y the
-fixed point is a geometric tail of known rate (``analytic.tail_exponent``),
-so the eigensolve runs on the bulk's node masses plus that tail's amplitude.
+and ARPACK's stopping rule, tested as the basis grows (Morgan, Math. Comp.
+65, 1996; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Saad, Numerical
+Methods for Large Eigenvalue Problems, 2011). It needs tens of applications,
+where power iteration needs of the order of sigma_a^2/g^2 steps. Above the
+bulk of y the fixed point is a geometric tail of known rate
+(``analytic.tail_exponent``), so the eigensolve runs on the bulk's node
+masses plus that tail's amplitude.
 The Perron root lambda is the mass one step keeps, so 1 - lambda is the
 per-step leak through the grid's edges. The package runs on numpy alone.
 """
@@ -78,6 +80,9 @@ _MAX_GRID_POINTS = 1 << 21
 
 # Krylov subspace size of the steady-state eigensolve.
 _ARNOLDI_NCV = 40
+
+# The eigensolve tests its stopping rule after every this many basis vectors.
+_RITZ_CHECK_EVERY = 4
 
 # Most step-operator applications of one eigensolve.
 _MAX_APPLICATIONS = 4000
@@ -610,10 +615,15 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     Matrix Anal. Appl. 23, 2001) builds a Krylov space of ``_ARNOLDI_NCV``
     vectors from the first-step density, so repeated solves are
     bit-identical. Each new vector is orthogonalised by classical
-    Gram-Schmidt with one reorthogonalisation pass. After each full cycle the
-    Ritz pair (theta, y) of largest modulus of the projected matrix stops the
-    solve once ARPACK's Ritz estimate beta |y_last| is at most
-    ``tol`` |theta|. Otherwise the cycle restarts from an
+    Gram-Schmidt with one reorthogonalisation pass. Every
+    ``_RITZ_CHECK_EVERY`` basis vectors, in every cycle, the Ritz pair
+    (theta, y) of largest modulus of the projected matrix is tested by
+    ARPACK's Ritz estimate beta |y_last|. Mid-cycle it stops the solve once
+    the estimate is at most min(``tol``, ``_MAX_NEGATIVE_MASS``) |theta| and
+    its unit-mass vector is within the negative-mass budget; a candidate
+    failing either test only lets the basis grow. At the end of a full cycle
+    an estimate of at most ``tol`` |theta| stops it, and a vector over the
+    budget then fails the solve. Otherwise the cycle restarts from an
     orthonormal real basis of the half of the Ritz vectors with the largest
     modulus, followed by the old last basis vector. A conjugate pair enters
     that basis once, as its real and imaginary parts, so the basis spans an
@@ -656,22 +666,39 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     np.divide(first, np.linalg.norm(first), out=basis[0])
     del first
     tmp = np.empty(n)  # the Gram-Schmidt projections, subtracted through it
-    kept = 0
+    k = 0  # basis vectors whose step is in the projected matrix
     while True:
-        for j in range(kept, m):
-            w = counted(closure.apply, basis[j])
-            h = basis[:j + 1] @ w
-            w -= np.matmul(h, basis[:j + 1], out=tmp)
-            again = basis[:j + 1] @ w
-            w -= np.matmul(again, basis[:j + 1], out=tmp)
-            proj[:j + 1, j] = h + again
-            proj[j + 1, j] = np.linalg.norm(w)
-            np.divide(w, proj[j + 1, j], out=basis[j + 1])
-        theta, ritz = np.linalg.eig(proj[:m])
+        w = counted(closure.apply, basis[k])
+        h = basis[:k + 1] @ w
+        w -= np.matmul(h, basis[:k + 1], out=tmp)
+        again = basis[:k + 1] @ w
+        w -= np.matmul(again, basis[:k + 1], out=tmp)
+        proj[:k + 1, k] = h + again
+        proj[k + 1, k] = np.linalg.norm(w)
+        np.divide(w, proj[k + 1, k], out=basis[k + 1])
+        k += 1
+        if k < m and k % _RITZ_CHECK_EVERY:
+            continue
+        theta, ritz = np.linalg.eig(proj[:k, :k])
         order = np.argsort(-np.abs(theta), kind="stable")
         top = order[0]
-        if abs(proj[m] @ ritz[:, top]) <= tol * abs(theta[top]):
-            break
+        # mid-cycle, a Ritz estimate of tol alone can leave a vector over the
+        # negative-mass budget (4.5e-11 at g = 0.1, sigma_a^2 = 0.01, tol 1e-9)
+        rule = tol if k == m else min(tol, _MAX_NEGATIVE_MASS)
+        if abs(proj[k, :k] @ ritz[:, top]) <= rule * abs(theta[top]):
+            # the Perron pair is real; a complex product would copy the basis
+            vec = closure.extend(ritz[:, top].real @ basis[:k])
+            vec /= vec.sum()
+            negative = float(-vec[vec < 0.0].sum())
+            if negative <= _MAX_NEGATIVE_MASS:
+                break
+            if k == m:
+                raise ConvergenceError(
+                    f"eigenvector carries negative mass {negative:.3e} (budget "
+                    f"{_MAX_NEGATIVE_MASS:g}); it is not the stationary density"
+                )
+        if k < m:
+            continue
         chosen = order[:m // 2]
         chosen = chosen[theta[chosen].imag >= 0.0]  # each conjugate pair once
         pairs = chosen[theta[chosen].imag > 0.0]
@@ -685,16 +712,8 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
         basis[kept] = basis[m]  # only now: the product read row kept
         proj[:] = 0.0
         proj[:kept, :kept], proj[kept, :kept] = restart, coupling
-    # the Perron pair is real; a complex product would copy the basis as complex
-    vec = closure.extend(ritz[:, top].real @ basis[:m])
+        k = kept
     del basis, tmp, w
-    vec /= vec.sum()
-    negative = float(-vec[vec < 0.0].sum())
-    if negative > _MAX_NEGATIVE_MASS:
-        raise ConvergenceError(
-            f"eigenvector carries negative mass {negative:.3e} (budget "
-            f"{_MAX_NEGATIVE_MASS:g}); it is not the stationary density"
-        )
     np.maximum(vec, 0.0, out=vec)
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
@@ -766,20 +785,24 @@ def _grid_from(upper: float, h_target: float, n_points: int | None) -> GridSpec:
 
 def default_z_grid(g: float, noise: NoiseModel, t_max: int,
                    n_points: int | None = None) -> GridSpec:
-    """Grid sized to hold the log-production density out to t_max."""
-    mean_top = ybar(-g, t_max)  # log sum of the drift factors
+    """Grid sized to hold the log-production density out to t_max.
+
+    A table's mean adds to the drift: z moves at the rate g + mean.
+    """
     if noise.kind == "lorentzian":
-        upper = mean_top + 12.0 * noise.gamma + 25.0 * noise.gamma * t_max
+        upper = ybar(-g, t_max) + 12.0 * noise.gamma + 25.0 * noise.gamma * t_max
         h = min(0.005, noise.gamma / 40.0)
     else:
+        drift = g + noise.mean()
         sig = math.sqrt(max(noise.variance(), 1e-30))
-        if abs(g) > 1e-9:
-            spread = math.sqrt(max(var_logZ_saddle(g, sig, t_max), 0.0) + sig * sig)
+        if abs(drift) > 1e-9:
+            spread = math.sqrt(max(var_logZ_saddle(drift, sig, t_max), 0.0) + sig * sig)
         else:
             spread = sig * math.sqrt(t_max + 1.0)
-        upper = mean_top + 12.0 * spread + 6.0 * sig + 1.0
+        # ybar: the log sum of the drift factors
+        upper = ybar(-drift, t_max) + 12.0 * spread + 6.0 * sig + 1.0
         # earliest step is the narrowest: width ~ sigma * e^g/(1+e^g)
-        narrow = sig / (1.0 + math.exp(-g))
+        narrow = sig / (1.0 + math.exp(-drift))
         h = min(0.005, max(narrow / 30.0, upper / float(_MAX_GRID_POINTS)))
     return _grid_from(upper, h, n_points)
 
@@ -801,8 +824,10 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
     else:
         sig = math.sqrt(max(noise.variance(), 1e-30))
         width = sigma_y_fixed_point(g, sig)
-        # stationary exponential upper tail with rate 2g/sigma^2
-        tail = 9.5 * sig * sig / g
+        # 19 decay lengths of the stationary exponential upper tail: its
+        # rate is 2g/sigma^2 for Gaussian noise and a table's own otherwise
+        kappa = tail_exponent(noise, g) if noise.kind == "tabulated" else None
+        tail = 19.0 / kappa if kappa else 9.5 * sig * sig / g
         upper = center + 12.0 * width + tail + 6.0 * sig + 0.5
         target = width / 80.0
     if n_points is None and not upper / target <= _MAX_GRID_POINTS:
