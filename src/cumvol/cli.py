@@ -31,6 +31,7 @@ from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
     EvolutionConfig,
     _quantile_fields,
+    _stationary,
     default_y_grid,
     default_z_grid,
     evolve_y,
@@ -205,19 +206,15 @@ def cmd_evolve(args) -> int:
 def cmd_volatility(args) -> int:
     if args.steps is None:  # resolved before the config is echoed
         args.steps = 10_000 if args.until_converged else 50
-    if args.until_converged and not args.g > 0.0:
-        raise DomainError("--until-converged requires g > 0 (no fixed point otherwise)")
+    # no step where y has no stationary law; a steady state's grid is sized at g + E[a]
+    pair = _stationary(args.g, args.noise) if args.until_converged else (args.g, args.noise)
     out_dir = Path(args.out)
-    if args.grid is not None:
-        grid = cell_grid(*args.grid[1:])
-    elif args.g > 0.0:
-        grid = default_y_grid(args.g, args.noise, n_points=DEFAULT_GRID_POINTS)
-    else:
-        raise DomainError("g <= 0 needs an explicit --grid for the reversed variable")
+    grid = (cell_grid(*args.grid[1:]) if args.grid is not None
+            else default_y_grid(*pair, n_points=DEFAULT_GRID_POINTS))
     trace = evolve_y(EvolutionConfig(g=args.g, noise=args.noise, grid=grid, horizon=args.steps),
                      tol=args.tol)
     report = final_dz = None
-    if args.until_converged or (args.g > 0.0 and trace.converged_at is not None):
+    if args.until_converged:
         rep, final_dz = trace_volatility(trace)  # ConvergenceError if not converged
         report = asdict(rep)
         _check_finite(report, "volatility_report.json")  # before any density is written
@@ -267,8 +264,6 @@ def _sweep_point(g: float, sigma_sq: float, tol: float) -> dict:
 
 
 def cmd_compare_saddle(args) -> int:
-    if not args.g > 0.0:
-        raise DomainError("compare-saddle requires g > 0")
     out_dir = Path(args.out)
 
     rows = [_sweep_point(args.g, s2, args.tol) for s2 in args.sigma_sweep]
@@ -393,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_relative_tol, default=1e-8,
                    help="L1 distance between successive densities to stop at, in (0, 1)")
     p.add_argument("--until-converged", action="store_true",
-                   help="iterate to the fixed point (requires g > 0)")
+                   help="iterate to the fixed point and report it (exit 4 unless g + E[a] > 0)")
     p.set_defaults(func=cmd_volatility)
 
     p = sub.add_parser("compare-saddle",

@@ -15,7 +15,7 @@ noise) is captured as finite first-cell mass instead of being lost.
 
 The same machinery with g -> -g and mirrored noise evolves the reversed
 variable y = log(Z_t / (Z_t - Z_{t-1})) whose density converges to a genuine
-fixed point for g > 0; the one-step growth increment dz then follows from
+fixed point when g + E[a] > 0 (``_stationary``); dz then follows from
 
     rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
 
@@ -472,9 +472,9 @@ def evolve_y(config: EvolutionConfig, tol: float = 1e-8) -> EvolutionTrace:
     """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})).
 
     Identical machinery to ``evolve_z`` with the drift negated and the noise
-    mirrored; for g > 0 the densities reach a genuine fixed point, and the run
-    stops once the L1 distance between successive densities falls below
-    ``tol``, or after ``horizon`` steps.
+    mirrored; for g + E[a] > 0 the densities reach a genuine fixed point
+    (``_stationary``), and the run stops once the L1 distance between
+    successive densities falls below ``tol``, or after ``horizon`` steps.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -502,12 +502,24 @@ class VolatilityReport:
     noise: str
     variance: float
     quantiles: dict
-    sigma_a_sq: float | None
-    narrow_variance: float | None
-    ratio_to_narrow: float | None
+    sigma_a_sq: float
+    narrow_variance: float
+    ratio_to_narrow: float
     truncated_mass: float
-    variance_reliable: bool
     solver: dict
+
+
+def _stationary(g: float, noise: NoiseModel) -> tuple[float, NoiseModel]:
+    """The drift g + E[a] and the centred noise, which step y as (g, noise) do.
+    y has a stationary law exactly when g + E[a] > 0 and the noise variance is
+    finite (Vervaat, Adv. Appl. Probab. 11, 1979; Goldie and Maller, Ann. Probab.
+    28, 2000); else, and for Lorentzian noise (mean nan), a domain error."""
+    drift = g + noise.mean()
+    if not drift > 0.0:
+        raise DomainError(f"y has no stationary law: g + E[a] = {drift:g} ({noise.label()})")
+    if noise.kind == "tabulated":
+        noise = NoiseModel(kind="tabulated", xs=noise.xs - noise.mean(), ys=noise.ys)
+    return drift, noise
 
 
 def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
@@ -515,12 +527,11 @@ def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
     """Report on the growth increment for the reversed variable's fixed point p_y,
     and the growth increment's density it is read from.
 
-    Finite-variance noise whose narrow-noise variance underflows to 0 is a
-    domain error: the ratio to it would not be finite.
+    Noise that gives y no stationary law (``_stationary``), and a narrow-noise
+    variance at g + E[a] that underflows to 0, are domain errors.
     """
     sigma_sq = noise.variance()
-    finite_sigma = math.isfinite(sigma_sq)
-    narrow = var_dz_saddle(g, math.sqrt(sigma_sq)) if finite_sigma else None
+    narrow = var_dz_saddle(_stationary(g, noise)[0], math.sqrt(sigma_sq))
     if narrow == 0.0:
         raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
                           "the ratio to it is not finite")
@@ -531,11 +542,10 @@ def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
         noise=noise.label(),
         variance=variance,
         quantiles=_quantile_fields(dz),
-        sigma_a_sq=sigma_sq if finite_sigma else None,
+        sigma_a_sq=sigma_sq,
         narrow_variance=narrow,
-        ratio_to_narrow=variance / narrow if finite_sigma else None,
+        ratio_to_narrow=variance / narrow,
         truncated_mass=dz.truncated_mass,
-        variance_reliable=finite_sigma and dz.truncated_mass < 1e-3,
         solver=solver,
     ), dz
 
@@ -731,20 +741,19 @@ def steady_state_volatility(g: float, noise: NoiseModel, tol: float = 1e-9,
                             grid: GridSpec | None = None) -> VolatilityReport:
     """Solve the reversed recursion for its fixed point and report the volatility.
 
-    Requires g > 0 (otherwise the reversed recursion has no fixed point).
-    ``tol`` is the eigensolve's relative tolerance on ARPACK's Ritz
-    estimate; ``grid`` is the reversed variable's, ``default_y_grid(g,
-    noise)`` when not given. Raises ``ConvergenceError`` when the solve
-    needs more than ``_MAX_APPLICATIONS`` operator applications or the
-    eigenvector is not a density.
+    Noise that gives y no stationary law is a domain error (``_stationary``);
+    the grid (``default_y_grid`` when not given), the eigensolve and the
+    narrow-noise reference take its drift g + E[a] and centred noise. ``tol``
+    is the eigensolve's relative tolerance on ARPACK's Ritz estimate. Raises
+    ``ConvergenceError`` when the solve needs more than ``_MAX_APPLICATIONS``
+    operator applications or the eigenvector is not a density.
     """
-    if not g > 0.0:
-        raise DomainError("steady_state_volatility requires g > 0")
+    drift, centred = _stationary(g, noise)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if grid is None:
-        grid = default_y_grid(g, noise)
-    p_y, solver = _perron_density(g, noise, grid, tol)
+        grid = default_y_grid(drift, centred)
+    p_y, solver = _perron_density(drift, centred, grid, tol)
     return _volatility_report(g, noise, p_y, solver)[0]
 
 
@@ -757,8 +766,6 @@ def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPd
     density by ``l1_prev``.
     """
     config = trace.config
-    if not config.g > 0.0:
-        raise DomainError("trace_volatility requires g > 0")
     if trace.converged_at is None:
         raise ConvergenceError(f"trace did not converge within horizon={config.horizon}")
     last = trace.final()
@@ -814,8 +821,6 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
     the fixed point's width, or gamma/40 for Lorentzian noise), and noise so
     narrow that this needs more than 2^21 points is a domain error.
     """
-    if not g > 0.0:
-        raise DomainError("default_y_grid requires g > 0")
     _check_drift(g)  # the sizing below overflows long before float64 does
     center = ybar(g, math.inf)
     if noise.kind == "lorentzian":

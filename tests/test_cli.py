@@ -13,7 +13,8 @@ import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
 from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
-                    evolve_z, gaussian, lorentzian, trace_volatility, volatility_pdf)
+                    evolve_z, gaussian, lorentzian, steady_state_volatility, tabulated,
+                    trace_volatility, volatility_pdf)
 from cumvol.cli import main
 from cumvol.pdfgrid import write_csv
 from helpers import sample_ks
@@ -94,8 +95,7 @@ def test_volatility_until_converged(tmp_path):
     # each fact once: no width that restates variance or quantiles, and no
     # convergence step that restates the solver's or the manifest's
     assert set(report) == {"g", "noise", "variance", "quantiles", "sigma_a_sq",
-                           "narrow_variance", "ratio_to_narrow", "truncated_mass",
-                           "variance_reliable", "solver"}
+                           "narrow_variance", "ratio_to_narrow", "truncated_mass", "solver"}
     assert set(report["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
     assert report["ratio_to_narrow"] == pytest.approx(1.0, abs=0.05)
     # the report describes the final density of the iterated trace itself
@@ -205,6 +205,63 @@ def test_volatility_rejects_nonpositive_drift_with_convergence_flag(tmp_path):
     code = run(["volatility", "--g", "-0.2", "--noise", "gaussian:sigma=0.1",
                 "--until-converged", "--out", str(tmp_path / "vneg")])
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["volatility", "--g", "0.2", "--noise", "lorentzian:gamma=1", "--until-converged"],
+    ["volatility", "--g", "0.1", "--noise", "table:{table}", "--until-converged"],
+    ["volatility", "--g", "0.1", "--noise", "table:{table}", "--until-converged",
+     "--grid", "0,20,1024"],
+    ["compare-saddle", "--g", "-0.1", "--sigma-sweep", "0.01"],
+], ids=["lorentzian", "table", "table-grid", "compare-saddle"])
+def test_no_steady_state_where_y_has_no_stationary_law(tmp_path, capsys, monkeypatch, argv):
+    # y is stationary exactly when g + E[a] > 0 and the noise variance is
+    # finite. The uniform table on [-0.65, 0.35] at g = 0.1 has g + E[a] =
+    # -0.05, and Lorentzian noise no mean: each is refused before the first
+    # step, where the Lorentzian run wrote 1,302 files in 12 s
+    def no_step(*args, **kwargs):
+        raise AssertionError("the reversed recursion started")
+
+    monkeypatch.setattr(cli, "evolve_y", no_step)
+    monkeypatch.setattr(evolution, "_perron_density", no_step)
+    table = tmp_path / "uniform.csv"
+    table.write_text("x,density\n-0.65,1\n0.35,1\n", encoding="utf-8")
+    out = tmp_path / "x"
+    argv = [a.format(table=table) for a in argv]
+    assert run(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error: y has no stationary law" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_volatility_until_converged_takes_a_tables_mean_as_drift(tmp_path):
+    # uniform noise on [0.05, 0.35] at g = -0.05 has drift g + E[a] = 0.15: its
+    # default grid is sized for that drift (at g alone, g <= 0, it has none),
+    # and the power iteration's report agrees with the eigensolve's
+    table = tmp_path / "uniform.csv"
+    table.write_text("x,density\n0.05,1\n0.35,1\n", encoding="utf-8")
+    out = tmp_path / "v"
+    assert run(["volatility", "--g=-0.05", "--noise", f"table:{table}", "--until-converged",
+                "--out", str(out)]) == 0
+    report = json.loads((out / "volatility_report.json").read_text(encoding="utf-8"))
+    solved = steady_state_volatility(-0.05, tabulated([(0.05, 1.0), (0.35, 1.0)]),
+                                     grid=GridSpec(**read_manifest(out)["grid"]))
+    assert report["g"] == -0.05 and report["solver"]["method"] == "power"
+    assert report["variance"] == pytest.approx(solved.variance, rel=1e-5)
+    assert report["narrow_variance"] == solved.narrow_variance
+    assert report["ratio_to_narrow"] == pytest.approx(1.0, abs=0.01)
+
+
+def test_converged_per_step_volatility_writes_no_report(tmp_path):
+    # only --until-converged writes volatility_report.json: this run's trace
+    # converges at t = 95 of its 200 steps
+    out = tmp_path / "v"
+    assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1", "--steps", "200",
+                "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["convergence"]["converged_at"] == 95
+    assert "volatility_report.json" not in manifest["outputs"]
+    assert not (out / "volatility_report.json").exists()
 
 
 def test_compare_saddle_sweep(tmp_path):

@@ -30,7 +30,8 @@ from cumvol import (
 )
 from cumvol.cli import DEFAULT_GRID_POINTS
 from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, StepOperator, _assemble,
-                              _fast_len, _node_cdf, _TailClosure)
+                              _fast_len, _node_cdf, _perron_density, _stationary,
+                              _TailClosure)
 from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
 from helpers import interp_at, means, normalized, pdf_at, variances, warp_step, y_config
@@ -235,18 +236,66 @@ def test_steady_state_volatility_report_gaussian():
     rep = steady_state_volatility(0.1, gaussian(0.05))
     assert rep.solver["method"] == "arnoldi" and rep.solver["applications"] > 0
     assert rep.ratio_to_narrow == pytest.approx(1.0, abs=0.02)
-    assert rep.variance_reliable
     q = rep.quantiles
     assert q["q75"] > q["q25"] and q["q95"] - q["q05"] > q["q75"] - q["q25"]
     assert rep.sigma_a_sq == pytest.approx(0.0025)
 
 
-def test_steady_state_volatility_report_lorentzian_flags_unreliable():
-    rep = steady_state_volatility(0.2, lorentzian(1.0), tol=1e-7)
-    assert rep.ratio_to_narrow is None
-    assert not rep.variance_reliable
-    assert rep.truncated_mass > 0.0
-    assert rep.quantiles["q75"] > rep.quantiles["q25"]
+@pytest.mark.parametrize("g, noise", [
+    (0.2, lorentzian(1.0)),
+    (0.1, tabulated([(-0.65, 1.0), (0.35, 1.0)])),  # g + E[a] = -0.05
+    (0.15, tabulated([(-0.65, 1.0), (0.35, 1.0)])),  # g + E[a] = 0 to roundoff
+], ids=["lorentzian", "table-negative-drift", "table-zero-drift"])
+def test_steady_state_refuses_noise_with_no_stationary_law(monkeypatch, g, noise):
+    # y is stationary exactly when g + E[a] > 0 and the noise variance is
+    # finite; Lorentzian noise used to report its grid's quasi-stationary law,
+    # and the table at g + E[a] = -0.05 a variance of 3e-8. Both routes to a
+    # report refuse before they solve anything.
+    def no_solve(*args):
+        raise AssertionError("the eigensolve started")
+
+    monkeypatch.setattr(evolution, "_perron_density", no_solve)
+    with pytest.raises(DomainError, match="y has no stationary law"):
+        steady_state_volatility(g, noise)
+    trace = evolve_y(EvolutionConfig(g=g, noise=noise, grid=cell_grid(20.0, 256), horizon=50),
+                     tol=0.5)
+    assert trace.converged_at is not None
+    with pytest.raises(DomainError, match="y has no stationary law"):
+        trace_volatility(trace)
+
+
+@pytest.mark.parametrize("g, m", [(0.2, -0.15), (0.05, 0.15), (0.2, 0.15)])
+def test_a_tables_mean_is_drift(g, m):
+    # the reversed step sees only g + a: the uniform table of mean m at g has
+    # the report of the centred table at g + m, ratio included. The narrow
+    # reference used to be taken at g, giving ratios 0.2485 (g = 0.2,
+    # m = -0.15) and 3.947 (g = 0.05, m = 0.15) for 0.9911 and 0.9898.
+    shifted = steady_state_volatility(g, tabulated([(m - 0.5, 1.0), (m + 0.5, 1.0)]))
+    centred = steady_state_volatility(g + m, tabulated([(-0.5, 1.0), (0.5, 1.0)]))
+    for field in ("variance", "narrow_variance", "ratio_to_narrow", "truncated_mass"):
+        assert getattr(shifted, field) == pytest.approx(getattr(centred, field), rel=1e-9)
+    for q in shifted.quantiles:
+        assert shifted.quantiles[q] == pytest.approx(centred.quantiles[q], rel=1e-9)
+    assert shifted.g == g and shifted.ratio_to_narrow == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("g, points", [
+    (0.2, [(-0.65, 1.0), (0.35, 1.0)]),
+    (0.1, [(-0.3, 0.2), (0.1, 1.0), (0.6, 0.4)]),
+], ids=["uniform", "asymmetric"])
+def test_steady_growth_increment_mean_is_the_drift(monkeypatch, g, points):
+    # z_t - z_{t-1} averages g + E[a] at the steady state, whatever E[a] is
+    densities = []
+
+    def kept(p_y, grid=None):
+        densities.append(volatility_pdf(p_y, grid))
+        return densities[-1]
+
+    monkeypatch.setattr(evolution, "volatility_pdf", kept)
+    noise = tabulated(points)
+    assert abs(noise.mean()) > 0.1
+    steady_state_volatility(g, noise)
+    assert densities[0].mean() == pytest.approx(g + noise.mean(), abs=1e-5)
 
 
 def test_steady_state_volatility_domain_and_convergence_errors(monkeypatch):
@@ -516,18 +565,23 @@ _SOLVER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SOLVER_CASES))
 def test_eigensolve_matches_power_iteration(case):
+    # The eigensolve runs on the drift g + E[a] and the centred noise, so the
+    # table's power iteration does too. Lorentzian noise gives y no
+    # stationary law, but its step on a finite grid still has a Perron
+    # vector: the solver is checked on it directly.
     g, noise, grid = _SOLVER_CASES[case]
+    if noise.kind != "lorentzian":
+        g, noise = _stationary(g, noise)
     tr = evolve_y(EvolutionConfig(g=g, noise=noise, grid=grid, horizon=5000), tol=1e-12)
     assert tr.converged_at is not None
-    power = trace_volatility(tr)[0]
-    solved = steady_state_volatility(g, noise, tol=1e-12, grid=grid)
-    assert solved.variance == pytest.approx(power.variance, rel=1e-6)
-    iqr = [rep.quantiles["q75"] - rep.quantiles["q25"] for rep in (solved, power)]
+    p_y, solver = _perron_density(g, noise, grid, 1e-12)
+    solved, power = volatility_pdf(p_y), volatility_pdf(tr.final().pdf)
+    assert solved.variance() == pytest.approx(power.variance(), rel=1e-6)
+    iqr = [np.subtract(*dz.quantiles((0.75, 0.25))) for dz in (solved, power)]
     assert iqr[0] == pytest.approx(iqr[1], rel=1e-6)
-    solver = solved.solver
     assert solver["method"] == "arnoldi"
     assert solver["applications"] < tr.converged_at
-    assert solver["eigenvalue"] == pytest.approx(power.solver["eigenvalue"], abs=1e-10)
+    assert solver["eigenvalue"] == pytest.approx(1.0 - tr.final().new_truncation, abs=1e-10)
     assert solver["residual_l1"] < 1e-9
     # 1 - lambda is the per-step leak: none for the compact table, but
     # positive through the grid's edges for the other noises
@@ -587,19 +641,23 @@ def _arpack_reference(g, noise, grid, closure=None, tol=1e-9):
     (0.1, gaussian(1.0)),
 ], ids=["gaussian-0.1-g0.03", "table-g0.03", "lorentzian-0.3-g0.5", "gaussian-1-g0.1"])
 def test_eigensolve_matches_arpack(g, noise):
+    # the solver itself, on the grids and noises it was given: Lorentzian
+    # noise has no stationary law, yet its finite grid's step has a Perron
+    # vector, and its solve caught a restart bug that steady_state_volatility
+    # now refuses to reach
     grid = default_y_grid(g, noise)
-    solved = steady_state_volatility(g, noise)
+    p_y, solver = _perron_density(g, noise, grid, 1e-9)
     variance = _arpack_reference(g, noise, grid)[0]
-    assert solved.variance == pytest.approx(variance, rel=1e-6)
+    assert volatility_pdf(p_y).variance() == pytest.approx(variance, rel=1e-6)
     # The tail closure moves the eigenvalue by up to about 1e-10 and leaves
     # a full-grid residual of about 5e-9 (none without a tail, as for the
     # Lorentzian case), so the solver's own facts compare with ARPACK on the
     # same closed operator.
     _, eigenvalue, applications, allowed = _arpack_reference(
         g, noise, grid, _TailClosure(g, noise, grid))
-    assert solved.solver["eigenvalue"] == pytest.approx(eigenvalue, abs=1e-10)
-    assert solved.solver["residual_l1"] < allowed
-    assert solved.solver["applications"] <= applications
+    assert solver["eigenvalue"] == pytest.approx(eigenvalue, abs=1e-10)
+    assert solver["residual_l1"] < allowed
+    assert solver["applications"] <= applications
 
 
 # the interpolated density's mean is 0 to roundoff
