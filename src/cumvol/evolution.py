@@ -494,8 +494,9 @@ class VolatilityReport:
     ``method`` ("arnoldi" for the eigensolve, "power" for an iterated trace),
     ``applications`` of the step operator, the Perron root estimate
     ``eigenvalue`` (the mass one step keeps) and ``residual_l1``,
-    ``||P v - eigenvalue v||_1`` for the unit-mass vector v. ``noise`` is
-    the noise model's label. ``dataclasses.asdict`` gives the JSON report.
+    ``||P v - eigenvalue v||_1`` for the unit-mass vector v and the operator
+    P iterated (for the eigensolve, its closure). ``noise`` is the noise
+    model's label. ``dataclasses.asdict`` gives the JSON report.
     """
 
     g: float
@@ -562,31 +563,42 @@ class _TailClosure:
     proportional to e^{-kappa h (i - n_T)}. One step sends b through the
     prefix grid's own step operator: its cells stay in the bulk and its leak
     past y_T joins the amplitude (its kernel clips are lost, as on the full
-    grid). The tail's share comes from one application of the full grid's
-    step operator to t, made once: A times that image's first n_T cells
-    joins the bulk, and A times the mass of the others the amplitude.
-    Noise with no exponential tail, and a grid that ends before y_T, keep
-    the full grid: n_T = n and no amplitude.
+    grid). The tail's share is one step of t, made once on the prefix
+    [0, y_T + W], W the kernel's half-width plus the drift plus two cells:
+    no point moves down further, so t's mass above it, put on its last node,
+    stays above y_T. A times that image's first n_T cells joins the bulk and
+    A times the rest and its leak the amplitude. Noise with no exponential
+    tail, and a grid ending before y_T, keep the full grid: n_T = n, no A.
     """
 
     def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
         self.reversed = _reversed(g, noise, grid)
-        self.full = self.bulk = StepOperator(*self.reversed, grid)
         self.tail = None
+        n, h = grid.n_points, grid.h
         kappa = tail_exponent(noise, g)
-        if kappa is None:
+        if kappa is not None:
+            sig = math.sqrt(noise.variance())
+            y_t = ybar(g, math.inf) + _BULK_WIDTHS * sigma_y_fixed_point(g, sig) + _BULK_SIGMAS * sig
+            n = min(max(math.ceil(y_t / h), 16), n)
+        self.bulk = StepOperator(*self.reversed, GridSpec(grid.x_min, h, n))
+        if n == grid.n_points:
             return
-        sig = math.sqrt(noise.variance())
-        y_t = ybar(g, math.inf) + _BULK_WIDTHS * sigma_y_fixed_point(g, sig) + _BULK_SIGMAS * sig
-        n_bulk = max(math.ceil(y_t / grid.h), 16)
-        if n_bulk >= grid.n_points:
-            return
-        self.bulk = StepOperator(*self.reversed, GridSpec(grid.x_min, grid.h, n_bulk))
         # r = 0 (a tail on one node) where kappa h overflows
-        self.tail = math.exp(-kappa * grid.h) ** np.arange(grid.n_points - n_bulk, dtype=float)
+        self.tail = math.exp(-kappa * h) ** np.arange(grid.n_points - n, dtype=float)
         self.tail /= self.tail.sum()
-        image = self.full.apply(np.concatenate((np.zeros(n_bulk), self.tail)))[0]
-        self._image, self._kept = image[:n_bulk].copy(), float(image[n_bulk:].sum())
+        head = np.zeros(min(n + self.bulk.kernel.halfcells + math.ceil(g / h) + 2, grid.n_points))
+        head[n:] = self.tail[:head.size - n]
+        head[-1] += self.tail[head.size - n:].sum()
+        cells, leak = StepOperator(*self.reversed,
+                                   GridSpec(grid.x_min, h, head.size)).transport(head)
+        self._image, self._kept = cells[:n].copy(), float(cells[n:].sum()) + leak
+
+    def start(self) -> np.ndarray:
+        """The first step from y = 0 as (b, A), or as unit mass on the full grid."""
+        rev_g, rev_noise = self.reversed
+        if self.tail is None:
+            return init_first_step(rev_noise, rev_g, self.bulk.grid).node_masses()
+        return np.append(*_first_step(rev_noise, rev_g, self.bulk.grid))
 
     def restrict(self, masses: np.ndarray) -> np.ndarray:
         """The vector of full-grid node masses: the bulk's, then the mass above y_T."""
@@ -603,14 +615,24 @@ class _TailClosure:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One step of a vector (b, A); linear in it."""
+        return self.step(v)[0]
+
+    def step(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """One step of a vector (b, A) and the mass it loses, both linear in it."""
         if self.tail is None:
-            return self.bulk.apply(v)[0]
+            return self.bulk.apply(v)
         cells, leak = self.bulk.transport(v[:-1])
         out = np.empty(v.size)
         np.multiply(self._image, v[-1], out=out[:-1])
         out[:-1] += cells
         out[-1] = leak + v[-1] * self._kept
-        return out
+        kern = self.bulk.kernel
+        return out, (kern.clip_right + (0.0 if kern.capped else kern.clip_left)) * float(v.sum())
+
+
+def _negative_mass(v: np.ndarray) -> float:
+    """The negative mass of (b, A): its full grid's, as the tail t >= 0 sums to 1."""
+    return float(-v[v < 0.0].sum())
 
 
 def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
@@ -638,20 +660,20 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     modulus, followed by the old last basis vector. A conjugate pair enters
     that basis once, as its real and imaginary parts, so the basis spans an
     invariant subspace of the projected matrix and the Arnoldi relation holds
-    across the restart. The unit-mass eigenvector, extended onto the full
-    grid, goes through one more step of the full grid's operator, whose mass
-    bookkeeping passes the per-step defect check; the resulting density's
-    ``truncated_mass`` is that step's leak, about 1 - lambda. The tail's
+    across the restart. The clipped unit-mass eigenvector (b, A) goes
+    through one more closed step, whose loss (``_TailClosure.step``) passes
+    the per-step defect check and, about 1 - lambda, is the
+    ``truncated_mass`` of its result extended onto the full grid. The tail's
     image and that last step are counted as applications, at most
     ``_MAX_APPLICATIONS`` of them.
 
-    Besides the two step operators' own arrays and a few full-grid vectors,
-    the solve's workspace is the basis, (ncv + 1) x (n_T + 1) doubles
-    (1.5 MB for the 4,621 bulk points of the 25,872-point grid at
-    sigma_a^2 = 1, g = 0.1), and the one vector that Gram-Schmidt subtracts
-    through: the restart, an orthogonal change of basis, is applied in place
-    in column blocks. The default y grid refuses noise that would need more
-    than 2^21 points, so the basis stays below 41 x 2^21 doubles (688 MB).
+    Besides the bulk's step operator, the tail and the reported density, the
+    solve's workspace is the basis, (ncv + 1) x (n_T + 1) doubles (1.5 MB
+    for the 4,621 bulk points of the 25,872-point grid at sigma_a^2 = 1,
+    g = 0.1), and the one vector that Gram-Schmidt subtracts through: the
+    restart, an orthogonal change of basis, is applied in place in column
+    blocks. The default y grid refuses noise that would need more than 2^21
+    points, so the basis stays below 41 x 2^21 doubles (688 MB).
     """
     closure = _TailClosure(g, noise, grid)
     applications = 0 if closure.tail is None else 1
@@ -666,9 +688,7 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
             )
         return apply(v)
 
-    rev_g, rev_noise = closure.reversed
-    # the first step's full-grid vectors are gone before the basis is made
-    first = closure.restrict(init_first_step(rev_noise, rev_g, grid).node_masses())
+    first = closure.start()
     n = first.size
     m = min(_ARNOLDI_NCV, n)
     basis = np.zeros((m + 1, n))  # one Krylov vector per row
@@ -697,9 +717,9 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
         rule = tol if k == m else min(tol, _MAX_NEGATIVE_MASS)
         if abs(proj[k, :k] @ ritz[:, top]) <= rule * abs(theta[top]):
             # the Perron pair is real; a complex product would copy the basis
-            vec = closure.extend(ritz[:, top].real @ basis[:k])
+            vec = ritz[:, top].real @ basis[:k]
             vec /= vec.sum()
-            negative = float(-vec[vec < 0.0].sum())
+            negative = _negative_mass(vec)
             if negative <= _MAX_NEGATIVE_MASS:
                 break
             if k == m:
@@ -727,8 +747,8 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     np.maximum(vec, 0.0, out=vec)
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
-    cells, new_trunc = counted(closure.full.apply, vec)
-    pdf, _ = _assemble(grid, cells, 0.0, new_trunc)
+    cells, new_trunc = counted(closure.step, vec)
+    pdf, _ = _assemble(grid, closure.extend(cells), 0.0, new_trunc)
     return pdf, {
         "method": "arnoldi",
         "applications": applications,

@@ -680,6 +680,68 @@ def test_tail_closure_stays_within_its_budget(g, noise):
     assert solved.ratio_to_narrow == pytest.approx(variance / solved.narrow_variance, rel=3e-7)
 
 
+_CLOSURE_CASES = [
+    *((0.1, gaussian(math.sqrt(s2))) for s2 in (0.01, 0.04, 0.16, 0.64, 1.0)),
+    (0.03, gaussian(2.0)),
+    (0.1, ASYMMETRIC),
+]
+_CLOSURE_IDS = ["sweep-0.01", "sweep-0.04", "sweep-0.16", "sweep-0.64", "sweep-1.0",
+                "near-critical", "table"]
+
+
+@pytest.mark.parametrize("g, noise", _CLOSURE_CASES, ids=_CLOSURE_IDS)
+def test_tail_closure_on_its_prefix_matches_the_full_grid(g, noise):
+    # The tail image made on the prefix [0, y_T + W] is the full grid's below
+    # y_T (at most 1.1e-16 apart); its kept mass exceeds the full grid's by
+    # that grid's top leak alone (at most 4.7e-11); and the start on the
+    # bulk grid is the full grid's first step, restricted (1.7e-16 relative).
+    g, noise = _stationary(g, noise)
+    grid = default_y_grid(g, noise)
+    closure = _TailClosure(g, noise, grid)
+    n_bulk = closure.bulk.grid.n_points
+    tail = closure.extend(np.append(np.zeros(n_bulk), 1.0))
+    image = StepOperator(*closure.reversed, grid).apply(tail)[0]
+    np.testing.assert_allclose(closure._image, image[:n_bulk], rtol=0.0, atol=1e-15)
+    kept = float(image[n_bulk:].sum())
+    assert kept <= closure._kept <= kept + 1e-10
+    rev_g, rev_noise = closure.reversed
+    first = closure.restrict(init_first_step(rev_noise, rev_g, grid).node_masses())
+    np.testing.assert_allclose(closure.start(), first, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("g, sigma", [(0.03, 2.0), (0.1, 1.0)])
+def test_steady_state_builds_no_step_operator_past_the_tail_images_prefix(monkeypatch, g, sigma):
+    # no step operator spans the full grid, which is 20 and 5.6 times the bulk here
+    noise = gaussian(sigma)
+    grid = default_y_grid(g, noise)
+    bulk = _TailClosure(g, noise, grid).bulk
+    prefix = bulk.grid.n_points + bulk.kernel.halfcells + math.ceil(g / grid.h) + 2
+    built, init = [], StepOperator.__init__
+
+    def recorded(self, g, noise, grid):
+        built.append(grid.n_points)
+        init(self, g, noise, grid)
+
+    monkeypatch.setattr(StepOperator, "__init__", recorded)
+    steady_state_volatility(g, noise)
+    assert built and max(built) <= prefix < grid.n_points
+
+
+def test_near_critical_solve_holds_no_full_grid_operator():
+    # 275,841 y points, 13,556 of them bulk: the solve traces 4.4 full-grid
+    # vectors (9.7 MB), where the full grid's operator, tail image and last
+    # step took 9.3 (20.6 MB)
+    g, noise = 0.03, gaussian(2.0)
+    grid = default_y_grid(g, noise)
+    tracemalloc.start()
+    try:
+        _perron_density(g, noise, grid, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * grid.n_points * 8
+
+
 def test_table_tail_exponent_matches_the_full_grids_tail_slope():
     # past centre + 6 widths the full grid's Perron vector decays at the
     # rate the moment equation gives for the (unmirrored) noise
@@ -725,20 +787,20 @@ def test_eigensolve_applications_fall_as_tol_loosens(g, sigma):
 
 def test_eigensolve_skips_an_early_candidate_over_the_negative_mass_budget(monkeypatch):
     # On the sweep an early candidate's negative mass is far below its Ritz
-    # estimate, so one is spoilt here: the first gets a negative tail node.
-    # The solve goes on to the next check instead of stopping or failing.
+    # estimate, so one is spoilt here: the first unit-mass vector (b, A)
+    # that the check reads gets a negative tail amplitude. The solve goes on
+    # to the next check instead of stopping or failing.
     g, noise = 0.1, gaussian(1.0)
     plain = steady_state_volatility(g, noise)
-    extend, calls = _TailClosure.extend, []
+    negative_mass, calls = evolution._negative_mass, []
 
-    def spoilt(self, v):
-        out = extend(self, v)
-        calls.append(out.size)
+    def spoilt(v):
+        calls.append(v.size)
         if len(calls) == 1:
-            out[-1] = -1e-9 * out.sum()
-        return out
+            v[-1] = -1e-9
+        return negative_mass(v)
 
-    monkeypatch.setattr(_TailClosure, "extend", spoilt)
+    monkeypatch.setattr(evolution, "_negative_mass", spoilt)
     solved = steady_state_volatility(g, noise)
     assert len(calls) == 2
     assert plain.solver["applications"] < solved.solver["applications"] <= _ARNOLDI_NCV
@@ -769,10 +831,11 @@ def test_eigensolve_application_cap(monkeypatch):
 def test_eigensolve_workspace_is_its_krylov_basis():
     # The restart is applied in place in column blocks and Gram-Schmidt
     # subtracts through one vector, so the solve's traced peak is the
-    # (ncv + 1) x (n_T + 1) basis on the n_T bulk points, about ten more bulk
-    # vectors, and a few full-grid vectors: the full grid's operator and
-    # tail, and its last step (57 bulk vectors in all here). A restart that
-    # forms the kept Ritz vectors beside the basis peaks near 77.
+    # (ncv + 1) x (n_T + 1) basis on the n_T bulk points and about ten more
+    # bulk vectors (53 in all here). No full-grid operator, tail image or
+    # last step remains: the geometric tail, under one full-grid vector, is
+    # all the solve holds on the full grid until the reported density. A
+    # restart that forms the kept Ritz vectors beside the basis peaks near 77.
     g, noise, grid = 0.005, gaussian(1.0), cell_grid(90.0, 24000)
     n = grid.n_points
     n_bulk = _TailClosure(g, noise, grid).bulk.grid.n_points
@@ -786,7 +849,7 @@ def test_eigensolve_workspace_is_its_krylov_basis():
     # two restarts: past the tail image, the first cycle's 40 vectors, the
     # second's 19 to 21 (the kept Ritz vectors fill the rest) and the last step
     assert solved.solver["applications"] > 2 * _ARNOLDI_NCV - _ARNOLDI_NCV // 2 + 3
-    assert peak < (55 * n_bulk + 10 * n) * 8
+    assert peak < (55 * n_bulk + n) * 8
 
 
 def _fftconvolve_step(p, noise, g):
