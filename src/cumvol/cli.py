@@ -250,8 +250,8 @@ def cmd_volatility(args) -> int:
     return 0
 
 
-def _sweep_point(g: float, sigma_sq: float, tol: float) -> dict:
-    rep = steady_state_volatility(g, gaussian(math.sqrt(sigma_sq)), tol)
+def _sweep_point(g: float, sigma_sq: float) -> dict:
+    rep = steady_state_volatility(g, gaussian(math.sqrt(sigma_sq)))
     return {
         "sigma_a_sq": sigma_sq,
         "ratio": rep.ratio_to_narrow,
@@ -266,7 +266,7 @@ def _sweep_point(g: float, sigma_sq: float, tol: float) -> dict:
 def cmd_compare_saddle(args) -> int:
     out_dir = Path(args.out)
 
-    rows = [_sweep_point(args.g, s2, args.tol) for s2 in args.sigma_sweep]
+    rows = [_sweep_point(args.g, s2) for s2 in args.sigma_sweep]
     manifest = _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"], {"points": rows})
     _check_finite(manifest, "manifest.json")  # before the CSV is written
 
@@ -290,8 +290,13 @@ def _load_against(args) -> dict:
     ref = Path(against) / "manifest.json"
     if not ref.exists():
         raise DomainError(f"--against directory {against} has no manifest.json")
-    manifest = json.loads(ref.read_text(encoding="utf-8"))
-    config = manifest.get("config", {})
+    try:
+        manifest = json.loads(ref.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DomainError(f"--against run {against} has no JSON manifest: {exc}") from exc
+    config = manifest.get("config", {}) if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        raise DomainError(f"--against run {against} has no run's manifest: not a JSON object")
     for field, found, wanted in (("command", manifest.get("command"), "evolve"),
                                  ("config.g", config.get("g"), args.g),
                                  ("config.noise", config.get("noise"), args.noise.label())):
@@ -397,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-sweep", type=_sweep_arg, required=True,
                    help="comma-separated noise variances sigma_a^2")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=_relative_tol, default=1e-9,
-                   help="in (0, 1): bounds the eigensolve's Ritz estimate relative to the "
-                        "eigenvalue, not the variance's error")
     p.set_defaults(func=cmd_compare_saddle)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo path oracle")
@@ -416,9 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(text: str) -> None:
+    """Refuse an --out whose nearest existing path is not a directory."""
+    path = Path(text)
+    found = next((p for p in (path, *path.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise ValueError(f"--out {text}: {found} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)  # before any work
         return args.func(args)
     except DomainError as exc:
         print(f"cumvol: domain error: {exc}", file=sys.stderr)

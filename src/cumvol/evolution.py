@@ -25,7 +25,8 @@ outputs apply it repeatedly and renormalise (power iteration).
 The reversed variable's fixed point is P's Perron vector, which
 ``steady_state_volatility`` finds directly with a thick-restart Arnoldi
 iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
-and ARPACK's stopping rule, tested as the basis grows (Morgan, Math. Comp.
+and one stopping rule, ARPACK's Ritz estimate at 1e-12 relative with a
+nonnegative unit-mass vector, tested as the basis grows (Morgan, Math. Comp.
 65, 1996; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Saad, Numerical
 Methods for Large Eigenvalue Problems, 2011). It needs tens of applications,
 where power iteration needs of the order of sigma_a^2/g^2 steps. Above the
@@ -101,6 +102,9 @@ _RESTART_BLOCK = 4096
 # The Perron vector is nonnegative; an eigenvector carrying more negative mass
 # than this (after normalisation to unit mass) is not it.
 _MAX_NEGATIVE_MASS = 1e-12
+
+# The eigensolve's Ritz estimate stops it at most this times |theta|.
+_RITZ_TOL = 1e-12
 
 # Upper end of the default dz grids: growth increments beyond it cannot be
 # represented, so inputs that put them there are domain errors.
@@ -600,22 +604,11 @@ class _TailClosure:
             return init_first_step(rev_noise, rev_g, self.bulk.grid).node_masses()
         return np.append(*_first_step(rev_noise, rev_g, self.bulk.grid))
 
-    def restrict(self, masses: np.ndarray) -> np.ndarray:
-        """The vector of full-grid node masses: the bulk's, then the mass above y_T."""
-        if self.tail is None:
-            return masses
-        n_bulk = self.bulk.grid.n_points
-        return np.append(masses[:n_bulk], masses[n_bulk:].sum())
-
     def extend(self, v: np.ndarray) -> np.ndarray:
         """The full grid's node masses of a vector (b, A)."""
         if self.tail is None:
             return v
         return np.concatenate((v[:-1], v[-1] * self.tail))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """One step of a vector (b, A); linear in it."""
-        return self.step(v)[0]
 
     def step(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """One step of a vector (b, A) and the mass it loses, both linear in it."""
@@ -635,8 +628,7 @@ def _negative_mass(v: np.ndarray) -> float:
     return float(-v[v < 0.0].sum())
 
 
-def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
-                    tol: float) -> tuple[GriddedPdf, dict]:
+def _perron_density(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[GriddedPdf, dict]:
     """Fixed point of the reversed recursion as the step operator's Perron vector.
 
     The eigensolve runs on ``_TailClosure``'s vectors of the bulk prefix's
@@ -650,22 +642,22 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     Gram-Schmidt with one reorthogonalisation pass. Every
     ``_RITZ_CHECK_EVERY`` basis vectors, in every cycle, the Ritz pair
     (theta, y) of largest modulus of the projected matrix is tested by
-    ARPACK's Ritz estimate beta |y_last|. Mid-cycle it stops the solve once
-    the estimate is at most min(``tol``, ``_MAX_NEGATIVE_MASS``) |theta| and
-    its unit-mass vector is within the negative-mass budget; a candidate
-    failing either test only lets the basis grow. At the end of a full cycle
-    an estimate of at most ``tol`` |theta| stops it, and a vector over the
-    budget then fails the solve. Otherwise the cycle restarts from an
-    orthonormal real basis of the half of the Ritz vectors with the largest
-    modulus, followed by the old last basis vector. A conjugate pair enters
-    that basis once, as its real and imaginary parts, so the basis spans an
-    invariant subspace of the projected matrix and the Arnoldi relation holds
-    across the restart. The clipped unit-mass eigenvector (b, A) goes
-    through one more closed step, whose loss (``_TailClosure.step``) passes
-    the per-step defect check and, about 1 - lambda, is the
-    ``truncated_mass`` of its result extended onto the full grid. The tail's
-    image and that last step are counted as applications, at most
-    ``_MAX_APPLICATIONS`` of them.
+    ARPACK's Ritz estimate beta |y_last|. One rule stops the solve at every
+    check: an estimate of at most ``_RITZ_TOL`` |theta| and a unit-mass
+    vector within the negative-mass budget. Mid-cycle a candidate failing
+    either test only lets the basis grow. At the end of a full cycle a
+    converged vector over the budget fails the solve, which restarts would
+    not mend before the application cap. Otherwise the cycle restarts from
+    an orthonormal real basis of the half of the Ritz vectors with the
+    largest modulus, followed by the old last basis vector. A conjugate pair
+    enters that basis once, as its real and imaginary parts, so the basis
+    spans an invariant subspace of the projected matrix and the Arnoldi
+    relation holds across the restart. The clipped unit-mass eigenvector
+    (b, A) goes through one more closed step, whose loss
+    (``_TailClosure.step``) passes the per-step defect check and, about
+    1 - lambda, is the ``truncated_mass`` of its result extended onto the
+    full grid. The tail's image and that last step are counted as
+    applications, at most ``_MAX_APPLICATIONS`` of them.
 
     Besides the bulk's step operator, the tail and the reported density, the
     solve's workspace is the basis, (ncv + 1) x (n_T + 1) doubles (1.5 MB
@@ -678,15 +670,13 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     closure = _TailClosure(g, noise, grid)
     applications = 0 if closure.tail is None else 1
 
-    def counted(apply, v):
+    def step(v):
         nonlocal applications
         applications += 1
         if applications > _MAX_APPLICATIONS:
             raise ConvergenceError(
-                f"no fixed point within {_MAX_APPLICATIONS} operator applications "
-                f"at tol={tol:g}"
-            )
-        return apply(v)
+                f"no fixed point within {_MAX_APPLICATIONS} operator applications")
+        return closure.step(v)
 
     first = closure.start()
     n = first.size
@@ -698,7 +688,7 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     tmp = np.empty(n)  # the Gram-Schmidt projections, subtracted through it
     k = 0  # basis vectors whose step is in the projected matrix
     while True:
-        w = counted(closure.apply, basis[k])
+        w = step(basis[k])[0]
         h = basis[:k + 1] @ w
         w -= np.matmul(h, basis[:k + 1], out=tmp)
         again = basis[:k + 1] @ w
@@ -712,10 +702,7 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
         theta, ritz = np.linalg.eig(proj[:k, :k])
         order = np.argsort(-np.abs(theta), kind="stable")
         top = order[0]
-        # mid-cycle, a Ritz estimate of tol alone can leave a vector over the
-        # negative-mass budget (4.5e-11 at g = 0.1, sigma_a^2 = 0.01, tol 1e-9)
-        rule = tol if k == m else min(tol, _MAX_NEGATIVE_MASS)
-        if abs(proj[k, :k] @ ritz[:, top]) <= rule * abs(theta[top]):
+        if abs(proj[k, :k] @ ritz[:, top]) <= _RITZ_TOL * abs(theta[top]):
             # the Perron pair is real; a complex product would copy the basis
             vec = ritz[:, top].real @ basis[:k]
             vec /= vec.sum()
@@ -747,7 +734,7 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     np.maximum(vec, 0.0, out=vec)
     vec /= vec.sum()
     eigenvalue = float(theta[top].real)
-    cells, new_trunc = counted(closure.step, vec)
+    cells, new_trunc = step(vec)
     pdf, _ = _assemble(grid, closure.extend(cells), 0.0, new_trunc)
     return pdf, {
         "method": "arnoldi",
@@ -757,23 +744,21 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec,
     }
 
 
-def steady_state_volatility(g: float, noise: NoiseModel, tol: float = 1e-9,
+def steady_state_volatility(g: float, noise: NoiseModel,
                             grid: GridSpec | None = None) -> VolatilityReport:
     """Solve the reversed recursion for its fixed point and report the volatility.
 
     Noise that gives y no stationary law is a domain error (``_stationary``);
     the grid (``default_y_grid`` when not given), the eigensolve and the
-    narrow-noise reference take its drift g + E[a] and centred noise. ``tol``
-    is the eigensolve's relative tolerance on ARPACK's Ritz estimate. Raises
+    narrow-noise reference take its drift g + E[a] and centred noise. The
+    eigensolve stops by one rule (``_perron_density``). Raises
     ``ConvergenceError`` when the solve needs more than ``_MAX_APPLICATIONS``
     operator applications or the eigenvector is not a density.
     """
     drift, centred = _stationary(g, noise)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if grid is None:
         grid = default_y_grid(drift, centred)
-    p_y, solver = _perron_density(drift, centred, grid, tol)
+    p_y, solver = _perron_density(drift, centred, grid)
     return _volatility_report(g, noise, p_y, solver)[0]
 
 

@@ -348,7 +348,7 @@ def parse_noise_spec(text: str) -> NoiseModel:
         return lorentzian(float(val))
     if head == "table":
         p = Path(rest)
-        if not p.exists():
-            raise ValueError(f"noise table {rest!r} does not exist")
+        if not p.is_file():
+            raise ValueError(f"noise table {rest!r} is not an existing file")
         return load_tabulated_csv(p)
     raise ValueError(f"unknown noise kind {head!r} in spec {text!r}")

@@ -267,7 +267,7 @@ def test_converged_per_step_volatility_writes_no_report(tmp_path):
 def test_compare_saddle_sweep(tmp_path):
     out = tmp_path / "sweep"
     code = run(["compare-saddle", "--g", "0.2", "--sigma-sweep", "0.0025,0.01",
-                "--out", str(out), "--tol", "1e-8"])
+                "--out", str(out)])
     assert code == 0
     rows = (out / "saddle_ratio.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0].startswith("sigma_a_sq,ratio")
@@ -369,6 +369,29 @@ def test_simulate_against_without_manifest_fails_before_simulating(tmp_path, mon
                 "--paths", "1000", "--steps", "5", "--against", str(tmp_path / "empty"),
                 "--out", str(out)])
     assert code == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, cause", [
+    (b"not json\n", "has no JSON manifest: Expecting value"),
+    (b"\xff\n", "has no JSON manifest: 'utf-8' codec can't decode"),
+    (b"[1, 2]\n", "has no run's manifest: not a JSON object"),
+    (b'{"command": "evolve", "config": [1]}\n', "has no run's manifest: not a JSON object"),
+], ids=["not-json", "not-utf8", "list", "config-list"])
+def test_simulate_against_a_manifest_that_is_not_a_json_object_fails_before_simulating(
+        tmp_path, monkeypatch, capsys, text, cause):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --against")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    (ref / "manifest.json").write_bytes(text)
+    out = tmp_path / "mc"
+    assert run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
+                "--steps", "2", "--against", str(ref), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"domain error: --against run {ref} {cause}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -496,7 +519,7 @@ def test_evolve_tol_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "3"],
-    ["compare-saddle", "--g", "0.2", "--sigma-sweep", "0.01"],
+    ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--until-converged"],
 ])
 def test_infinite_tolerance_is_usage_error(tmp_path, capsys, command):
     # an infinite --tol would "converge" at once and only fail at the manifest,
@@ -510,12 +533,14 @@ def test_infinite_tolerance_is_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("tol", ["2", "1", "0", "-1e-9"])
 def test_compare_saddle_tolerance_outside_unit_interval_is_usage_error(tmp_path, capsys, tol):
-    # a relative eigenvalue tolerance of 1 or more stops the eigensolve short
+    # compare-saddle's eigensolve stops by one rule, so it takes no --tol:
+    # neither one that would stop it short nor one inside (0, 1)
     out = tmp_path / "x"
-    assert run(["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01", f"--tol={tol}",
-                "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "(0, 1)" in err and "Traceback" not in err
+    for value in (tol, "1e-9"):
+        assert run(["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01", f"--tol={value}",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --tol={value}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -613,8 +638,8 @@ def test_exponent_form_negative_drift_runs(tmp_path):
 
 def test_exponent_form_negative_tolerance_is_range_error(tmp_path, capsys):
     out = tmp_path / "x"
-    assert run(["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01", "--tol", "-1e-9",
-                "--out", str(out)]) == 2
+    assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--until-converged",
+                "--tol", "-1e-9", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "(0, 1)" in err and "expected one argument" not in err
     assert not out.exists()
@@ -744,6 +769,50 @@ def test_evolve_overflowing_drift_is_domain_error(tmp_path, capsys, g, noise):
     err = capsys.readouterr().err
     assert "domain error" in err and "overflows float64" in err and "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+_SMALL_RUNS = {
+    "evolve": ["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2"],
+    "volatility": ["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2"],
+    "compare-saddle": ["compare-saddle", "--g", "0.5", "--sigma-sweep", "0.01"],
+    "simulate": ["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
+                 "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                       below):
+    # an --out that is a file, or lies below one, is refused before any work:
+    # simulate would otherwise draw all its paths before its first write
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    for name in ("evolve_z", "evolve_y", "steady_state_volatility", "simulate_stream"):
+        monkeypatch.setattr(cli, name, no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub" / "run" if below else blocker
+    assert run(_SMALL_RUNS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cumvol: invalid input: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_table_noise_that_is_a_directory_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --noise")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_simulation)
+    out = tmp_path / "x"
+    assert run(["simulate", "--g", "0.2", "--noise", f"table:{tmp_path}", "--paths", "1000",
+                "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"noise table '{tmp_path}' is not an existing file" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_grid_point_cap_is_usage_error(tmp_path, capsys):

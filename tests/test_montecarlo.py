@@ -378,7 +378,7 @@ def test_steady_state_volatility_dual_engine_tabulated():
     # against oracle
     noise = cv.tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)])
     g = 0.25
-    rep = cv.steady_state_volatility(g, noise, tol=1e-10)
+    rep = cv.steady_state_volatility(g, noise)
     mc_var, se = dz_variance(g, noise, 60, n_paths=100_000, seed=23)
     assert abs(mc_var - rep.variance) < 3 * se
 
