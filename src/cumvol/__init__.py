@@ -11,7 +11,6 @@ closed-form narrow-noise formulas and a Monte Carlo path simulator.
 from .analytic import sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, CumvolError, DomainError, MassDefectError
 from .evolution import (
-    EvolutionConfig,
     EvolutionTrace,
     StepRecord,
     VolatilityReport,
@@ -19,7 +18,6 @@ from .evolution import (
     default_z_grid,
     evolve_y,
     evolve_z,
-    init_first_step,
     steady_state_volatility,
     trace_volatility,
     volatility_pdf,
@@ -42,8 +40,8 @@ __all__ = [
     "CumvolError", "MassDefectError", "ConvergenceError", "DomainError",
     "NoiseModel", "gaussian", "lorentzian", "tabulated", "parse_noise_spec",
     "load_tabulated_csv", "GridSpec", "GriddedPdf", "cell_grid",
-    "EvolutionConfig", "EvolutionTrace", "StepRecord", "VolatilityReport",
-    "init_first_step", "evolve_z", "evolve_y", "volatility_pdf",
+    "EvolutionTrace", "StepRecord", "VolatilityReport",
+    "evolve_z", "evolve_y", "volatility_pdf",
     "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
     "McEnsemble", "simulate_stream",

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
-    EvolutionConfig,
     _quantile_fields,
     _stationary,
     default_y_grid,
@@ -99,14 +98,17 @@ def _grid_arg(text: str):
     return lo, hi, n
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _sweep_arg(text: str):
@@ -117,8 +119,9 @@ def _sweep_arg(text: str):
         values = [float(p) for p in items]
     except ValueError:
         raise argparse.ArgumentTypeError("--sigma-sweep expects comma-separated numbers")
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("--sigma-sweep variances must be positive")
+    if not all(0.0 < v < math.inf for v in values):  # nan fails too
+        raise argparse.ArgumentTypeError(f"--sigma-sweep variances must be finite and "
+                                         f"positive, got {text!r}")
     return values
 
 
@@ -186,8 +189,7 @@ def cmd_evolve(args) -> int:
         grid = cell_grid(*args.grid[1:])
     else:
         grid = default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS)
-    trace = evolve_z(EvolutionConfig(g=args.g, noise=args.noise, grid=grid,
-                                     horizon=args.steps))
+    trace = evolve_z(args.g, args.noise, grid, args.steps)
 
     outputs = [f"rho_z_t{rec.t:04d}.csv" for rec in trace.steps]
     rows = [{"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
@@ -211,8 +213,7 @@ def cmd_volatility(args) -> int:
     out_dir = Path(args.out)
     grid = (cell_grid(*args.grid[1:]) if args.grid is not None
             else default_y_grid(*pair, n_points=DEFAULT_GRID_POINTS))
-    trace = evolve_y(EvolutionConfig(g=args.g, noise=args.noise, grid=grid, horizon=args.steps),
-                     tol=args.tol)
+    trace = evolve_y(args.g, args.noise, grid, args.steps, tol=args.tol)
     report = final_dz = None
     if args.until_converged:
         rep, final_dz = trace_volatility(trace)  # ConvergenceError if not converged
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", parents=[common],
                        help="evolve the density of log cumulative production")
-    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--steps", type=_int_at_least(1), required=True)
     p.add_argument("--grid", type=_grid_arg, default=None,
                    help="min,max,n with min=0; default sized from the drift and "
                         f"noise width with {DEFAULT_GRID_POINTS} points")
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volatility", parents=[common],
                        help="evolve the reversed variable and emit growth-increment densities")
-    p.add_argument("--steps", type=_positive_int, default=None,
+    p.add_argument("--steps", type=_int_at_least(1), default=None,
                    help="horizon: the most steps to run (default 50, or 10000 with "
                         "--until-converged)")
     p.add_argument("--grid", type=_grid_arg, default=None)
@@ -405,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare_saddle)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo path oracle")
-    p.add_argument("--paths", type=_positive_int, required=True)
-    p.add_argument("--steps", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--paths", type=_int_at_least(1), required=True)
+    p.add_argument("--steps", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--paths-csv", action="store_true",
                    help="also write per-path z values (capped at 10000 paths)")
     p.add_argument("--against", default=None,

@@ -20,9 +20,11 @@ fixed point when g + E[a] > 0 (``_stationary``); dz then follows from
     rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
 
 One step is a linear map P on node masses (``StepOperator``), built once per
-run; its convolution is numpy's real FFT at a 2-3-5-smooth length. Per-step
-outputs apply it repeatedly and renormalise (power iteration).
-The reversed variable's fixed point is P's Perron vector, which
+run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
+per-step runs ``evolve_z`` and ``evolve_y`` take (g, noise, grid, horizon),
+take their first step straight from the noise CDF, then apply P and
+renormalise (power iteration). The reversed variable's fixed point is P's
+Perron vector, which
 ``steady_state_volatility`` finds directly with a thick-restart Arnoldi
 iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
 and one stopping rule, ARPACK's Ritz estimate at 1e-12 relative with a
@@ -51,12 +53,10 @@ from .noise import NoiseModel
 from .pdfgrid import GriddedPdf, GridSpec, cell_grid
 
 __all__ = [
-    "EvolutionConfig",
     "StepRecord",
     "EvolutionTrace",
     "VolatilityReport",
     "StepOperator",
-    "init_first_step",
     "evolve_z",
     "evolve_y",
     "volatility_pdf",
@@ -120,25 +120,6 @@ _NONFINITE_Y = ("the reversed variable's mean or width is not finite: "
 
 
 @dataclass(frozen=True)
-class EvolutionConfig:
-    """Inputs of one per-step run (``evolve_z`` or ``evolve_y``).
-
-    ``grid`` is the node grid of the evolving density; its cells must tile
-    [0, upper] exactly (build it with ``cell_grid`` or the default_* helpers).
-    ``horizon`` is the most steps the run takes.
-    """
-
-    g: float
-    noise: NoiseModel
-    grid: GridSpec
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """One time step: its density and what the step loop measured.
 
@@ -156,7 +137,10 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    config: EvolutionConfig
+    """A per-step run: its drift ``g`` and ``noise`` as given, and its steps."""
+
+    g: float
+    noise: NoiseModel
     steps: list
     converged_at: int | None
 
@@ -243,20 +227,14 @@ def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
 # ----------------------------------------------------------------------
 
 
-def _first_step(noise: NoiseModel, g: float, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """Cell masses and truncated mass one step from x_0 = 0."""
-    cdf = noise.cdf_at(_growth_edges(_validated_edges(grid), g))
-    return np.maximum(np.diff(cdf), 0.0), float(1.0 - cdf[-1])
-
-
-def init_first_step(noise: NoiseModel, g: float, grid: GridSpec) -> GriddedPdf:
-    """Exact density after one step from the deterministic start (x_0 = 0).
+def _first_step(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """Cell masses and truncated mass one step from x_0 = 0.
 
     The point mass at 0 is never discretised: cell masses come directly from
     the noise CDF evaluated at the warped cell edges.
     """
-    cells, new_trunc = _first_step(noise, g, grid)
-    return _assemble(grid, cells, 0.0, new_trunc)[0]
+    cdf = noise.cdf_at(_growth_edges(_validated_edges(grid), g))
+    return np.maximum(np.diff(cdf), 0.0), float(1.0 - cdf[-1])
 
 
 def _fast_len(n: int) -> int:
@@ -279,9 +257,11 @@ class StepOperator:
     Everything that stays fixed during a run is built once from
     ``(g, noise, grid)``: the noise kernel's cell masses and their
     real FFT, the warped cell edges, the nodes of the convolved density's
-    CDF and the weights of the nodes that leak past the top warped edge.
-    ``apply`` clips nothing, so it is strictly linear in its input and
-    serves both as the power-iteration step and as the eigensolve's operator.
+    CDF, the weights of the nodes that leak past the top warped edge and
+    ``loss``, the kernel's clipped mass per unit of input mass that the step
+    counts as truncated. ``apply`` clips nothing, so it is strictly linear in
+    its input and serves both as the power-iteration step and as the
+    eigensolve's operator.
     """
 
     def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
@@ -290,6 +270,9 @@ class StepOperator:
         kern = noise.cell_masses(h, max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
         self.grid = grid
         self.kernel = kern
+        # Light tails: the left clip is below noise.TAIL_TOL and its destination
+        # is not resolved; count it as truncated rather than misplace it.
+        self.loss = kern.clip_right + (0.0 if kern.capped else kern.clip_left)
         self._conv_len = grid.n_points + kern.masses.size - 1
         self._fft_len = _fast_len(self._conv_len)
         self._kernel_fft = np.fft.rfft(kern.masses, self._fft_len)
@@ -329,15 +312,8 @@ class StepOperator:
 
         For an input of total mass M the two add up to M up to roundoff.
         """
-        kern = self.kernel
-        total_in = float(masses.sum())
         cells, leak = self.transport(masses)
-        new_trunc = kern.clip_right * total_in + leak
-        if not kern.capped:
-            # Light tails: the clip is below noise.TAIL_TOL and its destination
-            # is not resolved; count it as truncated rather than misplace it.
-            new_trunc += kern.clip_left * total_in
-        return cells, new_trunc
+        return cells, self.loss * float(masses.sum()) + leak
 
 
 def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
@@ -439,18 +415,19 @@ def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, Noise
     return -g, noise.mirror()
 
 
-def _evolve(config: EvolutionConfig, g: float, noise: NoiseModel,
-            tol: float) -> EvolutionTrace:
-    """Run drift g and noise on ``config``'s grid until the L1 distance
+def _evolve(g: float, noise: NoiseModel, grid: GridSpec, horizon: int, tol: float,
+            step: tuple[float, NoiseModel]) -> EvolutionTrace:
+    """Step by the drift and noise ``step`` on ``grid`` until the L1 distance
     between successive densities falls below ``tol``, or for ``horizon``
-    steps; the trace keeps ``config``."""
-    grid = config.grid
-    cells, new_trunc = _first_step(noise, g, grid)
+    steps; the trace keeps ``g`` and ``noise``."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    cells, new_trunc = _first_step(*step, grid)
     pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
-    op = StepOperator(g, noise, grid)
+    op = StepOperator(*step, grid)
     steps = [StepRecord(1, pdf, defect, new_trunc, None)]
     converged_at = None
-    for t in range(2, config.horizon + 1):
+    for t in range(2, horizon + 1):
         cells, new_trunc = op.apply(pdf.node_masses())
         nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
         l1 = pdf.distance(nxt)
@@ -459,21 +436,26 @@ def _evolve(config: EvolutionConfig, g: float, noise: NoiseModel,
         if l1 < tol:
             converged_at = t
             break
-    return EvolutionTrace(config=config, steps=steps, converged_at=converged_at)
+    return EvolutionTrace(g, noise, steps, converged_at)
 
 
-def evolve_z(config: EvolutionConfig) -> EvolutionTrace:
-    """Evolve the density of log cumulative production for ``horizon`` steps.
+def evolve_z(g: float, noise: NoiseModel, grid: GridSpec, horizon: int) -> EvolutionTrace:
+    """Evolve the density of log cumulative production from z_0 = 0 for
+    ``horizon`` >= 1 steps of drift g and ``noise`` on ``grid``, whose cells
+    must tile [0, upper] (``cell_grid`` or ``default_z_grid``).
 
-    It never stops early, so its ``converged_at`` is None: for g > 0, z has
-    no fixed point, as its mean grows by about g and its variance by about
-    sigma_a^2 per step.
+    Step 1 is exact: its cell masses come from the noise CDF at the warped
+    cell edges. The run never stops early, so its ``converged_at`` is None:
+    for g > 0, z has no fixed point, as its mean grows by about g and its
+    variance by about sigma_a^2 per step.
     """
-    return _evolve(config, config.g, config.noise, tol=0.0)
+    return _evolve(g, noise, grid, horizon, 0.0, (g, noise))
 
 
-def evolve_y(config: EvolutionConfig, tol: float = 1e-8) -> EvolutionTrace:
-    """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})).
+def evolve_y(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
+             tol: float = 1e-8) -> EvolutionTrace:
+    """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})) on ``grid``
+    (``cell_grid`` or ``default_y_grid``) for at most ``horizon`` >= 1 steps.
 
     Identical machinery to ``evolve_z`` with the drift negated and the noise
     mirrored; for g + E[a] > 0 the densities reach a genuine fixed point
@@ -482,7 +464,7 @@ def evolve_y(config: EvolutionConfig, tol: float = 1e-8) -> EvolutionTrace:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _evolve(config, *_reversed(config.g, config.noise, config.grid), tol)
+    return _evolve(g, noise, grid, horizon, tol, _reversed(g, noise, grid))
 
 
 # ----------------------------------------------------------------------
@@ -598,11 +580,9 @@ class _TailClosure:
         self._image, self._kept = cells[:n].copy(), float(cells[n:].sum()) + leak
 
     def start(self) -> np.ndarray:
-        """The first step from y = 0 as (b, A), or as unit mass on the full grid."""
-        rev_g, rev_noise = self.reversed
-        if self.tail is None:
-            return init_first_step(rev_noise, rev_g, self.bulk.grid).node_masses()
-        return np.append(*_first_step(rev_noise, rev_g, self.bulk.grid))
+        """The first step from y = 0 as (b, A), or on the full grid."""
+        cells, above = _first_step(*self.reversed, self.bulk.grid)
+        return cells if self.tail is None else np.append(cells, above)
 
     def extend(self, v: np.ndarray) -> np.ndarray:
         """The full grid's node masses of a vector (b, A)."""
@@ -619,8 +599,7 @@ class _TailClosure:
         np.multiply(self._image, v[-1], out=out[:-1])
         out[:-1] += cells
         out[-1] = leak + v[-1] * self._kept
-        kern = self.bulk.kernel
-        return out, (kern.clip_right + (0.0 if kern.capped else kern.clip_left)) * float(v.sum())
+        return out, self.bulk.loss * float(v.sum())
 
 
 def _negative_mass(v: np.ndarray) -> float:
@@ -770,9 +749,8 @@ def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPd
     its last step kept ``eigenvalue`` of the mass and moved the normalised
     density by ``l1_prev``.
     """
-    config = trace.config
     if trace.converged_at is None:
-        raise ConvergenceError(f"trace did not converge within horizon={config.horizon}")
+        raise ConvergenceError(f"trace did not converge within horizon={len(trace.steps)}")
     last = trace.final()
     eigenvalue = 1.0 - last.new_truncation
     solver = {
@@ -781,7 +759,7 @@ def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPd
         "eigenvalue": eigenvalue,
         "residual_l1": eigenvalue * last.l1_prev,
     }
-    return _volatility_report(config.g, config.noise, last.pdf, solver)
+    return _volatility_report(trace.g, trace.noise, last.pdf, solver)
 
 
 # ----------------------------------------------------------------------
@@ -822,9 +800,10 @@ def default_z_grid(g: float, noise: NoiseModel, t_max: int,
 def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> GridSpec:
     """Grid sized to hold the reversed variable out to its fixed point (g > 0).
 
-    Without ``n_points`` the spacing is at most the target spacing (1/80 of
-    the fixed point's width, or gamma/40 for Lorentzian noise), and noise so
-    narrow that this needs more than 2^21 points is a domain error.
+    Without ``n_points`` the spacing is the target spacing (1/80 of the fixed
+    point's width, or gamma/40 for Lorentzian noise) capped at 0.005, and
+    inputs that need more than 2^21 points at that spacing are a domain
+    error: narrow noise, wide noise, or a small drift with its long tail.
     """
     _check_drift(g)  # the sizing below overflows long before float64 does
     center = ybar(g, math.inf)
@@ -840,8 +819,9 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
         tail = 19.0 / kappa if kappa else 9.5 * sig * sig / g
         upper = center + 12.0 * width + tail + 6.0 * sig + 0.5
         target = width / 80.0
-    if n_points is None and not upper / target <= _MAX_GRID_POINTS:
+    h = min(0.005, target)
+    if n_points is None and not upper / h <= _MAX_GRID_POINTS:
         raise DomainError(f"{noise.label()} at g={g:g} needs more than the y grid's "
-                          f"{_MAX_GRID_POINTS} points: cells of width {target:.3g} "
+                          f"{_MAX_GRID_POINTS} points: cells of width {h:.3g} "
                           f"over [0, {upper:.3g}]")
-    return _grid_from(upper, min(0.005, target), n_points)
+    return _grid_from(upper, h, n_points)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 import cumvol.montecarlo as mc
-from cumvol import DomainError, EvolutionConfig, GriddedPdf, default_y_grid, ybar
+from cumvol import DomainError, GriddedPdf, default_y_grid, ybar
 from cumvol.evolution import StepOperator, _assemble, _check_normalized
 
 
@@ -55,10 +55,9 @@ def ks_distance(p: GriddedPdf, q: GriddedPdf) -> float:
     return float(np.max(np.abs(p_cdf - q_cdf)))
 
 
-def y_config(g: float, noise, horizon: int = 4000, n_points: int | None = None):
-    """A per-step run of the reversed variable on its default grid."""
-    return EvolutionConfig(g=g, noise=noise, grid=default_y_grid(g, noise, n_points),
-                           horizon=horizon)
+def y_inputs(g: float, noise, horizon: int = 4000, n_points: int | None = None):
+    """``evolve_y``'s (g, noise, grid, horizon) on the reversed variable's default grid."""
+    return g, noise, default_y_grid(g, noise, n_points), horizon
 
 
 def means(trace) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
-from cumvol import (EvolutionConfig, GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
+from cumvol import (GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
                     evolve_z, gaussian, lorentzian, steady_state_volatility, tabulated,
                     trace_volatility, volatility_pdf)
 from cumvol.cli import main
@@ -48,8 +48,7 @@ def test_evolve_writes_densities_and_manifest(tmp_path):
     # prefix of the manifest's grid
     assert manifest["grid"]["n_points"] == 2048
     grid = cell_grid(30.0, 2048)
-    config = EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=grid, horizon=4)
-    values = evolve_z(config).steps[0].pdf.values
+    values = evolve_z(0.2, gaussian(1.0), grid, 4).steps[0].pdf.values
     last = np.flatnonzero(values)[-1]
     assert last + 2 < 2048
     assert len(first) - 1 == max(16, last + 2)
@@ -125,9 +124,8 @@ def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
     assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1",
                 "--until-converged", "--out", str(out)]) == 0
     monkeypatch.undo()
-    trace = evolve_y(EvolutionConfig(g=0.2, noise=gaussian(0.1),
-                                     grid=default_y_grid(0.2, gaussian(0.1), n_points=8192),
-                                     horizon=10_000), tol=1e-8)
+    trace = evolve_y(0.2, gaussian(0.1), default_y_grid(0.2, gaussian(0.1), n_points=8192),
+                     10_000, tol=1e-8)
     assert len(calls) == len(trace.steps) == read_manifest(out)["convergence"]["converged_at"]
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -146,8 +144,7 @@ def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):
     out = tmp_path / "v"
     assert run(["volatility", "--g", "0.2", "--noise", "lorentzian:gamma=1", "--steps", "3",
                 "--grid", "0,20,1024", "--out", str(out)]) == 0
-    trace = evolve_y(EvolutionConfig(g=0.2, noise=lorentzian(1.0), grid=cell_grid(20.0, 1024),
-                                     horizon=3))
+    trace = evolve_y(0.2, lorentzian(1.0), cell_grid(20.0, 1024), 3)
     rows = read_manifest(out)["steps"]
     assert len(rows) == len(trace.steps) == 3
     for row, rec in zip(rows, trace.steps):
@@ -351,8 +348,7 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
                                   truncated_mass=step["truncated_mass"])
         assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
     # the trimmed files give the KS of the untrimmed in-memory densities
-    trace = evolve_z(EvolutionConfig(g=0.2, noise=gaussian(1.0), grid=cell_grid(40.0, 4096),
-                                     horizon=5))
+    trace = evolve_z(0.2, gaussian(1.0), cell_grid(40.0, 4096), 5)
     for row, rec in zip(ks["ks_per_step"], trace.steps):
         assert rec.pdf.grid.n_points == 4096
         assert row["ks"] == pytest.approx(sample_ks(z[:, rec.t], rec.pdf), abs=1e-12)
@@ -613,6 +609,46 @@ def test_y_grid_past_its_point_limit_is_refused_before_the_solve(tmp_path, capsy
     err = capsys.readouterr().err
     assert "domain error: gaussian(sigma=9.94048e-162) at g=0.2 needs more than the y " \
            "grid's 2097152 points" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_small_drift_y_grid_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    # at g = 1e-6 the stationary tail needs 19 M cells of width 0.005: the
+    # default grid used to be clipped to 2^21 cells of width 0.046, on which
+    # the eigensolve ran about 5 s and failed (exit 3)
+    def no_solve(*args):
+        raise AssertionError("the eigensolve started")
+
+    monkeypatch.setattr(evolution, "_perron_density", no_solve)
+    out = tmp_path / "x"
+    assert run(["compare-saddle", "--g", "1e-6", "--sigma-sweep", "0.01",
+                "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "2097152 points: cells of width 0.005 over" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01,inf"], "--sigma-sweep"),
+    (["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01,nan"], "--sigma-sweep"),
+    (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "10", "--steps", "2",
+      "--seed", "-1"], "--seed"),
+    (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "10", "--steps", "2",
+      "--seed", "-1", "--against", "missing"], "--seed"),
+], ids=["sweep-inf", "sweep-nan", "seed", "seed-against"])
+def test_bad_numeric_value_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                       option):
+    # a non-finite variance used to be found after the earlier points were
+    # solved, and a negative seed by numpy, neither naming the option
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("steady_state_volatility", "simulate_stream", "_load_against"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ import cumvol.evolution as evolution
 from cumvol import (
     ConvergenceError,
     DomainError,
-    EvolutionConfig,
     MassDefectError,
     cell_grid,
     default_y_grid,
@@ -18,7 +17,6 @@ from cumvol import (
     evolve_y,
     evolve_z,
     gaussian,
-    init_first_step,
     lorentzian,
     sigma_y_fixed_point,
     steady_state_volatility,
@@ -34,9 +32,14 @@ from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, Step
                               _TailClosure)
 from cumvol.noise import TAIL_TOL
 from cumvol.pdfgrid import GriddedPdf
-from helpers import interp_at, means, normalized, pdf_at, variances, warp_step, y_config
+from helpers import interp_at, means, normalized, pdf_at, variances, warp_step, y_inputs
 
 SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
+
+
+def first_step(noise, g, grid):
+    """The exact density one step from z_0 = 0: step 1 of a run."""
+    return evolve_z(g, noise, grid, 1).density(1)
 
 
 def softplus(x):
@@ -45,9 +48,9 @@ def softplus(x):
 
 def test_first_step_spike_noise_lands_on_softplus_of_drift():
     grid = cell_grid(3.0, 3000)
-    p = init_first_step(SPIKE, 0.0, grid)
+    p = first_step(SPIKE, 0.0, grid)
     assert p.mean() == pytest.approx(math.log(2.0), abs=grid.h)
-    p2 = init_first_step(SPIKE, 0.2, grid)
+    p2 = first_step(SPIKE, 0.2, grid)
     assert p2.mean() == pytest.approx(0.79814, abs=grid.h)
     # all mass in one cell
     assert p2.node_masses().max() == pytest.approx(1.0, abs=1e-9)
@@ -56,7 +59,7 @@ def test_first_step_spike_noise_lands_on_softplus_of_drift():
 def test_first_step_mean_approaches_deterministic_limit():
     grid = cell_grid(3.0, 6000)
     target = softplus(0.2)
-    means = [init_first_step(gaussian(s), 0.2, grid).mean() for s in (0.2, 0.05, 0.01)]
+    means = [first_step(gaussian(s), 0.2, grid).mean() for s in (0.2, 0.05, 0.01)]
     errs = [abs(m - target) for m in means]
     assert errs[0] > errs[1] > errs[2] or errs[2] < 1e-4
     assert errs[2] < 1e-4
@@ -69,7 +72,7 @@ def test_first_step_matches_pointwise_density():
     noise = gaussian(1.0)
     g = 0.2
     grid = cell_grid(8.0, 1600)
-    p = init_first_step(noise, g, grid)
+    p = first_step(noise, g, grid)
     x = grid.points()[1:-1]
     w = x + np.log1p(-np.exp(-x)) - g
     direct = pdf_at(noise, w) / (1.0 - np.exp(-x))
@@ -80,7 +83,7 @@ def test_first_step_matches_pointwise_density():
 
 def test_first_step_mass_accounting_is_tight():
     grid = default_z_grid(0.2, gaussian(1.0), 1)
-    p = init_first_step(gaussian(1.0), 0.2, grid)
+    p = first_step(gaussian(1.0), 0.2, grid)
     assert abs(p.integral() - 1.0) < 1e-9
     assert p.truncated_mass < 1e-6
 
@@ -121,8 +124,7 @@ def test_assemble_raises_on_mass_defect():
 def test_evolve_z_deterministic_means_match_geometric_sum():
     g = 0.2
     grid = default_z_grid(g, gaussian(0.01), 10)
-    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=10)
-    tr = evolve_z(cfg)
+    tr = evolve_z(g, SPIKE, grid, 10)
     for t, mean in enumerate(means(tr), start=1):
         exact = math.log(sum(math.exp(g * j) for j in range(t + 1)))
         assert mean == pytest.approx(exact, abs=5 * grid.h)
@@ -131,9 +133,7 @@ def test_evolve_z_deterministic_means_match_geometric_sum():
 def test_evolve_z_variance_tracks_monte_carlo():
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
-    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 10),
-                          horizon=10)
-    tr = evolve_z(cfg)
+    tr = evolve_z(g, noise, default_z_grid(g, noise, 10), 10)
     var_z = cv.simulate_stream(g, noise, t_max=10, n_paths=400_000, seed=91).summary["var_z"]
     for t in (1, 5, 10):
         mc = var_z[t - 1]
@@ -144,27 +144,22 @@ def test_evolve_z_variance_reaches_closed_form_asymptote():
     # the leading-order variance formula is a large-t asymptote
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
-    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
-                          horizon=40)
-    tr = evolve_z(cfg)
+    tr = evolve_z(g, noise, default_z_grid(g, noise, 40), 40)
     assert variances(tr)[-1] == pytest.approx(cv.var_logZ_saddle(g, sig, 40), rel=0.01)
 
 
 def test_evolve_z_mean_increment_approaches_drift():
     g = 0.2
     noise = gaussian(0.1)
-    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 40),
-                          horizon=40)
-    m = means(evolve_z(cfg))
+    m = means(evolve_z(g, noise, default_z_grid(g, noise, 40), 40))
     assert m[-1] - m[-2] == pytest.approx(g, abs=1e-3)
 
 
 def test_evolve_y_equals_mirrored_negated_evolve_z():
     noise = tabulated([(-0.5, 0.2), (0.1, 1.0), (0.8, 0.4)])
     grid = cell_grid(6.0, 2000)
-    cfg_y = EvolutionConfig(g=0.25, noise=noise, grid=grid, horizon=12)
-    cfg_z = EvolutionConfig(g=-0.25, noise=noise.mirror(), grid=grid, horizon=12)
-    ty, tz = evolve_y(cfg_y, tol=1e-300), evolve_z(cfg_z)
+    ty = evolve_y(0.25, noise, grid, 12, tol=1e-300)
+    tz = evolve_z(-0.25, noise.mirror(), grid, 12)
     for a, b in zip(ty.steps, tz.steps):
         assert np.array_equal(a.pdf.values, b.pdf.values)
 
@@ -173,8 +168,7 @@ def test_evolve_y_spike_noise_fixed_point_location():
     g = 0.2
     target = -math.log1p(-math.exp(-g))  # 1.70777
     grid = cell_grid(3.0, 3000)
-    cfg = EvolutionConfig(g=g, noise=SPIKE, grid=grid, horizon=300)
-    tr = evolve_y(cfg, tol=1e-10)
+    tr = evolve_y(g, SPIKE, grid, 300, tol=1e-10)
     assert tr.converged_at is not None
     final = tr.final().pdf
     assert final.mean() == pytest.approx(target, abs=0.01)
@@ -182,7 +176,7 @@ def test_evolve_y_spike_noise_fixed_point_location():
 
 def test_evolve_y_fixed_point_variance_matches_narrow_formula():
     g, sig = 0.2, 0.05
-    tr = evolve_y(y_config(g, gaussian(sig)), tol=1e-9)
+    tr = evolve_y(*y_inputs(g, gaussian(sig)), tol=1e-9)
     assert tr.converged_at is not None
     target = sig**2 / math.expm1(2 * g)
     assert tr.final().pdf.variance() == pytest.approx(target, rel=0.02)
@@ -190,9 +184,7 @@ def test_evolve_y_fixed_point_variance_matches_narrow_formula():
 
 def test_densities_are_normalised_and_supported_on_positive_axis():
     noise = lorentzian(1.0)
-    cfg = EvolutionConfig(g=0.2, noise=noise, grid=default_z_grid(0.2, noise, 8),
-                          horizon=8)
-    tr = evolve_z(cfg)
+    tr = evolve_z(0.2, noise, default_z_grid(0.2, noise, 8), 8)
     for rec in tr.steps:
         assert rec.pdf.integral() == pytest.approx(1.0, abs=1e-6)
         assert np.all(rec.pdf.values >= 0.0)
@@ -218,14 +210,14 @@ def test_volatility_pdf_spike_maps_fixed_point_to_drift():
 
 def test_volatility_pdf_narrow_noise_variance():
     g, sig = 0.2, 0.01
-    tr = evolve_y(y_config(g, gaussian(sig)), tol=1e-9)
+    tr = evolve_y(*y_inputs(g, gaussian(sig)), tol=1e-9)
     dz = volatility_pdf(tr.final().pdf)
     assert dz.variance() == pytest.approx(sig**2 * math.tanh(g / 2), rel=0.01)
     assert dz.grid.x_min > 0.0
 
 
 def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
-    tr = evolve_y(y_config(0.2, gaussian(1.0)), tol=1e-9)
+    tr = evolve_y(*y_inputs(0.2, gaussian(1.0)), tol=1e-9)
     dz = volatility_pdf(tr.final().pdf)
     # density rises toward the origin but the total mass stays 1
     assert dz.values[0] > interp_at(dz, 0.05) > 0.0
@@ -257,8 +249,7 @@ def test_steady_state_refuses_noise_with_no_stationary_law(monkeypatch, g, noise
     monkeypatch.setattr(evolution, "_perron_density", no_solve)
     with pytest.raises(DomainError, match="y has no stationary law"):
         steady_state_volatility(g, noise)
-    trace = evolve_y(EvolutionConfig(g=g, noise=noise, grid=cell_grid(20.0, 256), horizon=50),
-                     tol=0.5)
+    trace = evolve_y(g, noise, cell_grid(20.0, 256), 50, tol=0.5)
     assert trace.converged_at is not None
     with pytest.raises(DomainError, match="y has no stationary law"):
         trace_volatility(trace)
@@ -302,7 +293,7 @@ def test_steady_state_volatility_domain_and_convergence_errors(monkeypatch):
     with pytest.raises(DomainError):
         steady_state_volatility(-0.2, gaussian(0.1), grid=default_y_grid(0.2, gaussian(0.1)))
     with pytest.raises(ValueError, match="tol must be positive"):
-        evolve_y(y_config(0.2, gaussian(0.1), horizon=3), tol=0.0)
+        evolve_y(*y_inputs(0.2, gaussian(0.1), horizon=3), tol=0.0)
     monkeypatch.setattr(evolution, "_MAX_APPLICATIONS", 3)
     with pytest.raises(ConvergenceError):
         steady_state_volatility(0.2, gaussian(0.1))
@@ -314,7 +305,7 @@ def test_hand_built_grid_keeps_drift_cap(g):
     # the reversed variable's grid was defaulted or given
     noise, grid = gaussian(1.0), cell_grid(10.0, 1000)
     with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
-        evolve_y(EvolutionConfig(g=g, noise=noise, grid=grid, horizon=2))
+        evolve_y(g, noise, grid, 2)
     with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
         steady_state_volatility(g, noise, grid=grid)
 
@@ -323,13 +314,12 @@ def test_hand_built_grid_must_resolve_steady_centre():
     # ybar(3, inf) = 0.051 spans 0.5 cells of width 0.1 above y = 0: the y
     # density falls into the first cell and dz would read about log(2/h), so
     # every route to dz refuses the grid; 200 cells of width 2.5e-4 resolve it
-    cfg = EvolutionConfig(g=3.0, noise=gaussian(1.0), grid=cell_grid(10.0, 100), horizon=3)
+    g, noise, grid = 3.0, gaussian(1.0), cell_grid(10.0, 100)
     with pytest.raises(DomainError, match="dz is not resolved there"):
-        evolve_y(cfg)
+        evolve_y(g, noise, grid, 3)
     with pytest.raises(DomainError, match="dz is not resolved there"):
-        steady_state_volatility(cfg.g, cfg.noise, grid=cfg.grid)
-    fine = replace(cfg, grid=cell_grid(10.0, 40_000))
-    dz = volatility_pdf(evolve_y(fine).density(3))
+        steady_state_volatility(g, noise, grid=grid)
+    dz = volatility_pdf(evolve_y(g, noise, cell_grid(10.0, 40_000), 3).density(3))
     assert dz.mean() == pytest.approx(3.0, abs=0.01)
 
 
@@ -349,12 +339,35 @@ def test_default_y_grid_refuses_noise_that_needs_more_than_its_points(g, builds,
     assert default_y_grid(g, refused, n_points=4096).n_points == 4096
 
 
+@pytest.mark.parametrize("g, sigma, refused", [
+    (0.1, 10.0, False), (0.1, 100.0, True), (1e-5, 0.1, False), (1e-6, 0.1, True),
+], ids=["wide-noise-builds", "wide-noise", "small-drift-builds", "small-drift"])
+def test_default_y_grid_refuses_what_it_would_have_to_coarsen(g, sigma, refused):
+    # the spacing is capped at 0.005, and the refusal is judged at that
+    # spacing: gaussian(100) at g = 0.1 and gaussian(0.1) at g = 1e-6 used to
+    # be clipped to 2^21 points of width 0.046 or more; 1.96 M points of width
+    # 0.005 still build
+    if refused:
+        with pytest.raises(DomainError, match="2097152 points: cells of width 0.005 over"):
+            default_y_grid(g, gaussian(sigma))
+    else:
+        grid = default_y_grid(g, gaussian(sigma))
+        assert 1_900_000 < grid.n_points <= 1 << 21 and grid.h <= 0.005
+
+
+def test_per_step_runs_keep_their_inputs_and_need_a_step():
+    noise, grid = gaussian(0.3), cell_grid(10.0, 500)
+    for run in (evolve_z, evolve_y):
+        tr = run(0.2, noise, grid, 2)
+        assert (tr.g, tr.noise, len(tr.steps)) == (0.2, noise, 2)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            run(0.2, noise, grid, 0)
+
 
 def test_default_z_grid_follows_a_tables_mean():
     # the uniform density on [0.5, 1.5] moves z at 1.2 a step, not at g = 0.2
     g, noise, t = 0.2, tabulated([(0.5, 1.0), (1.5, 1.0)]), 30
-    tr = evolve_z(EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, t),
-                                  horizon=t))
+    tr = evolve_z(g, noise, default_z_grid(g, noise, t), t)
     final = tr.final().pdf
     assert final.truncated_mass < 1e-6
     summary = cv.simulate_stream(g, noise, t_max=t, n_paths=20_000, seed=25).summary
@@ -400,7 +413,7 @@ def test_ratio_crossover_location_at_small_drift():
 
 
 def test_per_step_reporting():
-    tr = evolve_y(y_config(0.2, gaussian(0.1), horizon=500), tol=1e-6)
+    tr = evolve_y(*y_inputs(0.2, gaussian(0.1), horizon=500), tol=1e-6)
     rep = trace_volatility(tr)[0]
     assert tr.converged_at == len(tr.steps)
     l1 = [rec.l1_prev for rec in tr.steps if rec.l1_prev is not None]
@@ -416,9 +429,7 @@ def test_evolve_z_runs_every_step():
     # z has no fixed point: the run does not stop when the later steps' L1
     # gaps are small
     noise = gaussian(0.3)
-    cfg = EvolutionConfig(g=0.3, noise=noise, grid=default_z_grid(0.3, noise, 12),
-                          horizon=12)
-    tr = evolve_z(cfg)
+    tr = evolve_z(0.3, noise, default_z_grid(0.3, noise, 12), 12)
     assert tr.converged_at is None
     assert [rec.t for rec in tr.steps] == list(range(1, 13))
     assert tr.final().l1_prev < 0.5
@@ -466,12 +477,9 @@ def _scipy_apply(op, masses):
     conv = irfft(rfft(masses, n) * rfft(kern.masses, n), n)[:op._conv_len]
     cells = np.diff(_node_cdf(conv, op._nodes, op._warped))
     leak = float(np.dot(conv[op._leak_from:], op._leak_share))
-    new_trunc = kern.clip_right * total_in + leak
     if kern.capped:
         cells[0] += kern.clip_left * total_in
-    else:
-        new_trunc += kern.clip_left * total_in
-    return cells, new_trunc
+    return cells, (kern.clip_right + (0.0 if kern.capped else kern.clip_left)) * total_in + leak
 
 
 @pytest.mark.parametrize("noise, g, grid", [
@@ -482,7 +490,7 @@ def _scipy_apply(op, masses):
 ], ids=["gaussian-mirrored", "gaussian", "lorentzian", "tabulated-asymmetric"])
 def test_step_operator_matches_scipy_fft_bit_for_bit(noise, g, grid):
     op = StepOperator(g, noise, grid)
-    x = init_first_step(noise, g, grid).node_masses()
+    x = first_step(noise, g, grid).node_masses()
     for _ in range(3):
         (cells, trunc), (ref_cells, ref_trunc) = op.apply(x), _scipy_apply(op, x)
         assert np.array_equal(cells, ref_cells) and trunc == ref_trunc
@@ -505,7 +513,7 @@ def test_step_leak_is_the_fsum_of_the_mass_past_the_top_edge(noise, g, grid):
     j = int(np.searchsorted(nodes, w, side="right")) - 1
     assert 0 <= j < nodes.size - 2
     f = (w - nodes[j]) / h
-    x = init_first_step(noise, g, grid).node_masses()
+    x = first_step(noise, g, grid).node_masses()
     for _ in range(4):
         cells, trunc = op.apply(x)
         conv = np.fft.irfft(np.fft.rfft(x, op._fft_len) * op._kernel_fft,
@@ -529,7 +537,7 @@ def test_no_leak_when_the_top_edge_is_past_the_last_convolved_node():
     x = np.random.default_rng(3).random(grid.n_points)
     cells, trunc = op.apply(x)
     total = float(x.sum())
-    assert trunc == op.kernel.clip_right * total + op.kernel.clip_left * total
+    assert trunc == (op.kernel.clip_right + op.kernel.clip_left) * total
     assert cells.sum() + trunc == pytest.approx(total, rel=1e-14)
 
 
@@ -570,7 +578,7 @@ def test_eigensolve_matches_power_iteration(case):
     g, noise, grid = _SOLVER_CASES[case]
     if noise.kind != "lorentzian":
         g, noise = _stationary(g, noise)
-    tr = evolve_y(EvolutionConfig(g=g, noise=noise, grid=grid, horizon=5000), tol=1e-12)
+    tr = evolve_y(g, noise, grid, 5000, tol=1e-12)
     assert tr.converged_at is not None
     p_y, solver = _perron_density(g, noise, grid)
     solved, power = volatility_pdf(p_y), volatility_pdf(tr.final().pdf)
@@ -605,7 +613,7 @@ def _arpack_reference(g, noise, grid, closure=None, tol=1e-9):
     noise, g = noise.mirror(), -g
     full = StepOperator(g, noise, grid)
     step, extend = full.apply, (lambda v: v)
-    v0 = init_first_step(noise, g, grid).node_masses()
+    v0 = first_step(noise, g, grid).node_masses()
     applications = 1
     if closure is not None and closure.tail is not None:
         step, extend = closure.step, closure.extend
@@ -705,7 +713,7 @@ def test_tail_closure_on_its_prefix_matches_the_full_grid(g, noise):
     kept = float(image[n_bulk:].sum())
     assert kept <= closure._kept <= kept + 1e-10
     rev_g, rev_noise = closure.reversed
-    first = init_first_step(rev_noise, rev_g, grid).node_masses()
+    first = first_step(rev_noise, rev_g, grid).node_masses()
     np.testing.assert_allclose(closure.start(), np.append(first[:n_bulk], first[n_bulk:].sum()),
                                rtol=1e-15, atol=0.0)
 
@@ -751,7 +759,7 @@ def test_table_tail_exponent_matches_the_full_grids_tail_slope():
     g, noise = 0.1, ASYMMETRIC
     grid = default_y_grid(g, noise)
     op = StepOperator(-g, noise.mirror(), grid)
-    start = init_first_step(noise.mirror(), -g, grid).node_masses()
+    start = first_step(noise.mirror(), -g, grid).node_masses()
     n = grid.n_points
     vectors = eigs(LinearOperator((n, n), matvec=lambda v: op.apply(np.ravel(v))[0],
                                   dtype=float), k=1, ncv=40, tol=1e-12, v0=start)[1]
@@ -898,9 +906,7 @@ def _fftconvolve_step(p, noise, g):
 @pytest.mark.parametrize("noise", [gaussian(0.5), lorentzian(1.0)], ids=["gaussian", "lorentzian"])
 def test_evolve_z_matches_fftconvolve_steps(noise):
     g = 0.2
-    cfg = EvolutionConfig(g=g, noise=noise, grid=default_z_grid(g, noise, 6, n_points=2048),
-                          horizon=6)
-    tr = evolve_z(cfg)
+    tr = evolve_z(g, noise, default_z_grid(g, noise, 6, n_points=2048), 6)
     ref = tr.density(1)
     for rec in tr.steps[1:]:
         ref = _fftconvolve_step(ref, noise, g)
