@@ -30,7 +30,9 @@ def ybar(g: float, t) -> float:
     if t == math.inf:
         if not g > 0.0:
             raise DomainError("ybar at t = inf requires g > 0 (divergent sum otherwise)")
-        return -math.log1p(-math.exp(-g))
+        # below g ~ 5.6e-17 exp(-g) rounds to 1: there 1 - exp(-g) is -expm1(-g)
+        e = math.exp(-g)
+        return -math.log1p(-e) if e < 1.0 else -math.log(-math.expm1(-g))
     t = int(t)
     if t < 0:
         raise DomainError("ybar requires t >= 0")

@@ -22,21 +22,20 @@ fixed point when g + E[a] > 0 (``_stationary``); dz then follows from
 One step is a linear map P on node masses (``StepOperator``), built once per
 run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
 per-step runs ``evolve_z`` and ``evolve_y`` take (g, noise, grid, horizon),
-take their first step straight from the noise CDF, then apply P and
-renormalise (power iteration). The reversed variable's fixed point is P's
-Perron vector, which
-``steady_state_volatility`` finds directly with a thick-restart Arnoldi
-iteration in numpy: 40 Krylov vectors, 20 Ritz vectors kept at each restart,
-and one stopping rule, ARPACK's Ritz estimate at 1e-12 relative with a
-nonnegative unit-mass vector, tested as the basis grows (Morgan, Math. Comp.
-65, 1996; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Saad, Numerical
-Methods for Large Eigenvalue Problems, 2011). It needs tens of applications,
-where power iteration needs of the order of sigma_a^2/g^2 steps. Above the
-bulk of y the fixed point is a geometric tail of known rate
-(``analytic.tail_exponent``), so the eigensolve runs on the bulk's node
-masses plus that tail's amplitude.
-The Perron root lambda is the mass one step keeps, so 1 - lambda is the
-per-step leak through the grid's edges. The package runs on numpy alone.
+take their first step straight from the noise CDF (``StepOperator.first``),
+then apply P and renormalise (power iteration). The reversed variable's
+fixed point is P's Perron vector, which ``steady_state_volatility`` finds
+directly with a thick-restart Arnoldi iteration in numpy: 40 Krylov vectors,
+20 Ritz vectors kept at each restart, and one stopping rule, ARPACK's Ritz
+estimate at 1e-12 relative with a nonnegative unit-mass vector, tested as
+the basis grows (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J. Matrix Anal.
+Appl. 23, 2001; Saad, Numerical Methods for Large Eigenvalue Problems,
+2011). It needs tens of applications, where power iteration needs of the
+order of sigma_a^2/g^2 steps. Above the bulk of y the fixed point is a
+geometric tail of known rate (``analytic.tail_exponent``), so the eigensolve
+runs on the bulk's node masses plus that tail's amplitude. The Perron root
+lambda is the mass one step keeps, so 1 - lambda is the per-step leak
+through the grid's edges. The package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -227,16 +226,6 @@ def _assemble(grid: GridSpec, cells: np.ndarray, prev_trunc: float,
 # ----------------------------------------------------------------------
 
 
-def _first_step(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """Cell masses and truncated mass one step from x_0 = 0.
-
-    The point mass at 0 is never discretised: cell masses come directly from
-    the noise CDF evaluated at the warped cell edges.
-    """
-    cdf = noise.cdf_at(_growth_edges(_validated_edges(grid), g))
-    return np.maximum(np.diff(cdf), 0.0), float(1.0 - cdf[-1])
-
-
 def _fast_len(n: int) -> int:
     """Smallest 2-3-5-smooth integer >= n: a length pocketfft's real FFT runs fast at."""
     best = 1 << (n - 1).bit_length()
@@ -261,7 +250,7 @@ class StepOperator:
     ``loss``, the kernel's clipped mass per unit of input mass that the step
     counts as truncated. ``apply`` clips nothing, so it is strictly linear in
     its input and serves both as the power-iteration step and as the
-    eigensolve's operator.
+    eigensolve's operator; ``first`` is the step from a point mass at 0.
     """
 
     def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
@@ -269,6 +258,7 @@ class StepOperator:
         h = grid.h
         kern = noise.cell_masses(h, max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
         self.grid = grid
+        self.noise = noise
         self.kernel = kern
         # Light tails: the left clip is below noise.TAIL_TOL and its destination
         # is not resolved; count it as truncated rather than misplace it.
@@ -292,6 +282,12 @@ class StepOperator:
             share[:] = 1.0  # and 0 here
         self._leak_from = int(np.searchsorted(share, 0.0, side="right"))
         self._leak_share = share[self._leak_from:].copy()  # the tail only
+
+    def first(self) -> tuple[np.ndarray, float]:
+        """Cell masses and truncated mass one step from a point mass at 0,
+        straight from the noise CDF at the warped cell edges."""
+        cdf = self.noise.cdf_at(self._warped)
+        return np.maximum(np.diff(cdf), 0.0), float(1.0 - cdf[-1])
 
     def transport(self, masses: np.ndarray) -> tuple[np.ndarray, float]:
         """Output cell masses and the leak past the top warped edge, both
@@ -422,9 +418,9 @@ def _evolve(g: float, noise: NoiseModel, grid: GridSpec, horizon: int, tol: floa
     steps; the trace keeps ``g`` and ``noise``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    cells, new_trunc = _first_step(*step, grid)
-    pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
     op = StepOperator(*step, grid)
+    cells, new_trunc = op.first()
+    pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
     steps = [StepRecord(1, pdf, defect, new_trunc, None)]
     converged_at = None
     for t in range(2, horizon + 1):
@@ -581,7 +577,7 @@ class _TailClosure:
 
     def start(self) -> np.ndarray:
         """The first step from y = 0 as (b, A), or on the full grid."""
-        cells, above = _first_step(*self.reversed, self.bulk.grid)
+        cells, above = self.bulk.first()
         return cells if self.tail is None else np.append(cells, above)
 
     def extend(self, v: np.ndarray) -> np.ndarray:
@@ -768,6 +764,8 @@ def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPd
 
 
 def _grid_from(upper: float, h_target: float, n_points: int | None) -> GridSpec:
+    if not math.isfinite(upper):
+        raise DomainError("the default grid's upper end overflows float64 for this noise and g")
     if n_points is None:
         n_points = int(np.clip(math.ceil(upper / h_target), 64, _MAX_GRID_POINTS))
     return cell_grid(upper, n_points)

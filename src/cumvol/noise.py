@@ -13,9 +13,12 @@ one-dimensional density. Three families are supported:
 ``mirror`` reflects a model through zero. The reversed recursion that
 produces the volatility distribution runs on the mirrored density.
 
-Densities and distribution functions need only numpy and the standard
-library: the Gaussian CDF maps ``math.erfc`` over the arguments at which it
-is not saturated at 2 or 0, and its kernel-window quantile comes from
+The engine touches a noise only through ``cdf_at`` on arrays of cell edges:
+the kernel's (``cell_masses``) and step 1's warped edges
+(``evolution.StepOperator.first``). Densities and distribution functions
+need only numpy and the standard library: the Gaussian CDF maps
+``math.erfc`` over the arguments between -6 and 28, outside which the
+double format fixes it at 2 or 0, and its kernel-window quantile comes from
 ``statistics.NormalDist``.
 """
 
@@ -50,23 +53,10 @@ _GAUSS_TAIL_Z = NormalDist().inv_cdf(1.0 - 0.5 * TAIL_TOL)
 _SQRT1_2 = math.sqrt(0.5)
 
 
-def _erfc_saturation(inside: float, outside: float, value: float) -> float:
-    """The argument nearest ``inside`` at which ``math.erfc`` is exactly
-    ``value``, found by bisection between ``inside`` (not saturated) and
-    ``outside`` (saturated) on this platform's ``math.erfc`` itself."""
-    while math.nextafter(inside, outside) != outside:
-        mid = 0.5 * (inside + outside)
-        if math.erfc(mid) == value:
-            outside = mid
-        else:
-            inside = mid
-    return outside
-
-
-# math.erfc is exactly 2.0 at and below the first and exactly 0.0 at and above
-# the second (-5.863584748755168 and 27.226364135742188 with glibc's libm)
-_ERFC_TWO_UPTO = _erfc_saturation(0.0, -30.0, 2.0)
-_ERFC_ZERO_FROM = _erfc_saturation(0.0, 30.0, 0.0)
+# math.erfc is exactly 2.0 at and below -6 (erfc(6) = 2.2e-17 is under half an
+# ulp of 2) and exactly 0.0 at and above 28 (erfc(28) is below 1e-340)
+_ERFC_TWO_UPTO = -6.0
+_ERFC_ZERO_FROM = 28.0
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,6 @@ class KernelCells:
     clip_left: float
     clip_right: float
     capped: bool = False
-
-
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -133,10 +118,9 @@ class NoiseModel:
     # density / distribution function
     # ------------------------------------------------------------------
 
-    def cdf_at(self, x):
-        """Distribution function at x (vectorised); for tabulated noise the
-        exact integral of the interpolated density."""
-        arr, scalar = _as_array(x)
+    def cdf_at(self, arr: np.ndarray) -> np.ndarray:
+        """Distribution function at an array of points; for tabulated noise
+        the exact integral of the interpolated density."""
         if self.kind == "gaussian":
             # Phi(x) = erfc(-x/sqrt2)/2; erfc keeps the left tail's relative precision.
             # Below sigma ~ 1e-308 x/sigma overflows to +-inf, where Phi is 1 or 0.
@@ -148,13 +132,11 @@ class NoiseModel:
             inner = ~(zero | (t <= _ERFC_TWO_UPTO))
             todo = t[inner]
             erfc[inner] = np.fromiter(map(math.erfc, todo.tolist()), float, todo.size)
-            out = 0.5 * erfc
-        elif self.kind == "lorentzian":
+            return 0.5 * erfc
+        if self.kind == "lorentzian":
             with np.errstate(over="ignore"):  # as above: arctan(+-inf) is the limit
-                out = 0.5 + np.arctan(arr / self.gamma) / math.pi
-        else:
-            out = self._tabulated_cdf(arr)
-        return float(out) if scalar else out
+                return 0.5 + np.arctan(arr / self.gamma) / math.pi
+        return self._tabulated_cdf(arr)
 
     def _tabulated_cdf(self, arr: np.ndarray) -> np.ndarray:
         # Piecewise-quadratic: exact integral of the linearly interpolated density.
@@ -224,7 +206,7 @@ class NoiseModel:
 
     def variance(self) -> float:
         """Variance of the density (inf for lorentzian); for tabulated noise,
-        of the interpolated density, as ``mean``."""
+        of the interpolated density, as ``mean``, and inf where that overflows."""
         if self.kind == "gaussian":
             return self.sigma * self.sigma
         if self.kind == "lorentzian":
@@ -232,9 +214,11 @@ class NoiseModel:
         xs, ys = self.xs, self.ys
         w = np.diff(xs)
         d = xs[:-1] - self.mean()  # each cell's left end, centred
-        return float(np.sum(w * (d * d * (ys[:-1] + ys[1:]) / 2.0
-                                 + 2.0 * d * w * (ys[:-1] / 6.0 + ys[1:] / 3.0)
-                                 + w * w * (ys[:-1] / 12.0 + ys[1:] / 4.0))))
+        with np.errstate(over="ignore", invalid="ignore"):  # past float64: inf
+            var = float(np.sum(w * (d * d * (ys[:-1] + ys[1:]) / 2.0
+                                    + 2.0 * d * w * (ys[:-1] / 6.0 + ys[1:] / 3.0)
+                                    + w * w * (ys[:-1] / 12.0 + ys[1:] / 4.0))))
+        return var if math.isfinite(var) else math.inf
 
     def label(self) -> str:
         if self.kind == "gaussian":

@@ -20,6 +20,16 @@ def test_ybar_values():
     assert ybar(-0.2, 2) == pytest.approx(math.log(1 + math.e**0.2 + math.e**0.4), abs=1e-12)
 
 
+def test_ybar_of_a_drift_whose_exp_rounds_to_one():
+    # below g ~ 5.6e-17 exp(-g) rounds to 1 and log1p(-1) raised "math domain
+    # error"; there 1 - exp(-g) = g to double precision
+    for g in (1e-17, 1e-300, 5e-324):
+        assert ybar(g, math.inf) == -math.log(g)
+    # every drift whose exp(-g) is below 1 keeps the log1p form bit for bit
+    for g in (5.6e-17, 1e-16, 1e-9, 0.1, 0.2, 1.0, 30.0, 700.0):
+        assert ybar(g, math.inf) == -math.log1p(-math.exp(-g))
+
+
 def test_ybar_domain():
     with pytest.raises(DomainError):
         ybar(0.0, math.inf)

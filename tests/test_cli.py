@@ -628,6 +628,43 @@ def test_small_drift_y_grid_is_refused_before_the_solve(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["compare-saddle", "--g", "5e-17", "--sigma-sweep", "0.01"], 4),
+    (["volatility", "--g", "1e-17", "--noise", "gaussian:sigma=1", "--until-converged"], 4),
+    (["volatility", "--g", "1e-17", "--noise", "gaussian:sigma=1", "--steps", "3",
+      "--grid", "0,20,1024"], 0),
+], ids=["compare-saddle", "steady-state", "per-step"])
+def test_drift_whose_exp_rounds_to_one_is_no_math_domain_error(tmp_path, capsys, argv, code):
+    # ybar(g, inf) raised "math domain error" (exit 2) below g ~ 5.6e-17; the
+    # steady states are now refused by the y grid's point limit and its centre
+    # rule, and an explicit grid runs
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "math domain error" not in err and "Traceback" not in err
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["evolve", "volatility"])
+@pytest.mark.parametrize("noise", ["gaussian:sigma=1e200", "table"])
+def test_default_grid_whose_extent_overflows_is_domain_error(tmp_path, capsys, command, noise):
+    # the grid sizing's upper end is inf: this exited 2 blaming a grid that was
+    # never given, and a table this wide had a nan variance
+    if noise == "table":
+        table = tmp_path / "wide.csv"
+        table.write_text("x,density\n-1e200,1\n1e200,1\n", encoding="utf-8")
+        noise = f"table:{table}"
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert run([command, "--g", "0.2", "--noise", noise, "--steps", "2",
+                    "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("cumvol: domain error: the default grid's upper end overflows float64 "
+                   "for this noise and g\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01,inf"], "--sigma-sweep"),
     (["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01,nan"], "--sigma-sweep"),

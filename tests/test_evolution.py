@@ -355,6 +355,19 @@ def test_default_y_grid_refuses_what_it_would_have_to_coarsen(g, sigma, refused)
         assert 1_900_000 < grid.n_points <= 1 << 21 and grid.h <= 0.005
 
 
+@pytest.mark.parametrize("noise", [gaussian(1e200), tabulated([(-1e200, 1.0), (1e200, 1.0)])],
+                         ids=["gaussian", "table"])
+def test_default_grid_whose_extent_overflows_is_a_domain_error(noise):
+    # the sizing's upper end is inf: math.ceil raised a bare OverflowError, and
+    # cell_grid a ValueError that blamed a grid no one gave (a y grid with no
+    # point count was already refused by its point limit)
+    for n_points in (None, DEFAULT_GRID_POINTS):
+        with pytest.raises(DomainError, match="upper end overflows float64"):
+            default_z_grid(0.2, noise, 5, n_points=n_points)
+    with pytest.raises(DomainError, match="upper end overflows float64"):
+        default_y_grid(0.2, noise, n_points=DEFAULT_GRID_POINTS)
+
+
 def test_per_step_runs_keep_their_inputs_and_need_a_step():
     noise, grid = gaussian(0.3), cell_grid(10.0, 500)
     for run in (evolve_z, evolve_y):

@@ -119,7 +119,7 @@ def test_cdf_matches_density_integral():
         for a, b in zip(xs[:-1], xs[1:]):
             grid = np.linspace(a, b, 4001)
             quad = np.trapezoid(pdf_at(n, grid), grid)
-            assert n.cdf_at(b) - n.cdf_at(a) == pytest.approx(quad, abs=tol)
+            assert np.diff(n.cdf_at(np.array([a, b])))[0] == pytest.approx(quad, abs=tol)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.1, 0.3, 2.5])
@@ -138,17 +138,20 @@ def test_gaussian_cdf_matches_scipy_ndtr(sigma):
     assert np.all(np.abs(got[core] - ref[core]) <= 2e-14 * ref[core])
     # below z = -37.68 ndtr underflows to 0; the exact value is subnormal
     assert np.all((got[~live] >= 0.0) & (got[~live] < 1e-307))
-    assert isinstance(gaussian(sigma).cdf_at(0.3), float)
     assert list(gaussian(sigma).cdf_at(np.array([-np.inf, np.inf]))) == [0.0, 1.0]
 
 
-def test_erfc_saturation_bounds_are_the_last_saturated_arguments():
-    # math.erfc is exactly 2.0 at the first bound and exactly 0.0 at the
-    # second, and one step inward from either it is not saturated any more
-    assert math.erfc(_ERFC_TWO_UPTO) == 2.0
-    assert math.erfc(math.nextafter(_ERFC_TWO_UPTO, 0.0)) < 2.0
-    assert math.erfc(_ERFC_ZERO_FROM) == 0.0
-    assert math.erfc(math.nextafter(_ERFC_ZERO_FROM, 0.0)) > 0.0
+def test_erfc_is_saturated_at_and_beyond_the_constant_bounds():
+    # the Gaussian CDF skips math.erfc at and below -6, where it is exactly
+    # 2.0, and at and above 28, where it is exactly 0.0: the bounds and both
+    # of their nextafter neighbours are saturated
+    assert (_ERFC_TWO_UPTO, _ERFC_ZERO_FROM) == (-6.0, 28.0)
+    for bound, value in ((_ERFC_TWO_UPTO, 2.0), (_ERFC_ZERO_FROM, 0.0)):
+        for x in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)):
+            assert math.erfc(x) == value
+    assert all(math.erfc(x) == 2.0 for x in np.linspace(-600.0, -6.0, 10_001))
+    assert all(math.erfc(x) == 0.0 for x in np.linspace(28.0, 600.0, 10_001))
+    assert math.erfc(-math.inf) == 2.0 and math.erfc(math.inf) == 0.0
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5])
@@ -160,7 +163,16 @@ def test_gaussian_cdf_is_the_plain_erfc_map_bit_for_bit(sigma):
     plain = 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, t.size)
     got = gaussian(sigma).cdf_at(x)
     assert got.tobytes() == plain.tobytes()
-    assert np.isnan(gaussian(sigma).cdf_at(np.nan))
+    assert np.isnan(gaussian(sigma).cdf_at(np.array([np.nan]))).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_variance_of_a_table_past_float64_is_inf():
+    # the closed form's centred square overflows and used to give inf - inf:
+    # three RuntimeWarnings and nan, where the true variance, 3.3e399, is inf
+    wide = tabulated([(-1e200, 1.0), (1e200, 1.0)])
+    assert (wide.mean(), wide.variance()) == (0.0, math.inf)
+    assert wide.mirror().variance() == math.inf
 
 
 @pytest.mark.filterwarnings("error")
@@ -169,7 +181,6 @@ def test_cdf_of_subnormal_width_saturates_without_warning(noise):
     # x / width overflows to +-inf at |x| = 2, which lands on the CDF's limits
     x = np.array([-np.inf, -2.0, 0.0, 2.0, np.inf])
     assert list(noise.cdf_at(x)) == [0.0, 0.0, 0.5, 1.0, 1.0]
-    assert noise.cdf_at(-2.0) == 0.0 and noise.cdf_at(2.0) == 1.0
 
 
 @pytest.mark.parametrize("sigma", [1e-12, 0.1, 1.0, 7.3])

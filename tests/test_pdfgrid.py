@@ -29,7 +29,7 @@ def from_function(grid: GridSpec, source, truncated_mass: float | None = None) -
     if isinstance(source, NoiseModel):
         values = pdf_at(source, pts)
         if truncated_mass is None:
-            covered = source.cdf_at(grid.x_max) - source.cdf_at(grid.x_min)
+            covered = np.diff(source.cdf_at(np.array([grid.x_min, grid.x_max])))[0]
             truncated_mass = float(min(max(1.0 - covered, 0.0), 1.0 - 1e-15))
     else:
         values = np.asarray(source(pts), dtype=float)
