@@ -11,16 +11,27 @@ Exit codes: 0 success, 2 usage error, 3 numerical-invariant failure,
 4 domain-validity failure. Every run writes a manifest.json listing the
 produced files plus convergence and truncation diagnostics; data files are
 written atomically (temp file + rename).
+
+``evolve`` and ``volatility`` take their steps one at a time from the
+engine's step loop: each step's manifest row is built and checked, its CSV
+text is staged, and its density is dropped, so besides its manifest rows a
+run holds O(grid) memory whatever ``--steps`` is (``_Staged``). The staged
+files are renamed into place at the end of the run, and the manifest is
+written last; a run that fails, a non-converging ``--until-converged`` run
+included, removes what it staged and leaves ``--out`` as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,14 +40,15 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
+    _converged_at,
+    _evolve,
+    _power_report,
     _quantile_fields,
+    _reversed,
     _stationary,
     default_y_grid,
     default_z_grid,
-    evolve_y,
-    evolve_z,
     steady_state_volatility,
-    trace_volatility,
     volatility_pdf,
 )
 from .montecarlo import simulate_stream
@@ -45,6 +57,13 @@ from .pdfgrid import GriddedPdf, GridSpec, atomic_write_text, cell_grid, write_c
 
 DEFAULT_GRID_POINTS = 8192
 MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
+
+# Most bytes of staged file text that a per-step run holds, the file being
+# made included, before it writes them to temp files in one burst. Writing
+# each step's file as soon as its step ended cost 9-17% of the six README
+# per-step commands' time; bursts of 512 KiB cost about 1%, and 2 MiB
+# bursts held 1.3 MB more at peak.
+_STAGE_BYTES = 512 * 1024
 
 # argparse reads a token that starts with '-' as an option unless it matches
 # the parser's negative-number pattern, whose stock form has no exponent: with
@@ -149,11 +168,14 @@ def _check_finite(payload, name: str) -> None:
         raise DomainError(f"{where} is not finite: the inputs' scale exceeds float64 here")
 
 
+def _json_text(payload: dict, name: str) -> str:
+    """Strict JSON text of a file ``name``, after ``_check_finite``."""
+    _check_finite(payload, name)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON after ``_check_finite``."""
-    _check_finite(payload, path.name)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                      + "\n")
+    atomic_write_text(path, _json_text(payload, path.name))
 
 
 def _manifest(command: str, args_dict: dict, outputs: list, extra: dict) -> dict:
@@ -178,6 +200,73 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
             raise MassDefectError(f"output file {name} missing or empty")
 
 
+class _Staged:
+    """The files of a per-step run, staged in its output directory and put
+    in place together by ``commit``.
+
+    ``add`` holds a file's text in memory, and writes all the held text to
+    temp files in the output directory, which the first such burst creates,
+    once one more file of the same size would take it past
+    ``_STAGE_BYTES``. ``commit`` renames the staged files into place in the
+    order they were added and writes the manifest last. Used as a context
+    manager, a run that raises unlinks its temp files and removes the
+    directories it created, so the output directory is left as it was found.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.names: list[str] = []  # every file added, in order
+        self._held: list[bytes] = []  # text of the last names, not yet written
+        self._held_bytes = 0
+        self._temps: list[str] = []  # temp files of the first names
+        self._made: list[Path] | None = None  # directories created, deepest first
+
+    def __enter__(self) -> "_Staged":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if kind is None:
+            return
+        for tmp in self._temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        for made in self._made or ():
+            with contextlib.suppress(OSError):
+                made.rmdir()
+
+    def add(self, name: str, data: bytes) -> None:
+        self.names.append(name)
+        self._held.append(data)
+        self._held_bytes += len(data)
+        if self._held_bytes + len(data) > _STAGE_BYTES:
+            self._write_held()
+
+    def _write_held(self) -> None:
+        if self._made is None:
+            self._made = []
+            for path in (self.out_dir, *self.out_dir.parents):
+                if path.exists():
+                    break
+                self._made.append(path)
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        for data in self._held:
+            fd, tmp = tempfile.mkstemp(dir=self.out_dir, suffix=".tmp")
+            self._temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        self._held.clear()
+        self._held_bytes = 0
+
+    def commit(self, manifest: dict) -> None:
+        """Put every staged file in place, then write ``manifest``."""
+        _check_finite(manifest, "manifest.json")  # before any file is in place
+        self._write_held()
+        for tmp, name in zip(self._temps, self.names):
+            os.replace(tmp, self.out_dir / name)
+        self._temps.clear()
+        _write_manifest(self.out_dir, manifest)
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -189,19 +278,20 @@ def cmd_evolve(args) -> int:
         grid = cell_grid(*args.grid[1:])
     else:
         grid = default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS)
-    trace = evolve_z(args.g, args.noise, grid, args.steps)
 
-    outputs = [f"rho_z_t{rec.t:04d}.csv" for rec in trace.steps]
-    rows = [{"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
-             "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
-             "l1_prev": rec.l1_prev, **_quantile_fields(rec.pdf), "file": name}
-            for rec, name in zip(trace.steps, outputs)]
-    manifest = _manifest("evolve", _echo(args), outputs, {"grid": asdict(grid), "steps": rows})
-    _check_finite(manifest, "manifest.json")  # before any density is written
-    for rec, name in zip(trace.steps, outputs):
-        rec.pdf.to_csv(out_dir / name)
-    _write_manifest(out_dir, manifest)
-    print(f"evolve: wrote {len(outputs)} density files to {out_dir}")
+    rows = []
+    with _Staged(out_dir) as staged:
+        for rec in _evolve((args.g, args.noise), grid, args.steps, 0.0):
+            name = f"rho_z_t{rec.t:04d}.csv"
+            row = {"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
+                   "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
+                   "l1_prev": rec.l1_prev, **_quantile_fields(rec.pdf), "file": name}
+            _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
+            rows.append(row)
+            staged.add(name, rec.pdf.csv_bytes())
+        staged.commit(_manifest("evolve", _echo(args), staged.names,
+                                {"grid": asdict(grid), "steps": rows}))
+    print(f"evolve: wrote {len(staged.names)} density files to {out_dir}")
     return 0
 
 
@@ -213,41 +303,37 @@ def cmd_volatility(args) -> int:
     out_dir = Path(args.out)
     grid = (cell_grid(*args.grid[1:]) if args.grid is not None
             else default_y_grid(*pair, n_points=DEFAULT_GRID_POINTS))
-    trace = evolve_y(args.g, args.noise, grid, args.steps, tol=args.tol)
-    report = final_dz = None
-    if args.until_converged:
-        rep, final_dz = trace_volatility(trace)  # ConvergenceError if not converged
-        report = asdict(rep)
-        _check_finite(report, "volatility_report.json")  # before any density is written
+    step = _reversed(args.g, args.noise, grid)
 
-    outputs, rows = [], []
-    for rec in trace.steps:
-        # the report built the final step's density, so each step's is built once
-        reuse = final_dz is not None and rec is trace.final()
-        dz = final_dz if reuse else volatility_pdf(rec.pdf)
-        name = f"rho_dz_t{rec.t:04d}.csv"
-        dz.to_csv(out_dir / name)
-        outputs.append(name)
-        rows.append({
-            "t": rec.t,
-            "file": name,
-            "dz_grid": asdict(dz.grid),
-            "dz_mean": dz.mean(),
-            "dz_variance": dz.variance(),
-            "truncated_mass": dz.truncated_mass,
-            "y_l1_prev": rec.l1_prev,
-        })
-
-    if report is not None:
-        _write_json(out_dir / "volatility_report.json", report)
-        outputs.append("volatility_report.json")
-
-    _write_manifest(out_dir, _manifest("volatility", _echo(args), outputs, {
-        "grid": asdict(grid),
-        "convergence": {"converged_at": trace.converged_at},
-        "steps": rows,
-    }))
-    print(f"volatility: wrote {len(outputs)} files to {out_dir}")
+    rows = []
+    with _Staged(out_dir) as staged:
+        for rec in _evolve(step, grid, args.steps, args.tol):
+            dz = volatility_pdf(rec.pdf)
+            name = f"rho_dz_t{rec.t:04d}.csv"
+            row = {
+                "t": rec.t,
+                "file": name,
+                "dz_grid": asdict(dz.grid),
+                "dz_mean": dz.mean(),
+                "dz_variance": dz.variance(),
+                "truncated_mass": dz.truncated_mass,
+                "y_l1_prev": rec.l1_prev,
+            }
+            _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
+            rows.append(row)
+            staged.add(name, dz.csv_bytes())
+        converged_at = _converged_at(rec, args.tol)
+        if args.until_converged:
+            # read from the final step's density, so each step's is built once
+            report = _power_report(args.g, args.noise, rec, converged_at is not None, dz)[0]
+            staged.add("volatility_report.json",
+                       _json_text(asdict(report), "volatility_report.json").encode("utf-8"))
+        staged.commit(_manifest("volatility", _echo(args), staged.names, {
+            "grid": asdict(grid),
+            "convergence": {"converged_at": converged_at},
+            "steps": rows,
+        }))
+    print(f"volatility: wrote {len(staged.names)} files to {out_dir}")
     return 0
 
 

@@ -23,9 +23,14 @@ One step is a linear map P on node masses (``StepOperator``), built once per
 run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
 per-step runs ``evolve_z`` and ``evolve_y`` take (g, noise, grid, horizon),
 take their first step straight from the noise CDF (``StepOperator.first``),
-then apply P and renormalise (power iteration). The reversed variable's
-fixed point is P's Perron vector, which ``steady_state_volatility`` finds
-directly with a thick-restart Arnoldi iteration in numpy: 40 Krylov vectors,
+then apply P and renormalise (power iteration). One step loop, the
+generator ``_evolve``, makes their records one at a time and keeps only the
+latest density: the library's runs collect the records into an
+``EvolutionTrace``, and the command line takes each in turn and drops it
+once its files are staged, so a per-step command holds O(grid) densities
+whatever its horizon. The reversed variable's fixed point is P's Perron
+vector, which ``steady_state_volatility`` finds directly with a
+thick-restart Arnoldi iteration in numpy: 40 Krylov vectors,
 20 Ritz vectors kept at each restart, and one stopping rule, ARPACK's Ritz
 estimate at 1e-12 relative with a nonnegative unit-mass vector, tested as
 the basis grows (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J. Matrix Anal.
@@ -41,6 +46,7 @@ through the grid's edges. The package runs on numpy alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,9 +403,10 @@ def _check_drift(g: float) -> None:
 def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, NoiseModel]:
     """The reversed recursion's drift and noise: drift negated, noise mirrored.
 
-    ``evolve_y`` and the eigensolve both start here, whether their grid was
-    given or defaulted, so the drift cap and the steady centre's resolution
-    (judged once the grid's scale admits finite moments) hold on every route to dz.
+    ``evolve_y``, the ``volatility`` command's step loop and the eigensolve
+    all start here, whether their grid was given or defaulted, so the drift
+    cap and the steady centre's resolution (judged once the grid's scale
+    admits finite moments) hold on every route to dz.
     """
     _check_drift(g)
     if not math.isfinite(grid.x_max * grid.x_max):
@@ -411,28 +418,43 @@ def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, Noise
     return -g, noise.mirror()
 
 
-def _evolve(g: float, noise: NoiseModel, grid: GridSpec, horizon: int, tol: float,
-            step: tuple[float, NoiseModel]) -> EvolutionTrace:
-    """Step by the drift and noise ``step`` on ``grid`` until the L1 distance
-    between successive densities falls below ``tol``, or for ``horizon``
-    steps; the trace keeps ``g`` and ``noise``."""
+def _evolve(step: tuple[float, NoiseModel], grid: GridSpec, horizon: int,
+            tol: float) -> Iterator[StepRecord]:
+    """The step loop: a generator of the records of a run that steps by the
+    drift and noise ``step`` on ``grid`` until the L1 distance between
+    successive densities falls below ``tol``, or for ``horizon`` steps.
+
+    Each record is made when it is asked for, and the loop keeps only the
+    latest density, so a caller that drops each record after use holds
+    O(grid) memory whatever the horizon. ``_converged_at`` reads the stop
+    from the last record.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     op = StepOperator(*step, grid)
     cells, new_trunc = op.first()
     pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
-    steps = [StepRecord(1, pdf, defect, new_trunc, None)]
-    converged_at = None
+    yield StepRecord(1, pdf, defect, new_trunc, None)
     for t in range(2, horizon + 1):
         cells, new_trunc = op.apply(pdf.node_masses())
         nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
         l1 = pdf.distance(nxt)
-        steps.append(StepRecord(t, nxt, defect, new_trunc, l1))
         pdf = nxt
+        yield StepRecord(t, pdf, defect, new_trunc, l1)
         if l1 < tol:
-            converged_at = t
-            break
-    return EvolutionTrace(g, noise, steps, converged_at)
+            return
+
+
+def _converged_at(last: StepRecord, tol: float) -> int | None:
+    """The step at which a run with final record ``last`` stopped by ``tol``, or None."""
+    return last.t if last.l1_prev is not None and last.l1_prev < tol else None
+
+
+def _trace(g: float, noise: NoiseModel, records: Iterator[StepRecord],
+           tol: float) -> EvolutionTrace:
+    """The trace of a run's records, which keeps ``g`` and ``noise``."""
+    steps = list(records)
+    return EvolutionTrace(g, noise, steps, _converged_at(steps[-1], tol))
 
 
 def evolve_z(g: float, noise: NoiseModel, grid: GridSpec, horizon: int) -> EvolutionTrace:
@@ -445,7 +467,7 @@ def evolve_z(g: float, noise: NoiseModel, grid: GridSpec, horizon: int) -> Evolu
     for g > 0, z has no fixed point, as its mean grows by about g and its
     variance by about sigma_a^2 per step.
     """
-    return _evolve(g, noise, grid, horizon, 0.0, (g, noise))
+    return _trace(g, noise, _evolve((g, noise), grid, horizon, 0.0), 0.0)
 
 
 def evolve_y(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
@@ -460,7 +482,7 @@ def evolve_y(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _evolve(g, noise, grid, horizon, tol, _reversed(g, noise, grid))
+    return _trace(g, noise, _evolve(_reversed(g, noise, grid), grid, horizon, tol), tol)
 
 
 # ----------------------------------------------------------------------
@@ -505,10 +527,11 @@ def _stationary(g: float, noise: NoiseModel) -> tuple[float, NoiseModel]:
     return drift, noise
 
 
-def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
-                       solver: dict) -> tuple[VolatilityReport, GriddedPdf]:
+def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf, solver: dict,
+                       dz: GriddedPdf | None = None) -> tuple[VolatilityReport, GriddedPdf]:
     """Report on the growth increment for the reversed variable's fixed point p_y,
-    and the growth increment's density it is read from.
+    and the growth increment's density it is read from: ``dz`` when given,
+    which must be ``volatility_pdf(p_y)``.
 
     Noise that gives y no stationary law (``_stationary``), and a narrow-noise
     variance at g + E[a] that underflows to 0, are domain errors.
@@ -518,7 +541,8 @@ def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf,
     if narrow == 0.0:
         raise DomainError(f"narrow_variance at sigma_a_sq={sigma_sq:g} underflows to 0: "
                           "the ratio to it is not finite")
-    dz = volatility_pdf(p_y)
+    if dz is None:
+        dz = volatility_pdf(p_y)
     variance = dz.variance()
     return VolatilityReport(
         g=g,
@@ -740,22 +764,30 @@ def steady_state_volatility(g: float, noise: NoiseModel,
 def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
     """Steady-state report from the final density of a converged ``evolve_y``
     trace, and that density's growth increment, which the report is read from.
+    """
+    return _power_report(trace.g, trace.noise, trace.final(), trace.converged_at is not None)
 
-    The solver block describes the power iteration that produced the trace:
+
+def _power_report(g: float, noise: NoiseModel, last: StepRecord, converged: bool,
+                  dz: GriddedPdf | None = None) -> tuple[VolatilityReport, GriddedPdf]:
+    """``_volatility_report`` on the final record ``last`` of a reversed-variable
+    run of drift g and ``noise``; a run that has not ``converged`` is a
+    ``ConvergenceError``. ``dz``, when given, is that record's growth increment.
+
+    The solver block describes the power iteration that produced the run:
     its last step kept ``eigenvalue`` of the mass and moved the normalised
     density by ``l1_prev``.
     """
-    if trace.converged_at is None:
-        raise ConvergenceError(f"trace did not converge within horizon={len(trace.steps)}")
-    last = trace.final()
+    if not converged:
+        raise ConvergenceError(f"trace did not converge within horizon={last.t}")
     eigenvalue = 1.0 - last.new_truncation
     solver = {
         "method": "power",
-        "applications": len(trace.steps) - 1,
+        "applications": last.t - 1,
         "eigenvalue": eigenvalue,
         "residual_l1": eigenvalue * last.l1_prev,
     }
-    return _volatility_report(trace.g, trace.noise, last.pdf, solver)
+    return _volatility_report(g, noise, last.pdf, solver, dz)
 
 
 # ----------------------------------------------------------------------

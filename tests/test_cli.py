@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -12,8 +14,8 @@ import pytest
 import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
-from cumvol import (GriddedPdf, GridSpec, cell_grid, default_y_grid, evolve_y,
-                    evolve_z, gaussian, lorentzian, steady_state_volatility, tabulated,
+from cumvol import (GriddedPdf, GridSpec, MassDefectError, cell_grid, default_y_grid,
+                    evolve_y, evolve_z, gaussian, lorentzian, steady_state_volatility, tabulated,
                     trace_volatility, volatility_pdf)
 from cumvol.cli import main
 from cumvol.pdfgrid import write_csv
@@ -219,7 +221,7 @@ def test_no_steady_state_where_y_has_no_stationary_law(tmp_path, capsys, monkeyp
     def no_step(*args, **kwargs):
         raise AssertionError("the reversed recursion started")
 
-    monkeypatch.setattr(cli, "evolve_y", no_step)
+    monkeypatch.setattr(cli, "_evolve", no_step)
     monkeypatch.setattr(evolution, "_perron_density", no_step)
     table = tmp_path / "uniform.csv"
     table.write_text("x,density\n-0.65,1\n0.35,1\n", encoding="utf-8")
@@ -805,6 +807,104 @@ def test_evolve_nonfinite_manifest_writes_no_density(tmp_path, capsys):
     assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "volatility"])
+def test_per_step_run_memory_does_not_grow_with_the_horizon(tmp_path, command):
+    # each step's density is dropped once its file is staged: ten times the
+    # steps peak within 0.5 MB, where 180 more densities held would add 2.9 MB
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert run([command, "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps",
+                        str(steps), "--grid", "0,20,2048",
+                        "--out", str(tmp_path / str(steps))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20), peak(200)
+    assert long - short < 0.5e6, (short, long)
+
+
+def _step_three_raises(monkeypatch, command, out):
+    """Raise at step 3, the second StepOperator.apply (step 1 is its first());
+    returns the temp files in ``out`` at each apply."""
+    apply, seen = evolution.StepOperator.apply, []
+
+    def failing(self, masses):
+        seen.append(sorted(p.name for p in out.glob("*.tmp")))
+        if len(seen) == 2:
+            raise MassDefectError("mass defect at step 3")
+        return apply(self, masses)
+
+    monkeypatch.setattr(evolution.StepOperator, "apply", failing)
+    return seen
+
+
+def _nonfinite_second_row(monkeypatch, command, out):
+    """Give step 2's row a nan mean: of z's density for evolve, of dz's for
+    volatility; returns the temp files in ``out`` at that moment."""
+    seen = []
+
+    def poison(pdf):
+        seen.append(sorted(p.name for p in out.glob("*.tmp")))
+        object.__setattr__(pdf, "_mean", math.nan)  # where mean() keeps it
+
+    if command == "evolve":
+        evolve = cli._evolve
+
+        def records(*args):
+            for rec in evolve(*args):
+                if rec.t == 2:
+                    poison(rec.pdf)
+                yield rec
+
+        monkeypatch.setattr(cli, "_evolve", records)
+    else:
+        dz_of, calls = cli.volatility_pdf, itertools.count(1)
+
+        def volatility_pdf(p_y, grid=None):
+            dz = dz_of(p_y, grid)
+            if next(calls) == 2:
+                poison(dz)
+            return dz
+
+        monkeypatch.setattr(cli, "volatility_pdf", volatility_pdf)
+    return seen
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("command, fail, at, code, cause", [
+    ("evolve", _step_three_raises, 3, 3, "numerical failure: mass defect at step 3"),
+    ("volatility", _step_three_raises, 3, 3, "numerical failure: mass defect at step 3"),
+    ("evolve", _nonfinite_second_row, 2, 4,
+     "domain error: manifest.json.steps[1].mean is not finite"),
+    ("volatility", _nonfinite_second_row, 2, 4,
+     "domain error: manifest.json.steps[1].dz_mean is not finite"),
+], ids=["evolve-step-3", "volatility-step-3", "evolve-row-2", "volatility-row-2"])
+def test_failed_per_step_run_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch, command,
+                                                       fail, at, code, cause, existing):
+    # each step's file is staged as a temp file in --out (here in a burst of
+    # its own) and renamed into place only once the run has succeeded: a run
+    # that fails part-way unlinks them and removes the --out it created
+    monkeypatch.setattr(cli, "_STAGE_BYTES", 1)
+    out = tmp_path / "new" / "run"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    seen = fail(monkeypatch, command, out)
+    assert run([command, "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "5",
+                "--grid", "0,20,1024", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+    assert len(seen[-1]) == at - 1  # the earlier steps were staged on disk
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    else:
+        assert not (tmp_path / "new").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("argv, cause", [
     (["volatility", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
       "--grid", "0,1e308,100"], "mean or width is not finite"),
@@ -862,7 +962,7 @@ def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking --out")
 
-    for name in ("evolve_z", "evolve_y", "steady_state_volatility", "simulate_stream"):
+    for name in ("_evolve", "steady_state_volatility", "simulate_stream"):
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n", encoding="utf-8")
