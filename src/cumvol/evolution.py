@@ -30,7 +30,8 @@ latest density: the library's runs collect the records into an
 once its files are staged, so a per-step command holds O(grid) densities
 whatever its horizon. The reversed variable's fixed point is P's Perron
 vector, which ``steady_state_volatility`` finds directly with a
-thick-restart Arnoldi iteration in numpy: 40 Krylov vectors,
+thick-restart Arnoldi iteration in numpy started from the diffusion limit's
+law (Dufresne, Scand. Actuar. J. 1990): 40 Krylov vectors,
 20 Ritz vectors kept at each restart, and one stopping rule, ARPACK's Ritz
 estimate at 1e-12 relative with a nonnegative unit-mass vector, tested as
 the basis grows (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J. Matrix Anal.
@@ -54,7 +55,7 @@ import numpy as np
 from .analytic import (sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle,
                        ybar)
 from .errors import ConvergenceError, DomainError, MassDefectError
-from .noise import NoiseModel
+from .noise import KernelCells, NoiseModel
 from .pdfgrid import GriddedPdf, GridSpec, cell_grid
 
 __all__ = [
@@ -256,13 +257,15 @@ class StepOperator:
     ``loss``, the kernel's clipped mass per unit of input mass that the step
     counts as truncated. ``apply`` clips nothing, so it is strictly linear in
     its input and serves both as the power-iteration step and as the
-    eigensolve's operator; ``first`` is the step from a point mass at 0.
+    eigensolve's operator; ``first`` is a per-step run's step 1, from a point
+    mass at 0. ``kernel`` may be the uncapped kernel of a grid no longer.
     """
 
-    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
+    def __init__(self, g: float, noise: NoiseModel, grid: GridSpec,
+                 kernel: KernelCells | None = None):
         edges = _validated_edges(grid)
         h = grid.h
-        kern = noise.cell_masses(h, max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
+        kern = kernel or noise.cell_masses(h, max_halfwidth=float(edges[-1]) + _KERNEL_MARGIN)
         self.grid = grid
         self.noise = noise
         self.kernel = kern
@@ -557,6 +560,26 @@ def _volatility_report(g: float, noise: NoiseModel, p_y: GriddedPdf, solver: dic
     ), dz
 
 
+def _limit_log_masses(g: float, sigma_sq: float, grid: GridSpec, above: bool) -> np.ndarray | None:
+    """Logs, up to one constant, of y's node masses rho_dz(x) h e^{x - y} on
+    ``grid``, x = -log(1 - e^{-y}), in the diffusion limit dz ~ Gamma(kappa =
+    2g/sigma^2, theta = sigma^2/2); then, when ``above``, of its mass above the
+    top edge, P(dz < x_T), as its small-x_T limit x_T^kappa/(kappa Gamma(kappa)
+    theta^kappa). None where kappa, theta or the top log is not finite."""
+    theta = 0.5 * sigma_sq
+    kappa = g / theta if theta > 0.0 else math.inf
+    if not (0.0 < kappa < math.inf and theta < math.inf):
+        return None
+    y = np.append(grid.points(), grid.cell_edges()[-1]) if above else grid.points()
+    x = -np.log1p(-np.exp(-y))
+    log_x = np.log(x, out=-y, where=x > 0.0)  # x rounds to 0 only where log x = -y
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64: inf or nan
+        logs = (kappa - 1.0) * log_x - x / theta - y + x + math.log(grid.h)
+        if above:
+            logs[-1] = kappa * log_x[-1] - math.log(kappa)
+    return logs if math.isfinite(logs.max()) else None
+
+
 class _TailClosure:
     """The reversed step on its grid's bulk prefix plus one tail amplitude.
 
@@ -580,6 +603,7 @@ class _TailClosure:
     def __init__(self, g: float, noise: NoiseModel, grid: GridSpec):
         self.reversed = _reversed(g, noise, grid)
         self.tail = None
+        self._limit = g, noise.variance()
         n, h = grid.n_points, grid.h
         kappa = tail_exponent(noise, g)
         if kappa is not None:
@@ -595,14 +619,20 @@ class _TailClosure:
         head = np.zeros(min(n + self.bulk.kernel.halfcells + math.ceil(g / h) + 2, grid.n_points))
         head[n:] = self.tail[:head.size - n]
         head[-1] += self.tail[head.size - n:].sum()
-        cells, leak = StepOperator(*self.reversed,
-                                   GridSpec(grid.x_min, h, head.size)).transport(head)
+        kern = self.bulk.kernel  # the same cells on any longer grid, unless capped
+        cells, leak = StepOperator(*self.reversed, GridSpec(grid.x_min, h, head.size),
+                                   None if kern.capped else kern).transport(head)
         self._image, self._kept = cells[:n].copy(), float(cells[n:].sum()) + leak
 
     def start(self) -> np.ndarray:
-        """The first step from y = 0 as (b, A), or on the full grid."""
-        cells, above = self.bulk.first()
-        return cells if self.tail is None else np.append(cells, above)
+        """The Arnoldi start (b, A), or on the full grid: the diffusion limit's
+        law at unit mass, or the first step from y = 0 where it has none."""
+        logs = _limit_log_masses(*self._limit, self.bulk.grid, self.tail is not None)
+        if logs is None:
+            cells, above = self.bulk.first()
+            return cells if self.tail is None else np.append(cells, above)
+        v = np.exp(logs - logs.max())
+        return v / v.sum()
 
     def extend(self, v: np.ndarray) -> np.ndarray:
         """The full grid's node masses of a vector (b, A)."""
@@ -636,9 +666,9 @@ def _perron_density(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[Gridde
     bulk, not by the grid's exponential tail. A thick-restart Arnoldi
     iteration in numpy (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J.
     Matrix Anal. Appl. 23, 2001) builds a Krylov space of ``_ARNOLDI_NCV``
-    vectors from the first-step density, so repeated solves are
-    bit-identical. Each new vector is orthogonalised by classical
-    Gram-Schmidt with one reorthogonalisation pass. Every
+    vectors from the diffusion limit's law (``_TailClosure.start``), so
+    repeated solves are bit-identical. Each new vector is orthogonalised by
+    classical Gram-Schmidt with one reorthogonalisation pass. Every
     ``_RITZ_CHECK_EVERY`` basis vectors, in every cycle, the Ritz pair
     (theta, y) of largest modulus of the projected matrix is tested by
     ARPACK's Ritz estimate beta |y_last|. One rule stops the solve at every

@@ -583,12 +583,14 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
      2, "invalid input: n_paths must be >= 2: one path has no sample variance"),
 ], ids=["volatility-unconverged", "volatility-report", "compare-saddle-inf",
         "compare-saddle-zero", "volatility-zero", "simulate-one-path"])
-def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, argv,
-                                                         code, cause):
+def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, recwarn,
+                                                         argv, code, cause):
     # the results are checked before the first file is written. At these
     # widths compare-saddle's default y grid is refused (it would need more
     # than 2**21 points); the check does not depend on the grid (volatility
-    # passes its own 8192)
+    # passes its own 8192). No run warns: at compare-saddle's widths the
+    # eigensolve starts from y = 0, since the diffusion limit's law has no
+    # finite shape there
     monkeypatch.setattr(evolution, "default_y_grid", lambda g, noise, n_points=None:
                         default_y_grid(g, noise, n_points or 4096))
     out = tmp_path / "x"
@@ -596,6 +598,7 @@ def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert cause in err and "Traceback" not in err
     assert not out.exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_y_grid_past_its_point_limit_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):

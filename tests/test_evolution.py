@@ -28,9 +28,9 @@ from cumvol import (
 )
 from cumvol.cli import DEFAULT_GRID_POINTS
 from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, StepOperator, _assemble,
-                              _fast_len, _node_cdf, _perron_density, _stationary,
-                              _TailClosure)
-from cumvol.noise import TAIL_TOL
+                              _fast_len, _node_cdf, _perron_density, _RITZ_TOL,
+                              _stationary, _TailClosure)
+from cumvol.noise import TAIL_TOL, NoiseModel
 from cumvol.pdfgrid import GriddedPdf
 from helpers import interp_at, means, normalized, pdf_at, variances, warp_step, y_inputs
 
@@ -610,9 +610,10 @@ def test_eigensolve_matches_power_iteration(case):
 
 
 def _arpack_reference(g, noise, grid, closure=None, tol=1e-9):
-    """ARPACK's Perron pair of the reversed step, from the eigensolve's start
-    vector, Krylov size and tolerance, on the full grid's operator or on the
-    eigensolve's bulk-plus-tail ``closure``: the dz variance of its unit-mass
+    """ARPACK's Perron pair of the reversed step, with the eigensolve's Krylov
+    size and tolerance, on the full grid's operator from the full grid's first
+    step or on the eigensolve's bulk-plus-tail ``closure`` from the
+    eigensolve's own start vector: the dz variance of its unit-mass
     eigenvector v, extended onto the full grid, after one more step; its
     eigenvalue; its operator applications with that step (and the closure's
     tail image); and a bound on the full-grid L1 residual of v. ARPACK's
@@ -628,11 +629,9 @@ def _arpack_reference(g, noise, grid, closure=None, tol=1e-9):
     step, extend = full.apply, (lambda v: v)
     v0 = first_step(noise, g, grid).node_masses()
     applications = 1
-    if closure is not None and closure.tail is not None:
-        step, extend = closure.step, closure.extend
-        n_bulk = closure.bulk.grid.n_points
-        v0 = np.append(v0[:n_bulk], v0[n_bulk:].sum())  # (bulk masses, mass above y_T)
-        applications += 1
+    if closure is not None:
+        step, extend, v0 = closure.step, closure.extend, closure.start()
+        applications += closure.tail is not None
 
     def matvec(v):
         nonlocal applications
@@ -673,9 +672,11 @@ def test_eigensolve_matches_arpack(g, noise):
     # The tail closure moves the eigenvalue by up to about 1e-10 and leaves
     # a full-grid residual of about 5e-9 (none without a tail, as for the
     # Lorentzian case), so the solver's own facts compare with ARPACK on the
-    # same closed operator.
+    # same closed operator, from the same start and at the same tolerance.
+    # (At 1e-9 ARPACK stops on the table after one cycle, 43 applications
+    # against the solver's 45 at 1e-12; at 1e-12 it takes 62.)
     _, eigenvalue, applications, allowed = _arpack_reference(
-        g, noise, grid, _TailClosure(g, noise, grid))
+        g, noise, grid, _TailClosure(g, noise, grid), tol=_RITZ_TOL)
     assert solver["eigenvalue"] == pytest.approx(eigenvalue, abs=1e-10)
     assert solver["residual_l1"] < allowed
     assert solver["applications"] <= applications
@@ -714,8 +715,15 @@ _CLOSURE_IDS = ["sweep-0.01", "sweep-0.04", "sweep-0.16", "sweep-0.64", "sweep-1
 def test_tail_closure_on_its_prefix_matches_the_full_grid(g, noise):
     # The tail image made on the prefix [0, y_T + W] is the full grid's below
     # y_T (at most 1.1e-16 apart); its kept mass exceeds the full grid's by
-    # that grid's top leak alone (at most 4.7e-11); and the start on the
-    # bulk grid is the full grid's first step, restricted (1.7e-16 relative).
+    # that grid's top leak alone (at most 4.7e-11); the first step on the
+    # bulk grid, the start where the diffusion limit has no law, is the full
+    # grid's, restricted (1.7e-16 relative); and the start is that limit's
+    # law, dz ~ Gamma(2g/sigma^2, sigma^2/2), as y's node masses
+    # rho_dz(x)/(e^y - 1) h at x = -log(1 - e^{-y}), and its small-x_T mass
+    # x_T^kappa/(kappa Gamma(kappa) theta^kappa) above y_T, at unit mass.
+    from scipy.special import gammaln
+    from scipy.stats import gamma
+
     g, noise = _stationary(g, noise)
     grid = default_y_grid(g, noise)
     closure = _TailClosure(g, noise, grid)
@@ -727,8 +735,55 @@ def test_tail_closure_on_its_prefix_matches_the_full_grid(g, noise):
     assert kept <= closure._kept <= kept + 1e-10
     rev_g, rev_noise = closure.reversed
     first = first_step(rev_noise, rev_g, grid).node_masses()
-    np.testing.assert_allclose(closure.start(), np.append(first[:n_bulk], first[n_bulk:].sum()),
+    np.testing.assert_allclose(np.append(*closure.bulk.first()),
+                               np.append(first[:n_bulk], first[n_bulk:].sum()),
                                rtol=1e-15, atol=0.0)
+    theta = noise.variance() / 2.0
+    kappa = g / theta
+    y, y_t = grid.points()[:n_bulk], grid.cell_edges()[n_bulk]
+    x, x_t = -np.log1p(-np.exp(-y)), -math.log1p(-math.exp(-y_t))
+    law = np.append(gamma.pdf(x, kappa, scale=theta) / np.expm1(y) * grid.h,
+                    math.exp(kappa * math.log(x_t / theta) - gammaln(kappa + 1.0)))
+    np.testing.assert_allclose(closure.start(), law / law.sum(), rtol=1e-9, atol=1e-250)
+
+
+@pytest.mark.parametrize("g, noise", [
+    (0.1, gaussian(1.0)), (0.01, gaussian(0.01)), (0.1, ASYMMETRIC),
+    (0.25, tabulated([(-0.5, 0.4), (0.0, 1.0), (0.4, 0.6)])),  # mean -0.024
+], ids=["gaussian", "narrow", "table", "table-with-a-mean"])
+def test_eigensolve_start_is_a_unit_mass_density(g, noise):
+    g, noise = _stationary(g, noise)
+    closure = _TailClosure(g, noise, default_y_grid(g, noise))
+    assert closure.tail is not None
+    start = closure.start()
+    assert np.all(np.isfinite(start)) and start.min() >= 0.0
+    assert start.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("noise", [lorentzian(1.0), gaussian(1e-161)],
+                         ids=["no-variance", "kappa-overflows"])
+def test_eigensolve_starts_from_y_zero_where_the_limit_has_no_law(noise):
+    # Lorentzian noise has no variance, and at sigma_a^2 = 1e-322 the limit
+    # law's shape 2g/sigma_a^2 overflows: both start from the first step
+    closure = _TailClosure(0.2, noise, cell_grid(60.0, 600))
+    cells, above = closure.bulk.first()
+    first = cells if closure.tail is None else np.append(cells, above)
+    np.testing.assert_array_equal(closure.start(), first)
+
+
+@pytest.mark.parametrize("noise", [gaussian(1.0), ASYMMETRIC], ids=["gaussian", "table"])
+def test_a_solve_reads_the_noise_cdf_once(monkeypatch, noise):
+    # for the bulk's kernel, which the tail's image shares; the start reads
+    # no first step
+    cdf_at, calls = NoiseModel.cdf_at, []
+
+    def counted(self, arr):
+        calls.append(arr.size)
+        return cdf_at(self, arr)
+
+    monkeypatch.setattr(NoiseModel, "cdf_at", counted)
+    steady_state_volatility(0.1, noise)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("g, sigma", [(0.03, 2.0), (0.1, 1.0)])
@@ -740,9 +795,9 @@ def test_steady_state_builds_no_step_operator_past_the_tail_images_prefix(monkey
     prefix = bulk.grid.n_points + bulk.kernel.halfcells + math.ceil(g / grid.h) + 2
     built, init = [], StepOperator.__init__
 
-    def recorded(self, g, noise, grid):
+    def recorded(self, g, noise, grid, kernel=None):
         built.append(grid.n_points)
-        init(self, g, noise, grid)
+        init(self, g, noise, grid, kernel)
 
     monkeypatch.setattr(StepOperator, "__init__", recorded)
     steady_state_volatility(g, noise)
@@ -799,12 +854,11 @@ def test_eigensolve_stops_inside_its_first_cycle(monkeypatch, sigma_sq):
 
 
 @pytest.mark.parametrize("g, sigma_sq", [(0.01, 1e-4), (0.01, 1e-3), (0.01, 0.1), (0.03, 1e-3),
-                                         (0.03, 0.1)])
+                                         (0.03, 1e-4)])
 def test_eigensolve_stops_by_one_rule_at_small_drift(monkeypatch, g, sigma_sq):
-    # These solves run past their first cycle. A looser Ritz rule at a
-    # cycle's end (1e-9) failed the first two on a vector over the
-    # negative-mass budget (4.6e-11 and 6.4e-10) and moved the other three
-    # by up to 7.2e-9; the one rule lands within 1e-10 of a 1e-14 rule
+    # These solves run past their first cycle, and the one rule lands within
+    # 1e-10 of a 1e-14 rule. Started from y = 0, the last one's converged
+    # vector carried 3.3e-12 of negative mass, over the budget
     noise = gaussian(math.sqrt(sigma_sq))
     solved = steady_state_volatility(g, noise)
     assert solved.solver["applications"] > _ARNOLDI_NCV
@@ -813,11 +867,35 @@ def test_eigensolve_stops_by_one_rule_at_small_drift(monkeypatch, g, sigma_sq):
     assert solved.variance == pytest.approx(tight.variance, rel=1e-10)
 
 
-def test_converged_eigenvector_over_the_negative_mass_budget_fails_the_solve():
-    # narrow noise at small drift: the vector that meets the Ritz rule at a
-    # cycle's end carries 3.3e-12 of negative mass
-    with pytest.raises(ConvergenceError, match="negative mass 3.3"):
+def test_eigensolve_from_the_diffusion_limit_needs_fewer_applications():
+    # started from the first step at y = 0 the paper sweep took 34, 34, 30,
+    # 30 and 30 applications (158), and g = 0.01 took 372 and 192 at
+    # sigma_a^2 = 1e-4 and 1e-3
+    sweep = [steady_state_volatility(0.1, gaussian(math.sqrt(s2))).solver["applications"]
+             for s2 in (0.01, 0.04, 0.16, 0.64, 1.0)]
+    assert sum(sweep) <= 140
+    assert all(n <= before for n, before in zip(sweep, (34, 34, 30, 30, 30))), sweep
+    small = [steady_state_volatility(0.01, gaussian(math.sqrt(s2))).solver["applications"]
+             for s2 in (1e-4, 1e-3)]
+    assert small[0] <= 180 and small[1] <= 100, small
+
+
+def test_converged_eigenvector_over_the_negative_mass_budget_fails_the_solve(monkeypatch):
+    # narrow noise at small drift solves here with 2e-13 of negative mass,
+    # so every candidate that the check reads is spoilt: those mid-cycle only
+    # let the basis grow, and the one that meets the Ritz rule at a cycle's
+    # end fails the solve
+    negative_mass, calls = evolution._negative_mass, []
+
+    def spoilt(v):
+        calls.append(v.size)
+        v[-1] = -1e-9
+        return negative_mass(v)
+
+    monkeypatch.setattr(evolution, "_negative_mass", spoilt)
+    with pytest.raises(ConvergenceError, match="negative mass 1.0"):
         steady_state_volatility(0.03, gaussian(0.01))
+    assert len(calls) > 1
 
 
 def test_eigensolve_skips_an_early_candidate_over_the_negative_mass_budget(monkeypatch):
