@@ -9,16 +9,15 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error, 3 numerical-invariant failure,
 4 domain-validity failure. Every run writes a manifest.json listing the
-produced files plus convergence and truncation diagnostics; data files are
-written atomically (temp file + rename).
+produced files plus convergence and truncation diagnostics.
 
-``evolve`` and ``volatility`` take their steps one at a time from the
-engine's step loop: each step's manifest row is built and checked, its CSV
-text is staged, and its density is dropped, so besides its manifest rows a
-run holds O(grid) memory whatever ``--steps`` is (``_Staged``). The staged
-files are renamed into place at the end of the run, and the manifest is
-written last; a run that fails, a non-converging ``--until-converged`` run
-included, removes what it staged and leaves ``--out`` as it found it.
+Every file goes through one writer, ``_Staged``, which renames the staged
+files into place, the manifest last, only once the run has succeeded: a
+run that fails, a non-converging ``--until-converged`` run included, leaves
+``--out`` as it found it. ``evolve`` and ``volatility`` take their steps
+one at a time from the engine's step loop: each step's manifest row is
+built and checked, its CSV text is staged, and its density is dropped, so
+besides its manifest rows a run holds O(grid) memory whatever ``--steps`` is.
 """
 
 from __future__ import annotations
@@ -53,12 +52,12 @@ from .evolution import (
 )
 from .montecarlo import simulate_stream
 from .noise import gaussian, parse_noise_spec
-from .pdfgrid import GriddedPdf, GridSpec, atomic_write_text, cell_grid, write_csv
+from .pdfgrid import GriddedPdf, GridSpec, cell_grid, csv_text
 
 DEFAULT_GRID_POINTS = 8192
 MAX_GRID_POINTS = 1 << 22  # above the default grids' cap of 1 << 21
 
-# Most bytes of staged file text that a per-step run holds, the file being
+# Most bytes of staged file text that a run holds, the file being
 # made included, before it writes them to temp files in one burst. Writing
 # each step's file as soon as its step ended cost 9-17% of the six README
 # per-step commands' time; bursts of 512 KiB cost about 1%, and 2 MiB
@@ -168,14 +167,10 @@ def _check_finite(payload, name: str) -> None:
         raise DomainError(f"{where} is not finite: the inputs' scale exceeds float64 here")
 
 
-def _json_text(payload: dict, name: str) -> str:
+def _json_text(payload: dict, name: str) -> bytes:
     """Strict JSON text of a file ``name``, after ``_check_finite``."""
     _check_finite(payload, name)
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, _json_text(payload, path.name))
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _manifest(command: str, args_dict: dict, outputs: list, extra: dict) -> dict:
@@ -191,24 +186,15 @@ def _manifest(command: str, args_dict: dict, outputs: list, extra: dict) -> dict
     return payload
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    """Write manifest.json, last: it vouches for every output it lists."""
-    _write_json(out_dir / "manifest.json", payload)
-    for name in payload["outputs"]:
-        p = out_dir / name
-        if not p.exists() or p.stat().st_size == 0:
-            raise MassDefectError(f"output file {name} missing or empty")
-
-
 class _Staged:
-    """The files of a per-step run, staged in its output directory and put
-    in place together by ``commit``.
+    """The files of a run, staged in its output directory and put in place
+    together by ``commit``.
 
     ``add`` holds a file's text in memory, and writes all the held text to
     temp files in the output directory, which the first such burst creates,
     once one more file of the same size would take it past
-    ``_STAGE_BYTES``. ``commit`` renames the staged files into place in the
-    order they were added and writes the manifest last. Used as a context
+    ``_STAGE_BYTES``. ``commit`` stages the manifest last and renames the
+    staged files into place in the order they were added. Used as a context
     manager, a run that raises unlinks its temp files and removes the
     directories it created, so the output directory is left as it was found.
     """
@@ -258,13 +244,18 @@ class _Staged:
         self._held_bytes = 0
 
     def commit(self, manifest: dict) -> None:
-        """Put every staged file in place, then write ``manifest``."""
-        _check_finite(manifest, "manifest.json")  # before any file is in place
+        """Stage ``manifest`` as manifest.json and put every staged file in
+        place, the manifest last. Nothing is put in place unless every output
+        the manifest lists, and vouches for, is staged and non-empty."""
+        self.add("manifest.json", _json_text(manifest, "manifest.json"))
         self._write_held()
+        sizes = {name: os.path.getsize(tmp) for tmp, name in zip(self._temps, self.names)}
+        for name in manifest["outputs"]:
+            if not sizes.get(name):
+                raise MassDefectError(f"output file {name} missing or empty")
         for tmp, name in zip(self._temps, self.names):
             os.replace(tmp, self.out_dir / name)
         self._temps.clear()
-        _write_manifest(self.out_dir, manifest)
 
 
 # ----------------------------------------------------------------------
@@ -289,9 +280,10 @@ def cmd_evolve(args) -> int:
             _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
             rows.append(row)
             staged.add(name, rec.pdf.csv_bytes())
-        staged.commit(_manifest("evolve", _echo(args), staged.names,
+        outputs = list(staged.names)  # commit adds the manifest to staged.names
+        staged.commit(_manifest("evolve", _echo(args), outputs,
                                 {"grid": asdict(grid), "steps": rows}))
-    print(f"evolve: wrote {len(staged.names)} density files to {out_dir}")
+    print(f"evolve: wrote {len(outputs)} density files to {out_dir}")
     return 0
 
 
@@ -327,13 +319,14 @@ def cmd_volatility(args) -> int:
             # read from the final step's density, so each step's is built once
             report = _power_report(args.g, args.noise, rec, converged_at is not None, dz)[0]
             staged.add("volatility_report.json",
-                       _json_text(asdict(report), "volatility_report.json").encode("utf-8"))
-        staged.commit(_manifest("volatility", _echo(args), staged.names, {
+                       _json_text(asdict(report), "volatility_report.json"))
+        outputs = list(staged.names)  # commit adds the manifest to staged.names
+        staged.commit(_manifest("volatility", _echo(args), outputs, {
             "grid": asdict(grid),
             "convergence": {"converged_at": converged_at},
             "steps": rows,
         }))
-    print(f"volatility: wrote {len(staged.names)} files to {out_dir}")
+    print(f"volatility: wrote {len(outputs)} files to {out_dir}")
     return 0
 
 
@@ -354,13 +347,12 @@ def cmd_compare_saddle(args) -> int:
     out_dir = Path(args.out)
 
     rows = [_sweep_point(args.g, s2) for s2 in args.sigma_sweep]
-    manifest = _manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"], {"points": rows})
-    _check_finite(manifest, "manifest.json")  # before the CSV is written
-
     columns = ("sigma_a_sq", "ratio", "variance", "narrow_variance", "truncated_mass")
-    write_csv(out_dir / "saddle_ratio.csv", ",".join(columns),
-              [[r[c] for c in columns] for r in rows])
-    _write_manifest(out_dir, manifest)
+    with _Staged(out_dir) as staged:
+        staged.add("saddle_ratio.csv", csv_text(",".join(columns),
+                                                [[r[c] for c in columns] for r in rows]))
+        staged.commit(_manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
+                                {"points": rows}))
     print(f"compare-saddle: wrote saddle_ratio.csv to {out_dir}")
     return 0
 
@@ -411,24 +403,20 @@ def cmd_simulate(args) -> int:
     cap = min(args.paths, 10_000) if args.paths_csv else 0
     run = simulate_stream(args.g, args.noise, t_max=args.steps, n_paths=args.paths,
                           seed=args.seed, targets=targets, head_paths=cap)
-    _write_json(out_dir / "summary.json", run.summary)
-    outputs = ["summary.json"]
-
-    if args.paths_csv:
-        header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
-        index = np.arange(run.head.shape[0], dtype=float)  # '%.17g' of i is str(i)
-        write_csv(out_dir / "paths.csv", header, np.column_stack((index, run.head)))
-        outputs.append("paths.csv")
-
     extra: dict = {"paths_csv_capped_at": 10_000 if args.paths_csv else None}
-    if targets is not None:
-        ks_rows = [{"t": t, "ks": ks} for t, ks in run.ks.items()]
-        _write_json(out_dir / "ks_report.json", {"against": str(args.against),
-                                                 "ks_per_step": ks_rows})
-        outputs.append("ks_report.json")
-        extra["ks_max"] = max((r["ks"] for r in ks_rows), default=None)
-
-    _write_manifest(out_dir, _manifest("simulate", _echo(args), outputs, extra))
+    with _Staged(out_dir) as staged:
+        staged.add("summary.json", _json_text(run.summary, "summary.json"))
+        if args.paths_csv:
+            header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
+            index = np.arange(run.head.shape[0], dtype=float)  # '%.17g' of i is str(i)
+            staged.add("paths.csv", csv_text(header, np.column_stack((index, run.head))))
+        if targets is not None:
+            ks_rows = [{"t": t, "ks": ks} for t, ks in run.ks.items()]
+            staged.add("ks_report.json", _json_text({"against": str(args.against),
+                                                     "ks_per_step": ks_rows}, "ks_report.json"))
+            extra["ks_max"] = max((r["ks"] for r in ks_rows), default=None)
+        outputs = list(staged.names)  # commit adds the manifest to staged.names
+        staged.commit(_manifest("simulate", _echo(args), outputs, extra))
     print(f"simulate: wrote {len(outputs)} files to {out_dir}")
     return 0
 

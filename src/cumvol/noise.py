@@ -31,6 +31,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "NoiseModel",
     "KernelCells",
@@ -51,6 +53,9 @@ TAIL_TOL = 1e-8
 _GAUSS_TAIL_Z = NormalDist().inv_cdf(1.0 - 0.5 * TAIL_TOL)
 
 _SQRT1_2 = math.sqrt(0.5)
+
+# Most cells a kernel may have, as many as an explicit grid's most points.
+_MAX_KERNEL_CELLS = 1 << 22
 
 
 # math.erfc is exactly 2.0 at and below -6 (erfc(6) = 2.2e-17 is under half an
@@ -246,7 +251,9 @@ class NoiseModel:
         ``max_halfwidth``; whatever mass falls outside is reported in the
         clip fields rather than silently dropped. Masses come from CDF
         differences, so arbitrarily narrow densities (the deterministic
-        sigma -> 0 limit) land in the correct single cell.
+        sigma -> 0 limit) land in the correct single cell. A kernel of more
+        than ``_MAX_KERNEL_CELLS`` cells is a domain error, raised before it
+        is allocated.
         """
         if not step > 0.0:
             raise ValueError("step must be positive")
@@ -256,7 +263,11 @@ class NoiseModel:
         if max_halfwidth is not None and max_halfwidth < natural:
             halfwidth = max_halfwidth
             capped = True
-        m = max(1, int(math.ceil(halfwidth / step - 0.5)))
+        cells = 2.0 * np.ceil(halfwidth / step - 0.5) + 1.0  # 2 m + 1, or inf
+        if not cells <= _MAX_KERNEL_CELLS:
+            raise DomainError(f"{self.label()} needs a kernel of {cells:.4g} cells at grid "
+                              f"spacing {step:.4g}, more than {_MAX_KERNEL_CELLS}")
+        m = max(1, int(cells) // 2)
         edges = step * (np.arange(-m, m + 2) - 0.5)
         cdf = self.cdf_at(edges)
         masses = np.maximum(np.diff(cdf), 0.0)

@@ -1,4 +1,4 @@
-"""Gridded one-dimensional densities: grids, statistics and CSV files.
+"""Gridded one-dimensional densities: grids, statistics and CSV text.
 
 A ``GriddedPdf`` stores density values on a uniform node grid. Quadrature is
 trapezoidal throughout, interpolation is linear, and every density carries a
@@ -8,9 +8,9 @@ domain cannot hold all the mass). Statistics are methods, computed when
 called; the convolve-then-warp step that produces the densities lives in
 ``evolution.StepOperator``.
 
-CSV files hold every number exactly as ``'%.17g' % v`` writes it; ``write_csv``
-builds that text with whole-array numpy arithmetic (see its section below).
-A grid formats each node's text once, for every density written on it.
+CSV text holds every number exactly as ``'%.17g' % v``; ``csv_text`` builds
+it by whole-array numpy arithmetic (see its section below) and writes no
+file. A grid formats each node's text once, for every density on it.
 
 Node/cell convention used by the evolution engine: nodes are the centres of
 equal cells of width h, so a grid built by ``cell_grid(upper, n)`` has its
@@ -23,8 +23,6 @@ integrals, CDFs and moments then see the full mass.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ __all__ = [
     "GridSpec",
     "GriddedPdf",
     "cell_grid",
-    "write_csv",
+    "csv_text",
 ]
 
 
@@ -68,7 +66,7 @@ class GridSpec:
 
     def csv_fields(self, rows: int) -> np.ndarray:
         """The first ``rows`` nodes' ``'%.17g,'`` text as NUL-padded 'S32'
-        fields, the first column ``to_csv`` passes to ``write_csv``, returned
+        fields, the first column of ``GriddedPdf.csv_bytes``, returned
         read-only. Each node is formatted once per grid: the grid keeps the
         longest prefix asked for so far, 32 bytes a node."""
         done = self.__dict__.get("_csv_fields", _NO_FIELDS)
@@ -195,10 +193,6 @@ class GriddedPdf:
     # serialisation
     # ------------------------------------------------------------------
 
-    def to_csv(self, path) -> None:
-        """Write ``csv_bytes()`` to ``path``, atomically."""
-        atomic_write_text(path, self.csv_bytes())
-
     def csv_bytes(self) -> bytes:
         """The text of a CSV file of (x, density) rows at full double precision.
 
@@ -210,11 +204,11 @@ class GriddedPdf:
         positive = np.flatnonzero(self.values > 0.0)
         end = positive[-1] + 2 if positive.size else 0
         rows = min(self.grid.n_points, max(16, end))
-        return _csv_bytes("x,density", self.values[:rows, None], self.grid.csv_fields(rows))
+        return csv_text("x,density", self.values[:rows, None], self.grid.csv_fields(rows))
 
     @classmethod
     def from_csv(cls, path, grid: GridSpec, truncated_mass: float = 0.0) -> "GriddedPdf":
-        """Read a file that ``to_csv`` wrote for a density on ``grid``: the
+        """Read a file of ``csv_bytes`` text for a density on ``grid``: the
         density on the prefix of ``grid`` that the file's rows cover (0 at
         every node past it). The x column must be those nodes bit for bit."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -226,29 +220,11 @@ class GriddedPdf:
         return cls(GridSpec(grid.x_min, grid.h, x.size), v, truncated_mass)
 
 
-def atomic_write_text(path, text: str | bytes) -> None:
-    """Write text (str, or bytes already UTF-8) via a temp file + rename in the
-    destination directory, which is created if missing."""
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ----------------------------------------------------------------------
 # CSV text
 # ----------------------------------------------------------------------
 #
-# write_csv writes each number exactly as '%.17g' % v does, but for whole
+# csv_text writes each number exactly as '%.17g' % v does, but for whole
 # arrays. For 1e-29 <= |v| < 1e17 (and for zeros):
 #
 # * Digits. With X the decimal exponent of v, S = 10**(16 - X) is a double
@@ -349,19 +325,14 @@ _ENDING_AT = 25 * (np.repeat(_exp_ending, 4) + np.tile([0, 1], 2 * _X.size)) + _
 _BITS8, _BITS24, _BITS40, _BITS56 = (np.uint64(n) for n in (8, 24, 40, 56))
 
 
-def write_csv(path, header: str, table, first_fields=None) -> None:
-    """Write a header line and the rows of a 2-D table, atomically.
+def csv_text(header: str, table, first_fields=None) -> bytes:
+    """The text of a CSV file: a header line and the rows of a 2-D table.
 
     Numbers are comma-separated and written exactly as ``'%.17g' % v``.
     ``first_fields``, when given, is a first column already in text, one
     ``'%.17g,'`` field per row as ``GridSpec.csv_fields`` returns them, and
     ``table`` holds the columns after it.
     """
-    atomic_write_text(path, _csv_bytes(header, table, first_fields))
-
-
-def _csv_bytes(header: str, table, first_fields) -> bytes:
-    """The file text that ``write_csv`` writes."""
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
     step = max(1, _CSV_BLOCK_VALUES // cols)

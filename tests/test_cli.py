@@ -15,10 +15,10 @@ import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
 from cumvol import (GriddedPdf, GridSpec, MassDefectError, cell_grid, default_y_grid,
-                    evolve_y, evolve_z, gaussian, lorentzian, steady_state_volatility, tabulated,
-                    trace_volatility, volatility_pdf)
+                    evolve_y, evolve_z, gaussian, lorentzian, parse_noise_spec,
+                    steady_state_volatility, tabulated, trace_volatility, volatility_pdf)
 from cumvol.cli import main
-from cumvol.pdfgrid import write_csv
+from cumvol.pdfgrid import csv_text
 from helpers import sample_ks
 
 
@@ -133,9 +133,10 @@ def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
     ref.mkdir()
     for rec in trace.steps:
         name = f"rho_dz_t{rec.t:04d}.csv"
-        volatility_pdf(rec.pdf).to_csv(ref / name)
+        (ref / name).write_bytes(volatility_pdf(rec.pdf).csv_bytes())
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    cli._write_json(ref / "volatility_report.json", asdict(trace_volatility(trace)[0]))
+    (ref / "volatility_report.json").write_bytes(
+        cli._json_text(asdict(trace_volatility(trace)[0]), "volatility_report.json"))
     assert ((out / "volatility_report.json").read_bytes()
             == (ref / "volatility_report.json").read_bytes())
 
@@ -156,10 +157,8 @@ def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):
         kept = np.loadtxt(out / row["file"], delimiter=",", skiprows=1)[:, 1]
         assert kept.size < grid.n_points
         padded = np.concatenate((kept, np.zeros(grid.n_points - kept.size)))
-        write_csv(tmp_path / "full.csv", "x,density", np.column_stack((grid.points(), padded)))
-        write_csv(tmp_path / "ref.csv", "x,density", np.column_stack((dz.grid.points(),
-                                                                     dz.values)))
-        assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (csv_text("x,density", np.column_stack((grid.points(), padded)))
+                == csv_text("x,density", np.column_stack((dz.grid.points(), dz.values))))
 
 
 def test_volatility_large_drift_with_resolved_centre(tmp_path):
@@ -954,6 +953,78 @@ _SMALL_RUNS = {
     "simulate": ["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
                  "--steps", "2"],
 }
+
+
+# the file of each command that is blanked when it is staged
+_BLANKED = {"evolve": "rho_z_t0002.csv", "volatility": "rho_dz_t0002.csv",
+            "compare-saddle": "saddle_ratio.csv", "simulate": "summary.json"}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_empty_output_fails_before_any_file_is_in_place(tmp_path, capsys, monkeypatch, command,
+                                                        existing):
+    # every command stages its files, and commit checks that each output the
+    # manifest lists is staged and non-empty before it renames any of them:
+    # no manifest vouches for a missing file, and --out is left as found
+    monkeypatch.setattr(cli, "_STAGE_BYTES", 1)  # each file is on disk as a temp file
+    add = cli._Staged.add
+
+    def blank(self, name, data):
+        add(self, name, b"" if name == _BLANKED[command] else data)
+
+    monkeypatch.setattr(cli._Staged, "add", blank)
+    out = tmp_path / "new" / "run"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert run(_SMALL_RUNS[command] + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"cumvol: numerical failure: output file {_BLANKED[command]} "
+                   f"missing or empty\n")
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+def test_late_simulate_failure_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):
+    # a non-finite KS value fails the run after summary.json and paths.csv
+    # are staged on disk: they are unlinked, and the parents made are removed
+    ref = tmp_path / "ref"
+    assert run(["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2",
+                "--out", str(ref)]) == 0
+    monkeypatch.setattr(cli, "_STAGE_BYTES", 1)
+    stream = cli.simulate_stream
+
+    def nonfinite_ks(*args, **kwargs):
+        ens = stream(*args, **kwargs)
+        ens.ks[2] = math.nan
+        return ens
+
+    monkeypatch.setattr(cli, "simulate_stream", nonfinite_ks)
+    out = tmp_path / "new" / "sim"
+    assert run(["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1000",
+                "--steps", "2", "--paths-csv", "--against", str(ref), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("cumvol: domain error: ks_report.json.ks_per_step[1].ks is not finite: "
+                   "the inputs' scale exceeds float64 here\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref"]
+
+
+@pytest.mark.parametrize("noise", ["gaussian:sigma=1", "lorentzian:gamma=1"])
+def test_kernel_over_the_cap_is_domain_error(tmp_path, capsys, noise):
+    # 16 cells of width 6.25e-10 need a kernel of about 1e10 cells, 137 GiB
+    # for the Gaussian and more for the Lorentzian: refused before allocating
+    out = tmp_path / "x"
+    assert run(["evolve", "--g", "0.2", "--noise", noise, "--steps", "2",
+                "--grid", "0,1e-8,16", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    label = parse_noise_spec(noise).label()
+    assert err.startswith(f"cumvol: domain error: {label} needs a kernel of ")
+    assert err.endswith(" cells at grid spacing 6.25e-10, more than 4194304\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from cumvol import NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
+from cumvol import DomainError, NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
 from cumvol.noise import _ERFC_TWO_UPTO, _ERFC_ZERO_FROM, TAIL_TOL, load_tabulated_csv
 from helpers import pdf_at
 
@@ -268,6 +268,20 @@ def test_cell_masses_cover_unit_mass_and_report_clip():
 def test_cell_masses_spike_limit_lands_in_center_cell():
     kern = gaussian(1e-12).cell_masses(0.01)
     assert kern.masses[kern.halfcells] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cell_masses_refuses_a_kernel_over_the_cap_before_allocating_it():
+    # 2 m + 1 cells with m = ceil(halfwidth/step - 1/2): 2**22 - 1 cells is
+    # the most, one step of m more is refused, and so is a ratio that
+    # overflows float64
+    cauchy = lorentzian(1.0)
+    assert cauchy.cell_masses(1.0, max_halfwidth=2**21 - 0.5).masses.size == 2**22 - 1
+    with pytest.raises(DomainError, match=r"^lorentzian\(gamma=1\) needs a kernel of "
+                                          r"4\.194e\+06 cells at grid spacing 1, more than "
+                                          r"4194304$"):
+        cauchy.cell_masses(1.0, max_halfwidth=2**21 - 0.5 + 1e-6)
+    with pytest.raises(DomainError, match="a kernel of inf cells at grid spacing 4.941e-324"):
+        gaussian(1.0).cell_masses(5e-324)
 
 
 def test_parse_noise_spec_and_csv(tmp_path):

@@ -10,7 +10,7 @@ from scipy import special
 import cumvol.pdfgrid as pdfgrid
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
 from cumvol import gaussian, lorentzian
-from cumvol.pdfgrid import _CSV_BLOCK_VALUES, write_csv
+from cumvol.pdfgrid import _CSV_BLOCK_VALUES, csv_text
 from helpers import interp_at, ks_distance, normalized, pdf_at
 
 
@@ -272,7 +272,7 @@ def test_truncated_mass_validation_and_immutability():
 def test_csv_round_trip(tmp_path):
     p = from_function(GridSpec(-3.0, 0.01, 601), gauss_fn(0.8))
     path = tmp_path / "density.csv"
-    p.to_csv(path)
+    path.write_bytes(p.csv_bytes())
     q = GriddedPdf.from_csv(path, p.grid, truncated_mass=0.25)
     assert q.grid == p.grid
     assert np.array_equal(q.values, p.values)  # 17 significant digits round-trip exactly
@@ -285,7 +285,7 @@ def test_csv_round_trip(tmp_path):
     values = np.linspace(0.0, 1.0, 64)
     values[:4] = (0.0, 5e-324, 1e-300, 0.1)
     r = GriddedPdf(cell_grid(3.0, 64), values)
-    r.to_csv(path)
+    path.write_bytes(r.csv_bytes())
     rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(r.grid.points(), r.values)]
     # bytes, not str: pytest diffs two long strings line by line for minutes
     assert path.read_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
@@ -327,10 +327,9 @@ def test_to_csv_ends_one_zero_past_the_support(tmp_path_factory, support, traili
     values = np.pad(values, (0, n - values.size))
     pdf = GriddedPdf(cell_grid(upper, n), values)
     path = tmp_path_factory.mktemp("trim") / "density.csv"
-    write_csv(path, "x,density", np.column_stack((pdf.grid.points(), values)))
-    full = path.read_bytes()
-    pdf.to_csv(path)
-    text = path.read_bytes()
+    full = csv_text("x,density", np.column_stack((pdf.grid.points(), values)))
+    text = pdf.csv_bytes()
+    path.write_bytes(text)
 
     rows = text.count(b"\n") - 1
     last = np.flatnonzero(values)[-1]
@@ -348,34 +347,31 @@ def test_to_csv_ends_one_zero_past_the_support(tmp_path_factory, support, traili
 
 @pytest.mark.parametrize("upper, n", [(7.0, 2 * _CSV_BLOCK_VALUES + 5), (1e-28, 40)],
                          ids=["across-blocks", "percent-fallback"])
-def test_to_csv_writes_the_grids_x_text_formatted_once(tmp_path, upper, n):
+def test_to_csv_writes_the_grids_x_text_formatted_once(upper, n):
     # a grid formats each node's text once and every density on it shares
     # it: a short and a long density written in turn, in either order, give
     # the files that formatting the node and value columns gives; below
     # 1e-29 the nodes' text comes from '%'
     long = np.linspace(1.0, 2.0, n)
     short = long * (np.arange(n) < n // 3)
-    path, ref = tmp_path / "pdf.csv", tmp_path / "ref.csv"
     for first, second in ((short, long), (long, short)):
         grid = cell_grid(upper, n)
         written = []
         with mock.patch.object(pdfgrid, "_g17_fields", wraps=pdfgrid._g17_fields) as fmt:
             for values in (first, second):
-                GriddedPdf(grid, values).to_csv(path)
-                text = path.read_bytes()
+                text = GriddedPdf(grid, values).csv_bytes()
                 rows = text.count(b"\n") - 1
                 assert rows == (n if values is long else max(16, n // 3 + 1))
                 written.append(rows)
-                write_csv(ref, "x,density",
-                          np.column_stack((grid.points()[:rows], values[:rows])))
-                assert text == ref.read_bytes()
+                ref = csv_text("x,density",
+                               np.column_stack((grid.points()[:rows], values[:rows])))
+                assert text == ref
         formatted = sum(c.args[0].size for c in fmt.call_args_list)
         # the reference files format 2 numbers a row, the density files 1,
         # and the grid each node once
         assert formatted == 3 * sum(written) + max(written)
     lines = [f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.points(), long)]
-    GriddedPdf(grid, long).to_csv(path)
-    assert path.read_text(encoding="utf-8") == "x,density\n" + "".join(lines)
+    assert GriddedPdf(grid, long).csv_bytes().decode("utf-8") == "x,density\n" + "".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -383,17 +379,12 @@ def test_to_csv_writes_the_grids_x_text_formatted_once(tmp_path, upper, n):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def csv_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("g17") / "table.csv"
-
-
-def assert_g17(path, values, cols=1):
-    """write_csv's lines are the "%.17g" of each number, comma-separated."""
+def assert_g17(values, cols=1):
+    """csv_text's lines are the "%.17g" of each number, comma-separated."""
     table = np.reshape(np.asarray(values, dtype=float), (-1, cols))
-    write_csv(path, "h", table)
-    assert b"\0" not in path.read_bytes()  # the fields' NUL padding is all dropped
-    got = path.read_text(encoding="utf-8")
+    text = csv_text("h", table)
+    assert b"\0" not in text  # the fields' NUL padding is all dropped
+    got = text.decode("utf-8")
     line = ",".join(["%.17g"] * cols) + "\n"
     want = "h\n" + (line * table.shape[0]) % tuple(table.ravel().tolist())
     if got != want:
@@ -403,11 +394,11 @@ def assert_g17(path, values, cols=1):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
-def test_write_csv_matches_percent_g17_on_any_double(csv_path, values):
-    assert_g17(csv_path, values)
+def test_write_csv_matches_percent_g17_on_any_double(values):
+    assert_g17(values)
 
 
-def test_write_csv_matches_percent_g17_on_every_decade(csv_path):
+def test_write_csv_matches_percent_g17_on_every_decade():
     # 1e6 numbers: every decade 1e-320 .. 1e308, densest where the text is
     # built from whole-array arithmetic (1e-29 .. 1e17), and random bits
     rng = np.random.default_rng(20240917)
@@ -421,10 +412,10 @@ def test_write_csv_matches_percent_g17_on_every_decade(csv_path):
     bits = rng.integers(0, 1 << 62, 20_000).view(np.float64)
     values = np.concatenate([values, bits, -bits])
     assert values.size > 1_000_000
-    assert_g17(csv_path, values[:values.size // 3 * 3], cols=3)
+    assert_g17(values[:values.size // 3 * 3], cols=3)
 
 
-def test_write_csv_rounds_exact_ties_to_even(csv_path):
+def test_write_csv_rounds_exact_ties_to_even():
     # odd / 2**(17 - X) with X = 0..14 lies halfway between two 17-digit
     # numbers: "%.17g" rounds it to the even one
     rng = np.random.default_rng(7)
@@ -438,10 +429,10 @@ def test_write_csv_rounds_exact_ties_to_even(csv_path):
     # the only ties below 1e-6, where 10**(16 - X) is not a double
     ties.append([odd * 2.0 ** -24 for odd in range(3, 17, 2)] + [2.0 ** -25, 3 * 2.0 ** -25])
     ties = np.concatenate(ties)
-    assert_g17(csv_path, np.concatenate([ties, -ties]), cols=2)
+    assert_g17(np.concatenate([ties, -ties]), cols=2)
 
 
-def test_write_csv_matches_percent_g17_next_to_ties_below_1e_minus_6(csv_path):
+def test_write_csv_matches_percent_g17_next_to_ties_below_1e_minus_6():
     # v = m 2**s with v 10**k (k = 16 - X) within d / 2**n of a tie, where
     # 10**k is not a double: m 5**k = 2**(n - 1) + d (mod 2**n), n = -(k + s)
     near = []
@@ -460,10 +451,10 @@ def test_write_csv_matches_percent_g17_next_to_ties_below_1e_minus_6(csv_path):
                 if m < 1 << 53:
                     near.append(m * 2.0 ** s)
     assert len(near) > 300
-    assert_g17(csv_path, np.concatenate([near, np.negative(near)]))
+    assert_g17(np.concatenate([near, np.negative(near)]))
 
 
-def test_write_csv_matches_percent_g17_at_decade_edges(csv_path):
+def test_write_csv_matches_percent_g17_at_decade_edges():
     edges = [1e-6, 1e-4, 1e16, 1e17, 1e-29, 1e-5] + [10.0 ** k for k in range(-323, 309)]
     near = []
     for edge in edges:
@@ -479,10 +470,10 @@ def test_write_csv_matches_percent_g17_at_decade_edges(csv_path):
                 99999999999999999.0, 9.9999999999999995e-5, 9.99999999999999999e-7,
                 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.5, 1.0]
     values = np.array(near + specials)
-    assert_g17(csv_path, np.concatenate([values, -values]), cols=1)
+    assert_g17(np.concatenate([values, -values]), cols=1)
 
 
-def test_write_csv_longest_fields_across_a_block_boundary(csv_path):
+def test_write_csv_longest_fields_across_a_block_boundary():
     # the 25-byte '%' fields, the non-finite ones and signed zeros fill both
     # columns of the last rows of one 8192-value block and the first rows of
     # the next, so every byte of their 32-byte lanes is either text or padding
@@ -492,28 +483,26 @@ def test_write_csv_longest_fields_across_a_block_boundary(csv_path):
     values = np.full(3 * _CSV_BLOCK_VALUES, 0.25)
     for edge in (_CSV_BLOCK_VALUES, 2 * _CSV_BLOCK_VALUES):
         values[edge - 16:edge + 16] = np.resize(longest, 32)
-    assert_g17(csv_path, values, cols=2)
+    assert_g17(values, cols=2)
 
 
-def test_write_csv_tables_of_many_columns(csv_path):
+def test_write_csv_tables_of_many_columns():
     # paths.csv: a path index, then one column per step, across blocks;
     # saddle_ratio.csv: a list of rows
     rng = np.random.default_rng(11)
     paths = np.column_stack((np.arange(700.0), rng.normal(0.2, 1.0, (700, 31)).cumsum(axis=1)))
-    assert_g17(csv_path, paths, cols=32)
+    assert_g17(paths, cols=32)
     sweep = [[0.01, 1.0002712, 0.0024979, 0.0024972, 1.1e-8],
              [1.0, 0.94916, 0.2237, 0.2357, 3.7e-9]]
-    assert_g17(csv_path, sweep, cols=5)
+    assert_g17(sweep, cols=5)
 
 
-def test_to_csv_over_many_blocks(tmp_path):
+def test_to_csv_over_many_blocks():
     rng = np.random.default_rng(3)
     n = 70_001
     values = rng.exponential(1.0, n) * np.where(rng.random(n) < 0.3, 0.0, 1.0)
     values *= 10.0 ** rng.integers(-40, 3, n)
     pdf = GriddedPdf(cell_grid(50.0, n), values)
-    path = tmp_path / "many.csv"
-    pdf.to_csv(path)
     rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(pdf.grid.points(), pdf.values)]
     # bytes, not str: pytest diffs two long strings line by line for minutes
-    assert path.read_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
+    assert pdf.csv_bytes() == ("x,density\n" + "".join(rows)).encode("utf-8")
