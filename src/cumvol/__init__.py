@@ -11,16 +11,15 @@ closed-form narrow-noise formulas and a Monte Carlo path simulator.
 from .analytic import sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle, ybar
 from .errors import ConvergenceError, CumvolError, DomainError, MassDefectError
 from .evolution import (
-    EvolutionTrace,
     StepRecord,
     VolatilityReport,
     default_y_grid,
     default_z_grid,
-    evolve_y,
-    evolve_z,
+    power_volatility,
     steady_state_volatility,
-    trace_volatility,
     volatility_pdf,
+    y_steps,
+    z_steps,
 )
 from .montecarlo import McEnsemble, simulate_stream
 from .noise import (
@@ -40,9 +39,9 @@ __all__ = [
     "CumvolError", "MassDefectError", "ConvergenceError", "DomainError",
     "NoiseModel", "gaussian", "lorentzian", "tabulated", "parse_noise_spec",
     "load_tabulated_csv", "GridSpec", "GriddedPdf", "cell_grid",
-    "EvolutionTrace", "StepRecord", "VolatilityReport",
-    "evolve_z", "evolve_y", "volatility_pdf",
-    "steady_state_volatility", "trace_volatility", "default_z_grid", "default_y_grid",
+    "StepRecord", "VolatilityReport",
+    "z_steps", "y_steps", "volatility_pdf",
+    "steady_state_volatility", "power_volatility", "default_z_grid", "default_y_grid",
     "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
     "McEnsemble", "simulate_stream",
 ]

@@ -14,10 +14,10 @@ produced files plus convergence and truncation diagnostics.
 Every file goes through one writer, ``_Staged``, which renames the staged
 files into place, the manifest last, only once the run has succeeded: a
 run that fails, a non-converging ``--until-converged`` run included, leaves
-``--out`` as it found it. ``evolve`` and ``volatility`` take their steps
-one at a time from the engine's step loop: each step's manifest row is
-built and checked, its CSV text is staged, and its density is dropped, so
-besides its manifest rows a run holds O(grid) memory whatever ``--steps`` is.
+``--out`` as it found it. ``evolve`` and ``volatility`` iterate the public
+streams ``z_steps`` and ``y_steps``: each step's manifest row is built and
+checked, its CSV text is staged, and its density is dropped, so besides its
+manifest rows a run holds O(grid) memory whatever ``--steps`` is.
 """
 
 from __future__ import annotations
@@ -39,16 +39,15 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .evolution import (
-    _converged_at,
-    _evolve,
-    _power_report,
     _quantile_fields,
-    _reversed,
     _stationary,
     default_y_grid,
     default_z_grid,
+    power_volatility,
     steady_state_volatility,
     volatility_pdf,
+    y_steps,
+    z_steps,
 )
 from .montecarlo import simulate_stream
 from .noise import gaussian, parse_noise_spec
@@ -272,7 +271,7 @@ def cmd_evolve(args) -> int:
 
     rows = []
     with _Staged(out_dir) as staged:
-        for rec in _evolve((args.g, args.noise), grid, args.steps, 0.0):
+        for rec in z_steps(args.g, args.noise, grid, args.steps):
             name = f"rho_z_t{rec.t:04d}.csv"
             row = {"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
                    "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
@@ -295,11 +294,10 @@ def cmd_volatility(args) -> int:
     out_dir = Path(args.out)
     grid = (cell_grid(*args.grid[1:]) if args.grid is not None
             else default_y_grid(*pair, n_points=DEFAULT_GRID_POINTS))
-    step = _reversed(args.g, args.noise, grid)
 
     rows = []
     with _Staged(out_dir) as staged:
-        for rec in _evolve(step, grid, args.steps, args.tol):
+        for rec in y_steps(args.g, args.noise, grid, args.steps, args.tol):
             dz = volatility_pdf(rec.pdf)
             name = f"rho_dz_t{rec.t:04d}.csv"
             row = {
@@ -314,16 +312,15 @@ def cmd_volatility(args) -> int:
             _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
             rows.append(row)
             staged.add(name, dz.csv_bytes())
-        converged_at = _converged_at(rec, args.tol)
         if args.until_converged:
             # read from the final step's density, so each step's is built once
-            report = _power_report(args.g, args.noise, rec, converged_at is not None, dz)[0]
+            report = power_volatility(args.g, args.noise, rec, dz)[0]
             staged.add("volatility_report.json",
                        _json_text(asdict(report), "volatility_report.json"))
         outputs = list(staged.names)  # commit adds the manifest to staged.names
         staged.commit(_manifest("volatility", _echo(args), outputs, {
             "grid": asdict(grid),
-            "convergence": {"converged_at": converged_at},
+            "convergence": {"converged_at": rec.t if rec.converged else None},
             "steps": rows,
         }))
     print(f"volatility: wrote {len(outputs)} files to {out_dir}")

@@ -19,19 +19,22 @@ fixed point when g + E[a] > 0 (``_stationary``); dz then follows from
 
     rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
 
-One step is a linear map P on node masses (``StepOperator``), built once per
-run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
-per-step runs ``evolve_z`` and ``evolve_y`` take (g, noise, grid, horizon),
-take their first step straight from the noise CDF (``StepOperator.first``),
-then apply P and renormalise (power iteration). One step loop, the
-generator ``_evolve``, makes their records one at a time and keeps only the
-latest density: the library's runs collect the records into an
-``EvolutionTrace``, and the command line takes each in turn and drops it
-once its files are staged, so a per-step command holds O(grid) densities
-whatever its horizon. The reversed variable's fixed point is P's Perron
-vector, which ``steady_state_volatility`` finds directly with a
-thick-restart Arnoldi iteration in numpy started from the diffusion limit's
-law (Dufresne, Scand. Actuar. J. 1990): 40 Krylov vectors,
+One step is a linear map P on node masses (``StepOperator``), built once
+per run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
+per-step runs ``z_steps`` and ``y_steps`` take (g, noise, grid, horizon),
+check their inputs and build P when called, and return a stream of
+``StepRecord``s: step 1 comes straight from the noise CDF
+(``StepOperator.first``), each later step applies P and renormalises
+(power iteration). The stream makes each record when it is asked for and
+keeps only the latest density, so a caller that drops each record after
+use, as the command line does once its files are staged, holds O(grid)
+densities whatever the horizon. ``y_steps`` stops on the first record
+whose L1 distance from the previous density is below its ``tol``, and marks
+it ``converged``; ``power_volatility`` reports on that record. The reversed
+variable's fixed point is P's Perron vector, which
+``steady_state_volatility`` finds directly with a thick-restart Arnoldi
+iteration in numpy started from the diffusion limit's law (Dufresne,
+Scand. Actuar. J. 1990): 40 Krylov vectors,
 20 Ritz vectors kept at each restart, and one stopping rule, ARPACK's Ritz
 estimate at 1e-12 relative with a nonnegative unit-mass vector, tested as
 the basis grows (Morgan, Math. Comp. 65, 1996; Stewart, SIAM J. Matrix Anal.
@@ -60,14 +63,13 @@ from .pdfgrid import GriddedPdf, GridSpec, cell_grid
 
 __all__ = [
     "StepRecord",
-    "EvolutionTrace",
     "VolatilityReport",
     "StepOperator",
-    "evolve_z",
-    "evolve_y",
+    "z_steps",
+    "y_steps",
     "volatility_pdf",
     "steady_state_volatility",
-    "trace_volatility",
+    "power_volatility",
     "default_z_grid",
     "default_y_grid",
 ]
@@ -131,7 +133,9 @@ class StepRecord:
 
     ``mass_defect`` and ``new_truncation`` are the step's mass bookkeeping,
     ``l1_prev`` the L1 distance from the previous density (None at t = 1).
-    Statistics are read from ``pdf`` when asked for.
+    ``converged`` marks the record a ``y_steps`` run stopped on because
+    ``l1_prev`` fell below its ``tol``. Statistics are read from ``pdf``
+    when asked for.
     """
 
     t: int
@@ -139,25 +143,7 @@ class StepRecord:
     mass_defect: float
     new_truncation: float
     l1_prev: float | None
-
-
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """A per-step run: its drift ``g`` and ``noise`` as given, and its steps."""
-
-    g: float
-    noise: NoiseModel
-    steps: list
-    converged_at: int | None
-
-    def density(self, t: int) -> GriddedPdf:
-        """Density at time step t (1-indexed)."""
-        if not 1 <= t <= len(self.steps):
-            raise ValueError(f"step {t} not in trace (1..{len(self.steps)})")
-        return self.steps[t - 1].pdf
-
-    def final(self) -> StepRecord:
-        return self.steps[-1]
+    converged: bool
 
 
 def _quantile_fields(pdf: GriddedPdf) -> dict:
@@ -406,10 +392,10 @@ def _check_drift(g: float) -> None:
 def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, NoiseModel]:
     """The reversed recursion's drift and noise: drift negated, noise mirrored.
 
-    ``evolve_y``, the ``volatility`` command's step loop and the eigensolve
-    all start here, whether their grid was given or defaulted, so the drift
-    cap and the steady centre's resolution (judged once the grid's scale
-    admits finite moments) hold on every route to dz.
+    ``y_steps`` and the eigensolve both start here, whether their grid was
+    given or defaulted, so the drift cap and the steady centre's resolution
+    (judged once the grid's scale admits finite moments) hold on every route
+    to dz.
     """
     _check_drift(g)
     if not math.isfinite(grid.x_max * grid.x_max):
@@ -421,71 +407,61 @@ def _reversed(g: float, noise: NoiseModel, grid: GridSpec) -> tuple[float, Noise
     return -g, noise.mirror()
 
 
-def _evolve(step: tuple[float, NoiseModel], grid: GridSpec, horizon: int,
-            tol: float) -> Iterator[StepRecord]:
-    """The step loop: a generator of the records of a run that steps by the
-    drift and noise ``step`` on ``grid`` until the L1 distance between
-    successive densities falls below ``tol``, or for ``horizon`` steps.
-
-    Each record is made when it is asked for, and the loop keeps only the
-    latest density, so a caller that drops each record after use holds
-    O(grid) memory whatever the horizon. ``_converged_at`` reads the stop
-    from the last record.
-    """
+def _steps(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
+           tol: float) -> Iterator[StepRecord]:
+    """The records of a run of drift g and ``noise`` on ``grid``: ``horizon``
+    steps, or up to the first whose L1 distance from the previous density is
+    below ``tol``. The horizon is checked and the step operator built now;
+    each record is made when asked for and only the latest density is kept,
+    so a caller that drops each record holds O(grid) memory."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    op = StepOperator(*step, grid)
-    cells, new_trunc = op.first()
-    pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
-    yield StepRecord(1, pdf, defect, new_trunc, None)
-    for t in range(2, horizon + 1):
-        cells, new_trunc = op.apply(pdf.node_masses())
-        nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
-        l1 = pdf.distance(nxt)
-        pdf = nxt
-        yield StepRecord(t, pdf, defect, new_trunc, l1)
-        if l1 < tol:
-            return
+    op = StepOperator(g, noise, grid)
+
+    def records() -> Iterator[StepRecord]:
+        cells, new_trunc = op.first()
+        pdf, defect = _assemble(grid, cells, 0.0, new_trunc)
+        yield StepRecord(1, pdf, defect, new_trunc, None, False)
+        for t in range(2, horizon + 1):
+            cells, new_trunc = op.apply(pdf.node_masses())
+            nxt, defect = _assemble(grid, cells, pdf.truncated_mass, new_trunc)
+            l1 = pdf.distance(nxt)
+            pdf = nxt
+            yield StepRecord(t, pdf, defect, new_trunc, l1, l1 < tol)
+            if l1 < tol:
+                return
+
+    return records()
 
 
-def _converged_at(last: StepRecord, tol: float) -> int | None:
-    """The step at which a run with final record ``last`` stopped by ``tol``, or None."""
-    return last.t if last.l1_prev is not None and last.l1_prev < tol else None
-
-
-def _trace(g: float, noise: NoiseModel, records: Iterator[StepRecord],
-           tol: float) -> EvolutionTrace:
-    """The trace of a run's records, which keeps ``g`` and ``noise``."""
-    steps = list(records)
-    return EvolutionTrace(g, noise, steps, _converged_at(steps[-1], tol))
-
-
-def evolve_z(g: float, noise: NoiseModel, grid: GridSpec, horizon: int) -> EvolutionTrace:
-    """Evolve the density of log cumulative production from z_0 = 0 for
-    ``horizon`` >= 1 steps of drift g and ``noise`` on ``grid``, whose cells
-    must tile [0, upper] (``cell_grid`` or ``default_z_grid``).
+def z_steps(g: float, noise: NoiseModel, grid: GridSpec, horizon: int) -> Iterator[StepRecord]:
+    """The records of log cumulative production from z_0 = 0 for ``horizon``
+    >= 1 steps of drift g and ``noise`` on ``grid``, whose cells must tile
+    [0, upper] (``cell_grid`` or ``default_z_grid``).
 
     Step 1 is exact: its cell masses come from the noise CDF at the warped
-    cell edges. The run never stops early, so its ``converged_at`` is None:
+    cell edges. The run never stops early and no record is ``converged``:
     for g > 0, z has no fixed point, as its mean grows by about g and its
     variance by about sigma_a^2 per step.
     """
-    return _trace(g, noise, _evolve((g, noise), grid, horizon, 0.0), 0.0)
+    return _steps(g, noise, grid, horizon, 0.0)
 
 
-def evolve_y(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
-             tol: float = 1e-8) -> EvolutionTrace:
-    """Evolve the reversed variable y = log(Z_t / (Z_t - Z_{t-1})) on ``grid``
-    (``cell_grid`` or ``default_y_grid``) for at most ``horizon`` >= 1 steps.
+def y_steps(g: float, noise: NoiseModel, grid: GridSpec, horizon: int,
+            tol: float = 1e-8) -> Iterator[StepRecord]:
+    """The records of the reversed variable y = log(Z_t / (Z_t - Z_{t-1}))
+    on ``grid`` (``cell_grid`` or ``default_y_grid``) for at most ``horizon``
+    >= 1 steps.
 
-    Identical machinery to ``evolve_z`` with the drift negated and the noise
-    mirrored; for g + E[a] > 0 the densities reach a genuine fixed point
-    (``_stationary``), and the run stops once the L1 distance between
-    successive densities falls below ``tol``, or after ``horizon`` steps.
+    Identical machinery to ``z_steps`` with the drift negated and the noise
+    mirrored (``_reversed``); for g + E[a] > 0 the densities reach a genuine
+    fixed point (``_stationary``), and the run stops on the first record
+    whose L1 distance from the previous density is below ``tol``, which is
+    marked ``converged``, or after ``horizon`` steps.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _trace(g, noise, _evolve(_reversed(g, noise, grid), grid, horizon, tol), tol)
+    return _steps(*_reversed(g, noise, grid), grid, horizon, tol)
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +474,7 @@ class VolatilityReport:
     """Steady-state summary of the growth-increment distribution.
 
     ``solver`` records how the reversed variable's fixed point was found:
-    ``method`` ("arnoldi" for the eigensolve, "power" for an iterated trace),
+    ``method`` ("arnoldi" for the eigensolve, "power" for a ``y_steps`` run),
     ``applications`` of the step operator, the Perron root estimate
     ``eigenvalue`` (the mass one step keeps) and ``residual_l1``,
     ``||P v - eigenvalue v||_1`` for the unit-mass vector v and the operator
@@ -791,24 +767,19 @@ def steady_state_volatility(g: float, noise: NoiseModel,
     return _volatility_report(g, noise, p_y, solver)[0]
 
 
-def trace_volatility(trace: EvolutionTrace) -> tuple[VolatilityReport, GriddedPdf]:
-    """Steady-state report from the final density of a converged ``evolve_y``
-    trace, and that density's growth increment, which the report is read from.
-    """
-    return _power_report(trace.g, trace.noise, trace.final(), trace.converged_at is not None)
-
-
-def _power_report(g: float, noise: NoiseModel, last: StepRecord, converged: bool,
-                  dz: GriddedPdf | None = None) -> tuple[VolatilityReport, GriddedPdf]:
-    """``_volatility_report`` on the final record ``last`` of a reversed-variable
-    run of drift g and ``noise``; a run that has not ``converged`` is a
-    ``ConvergenceError``. ``dz``, when given, is that record's growth increment.
+def power_volatility(g: float, noise: NoiseModel, last: StepRecord,
+                     dz: GriddedPdf | None = None) -> tuple[VolatilityReport, GriddedPdf]:
+    """Steady-state report from the final record ``last`` of a ``y_steps``
+    run of drift g and ``noise``, and that record's growth increment, which
+    the report is read from: ``dz`` when given, which must be
+    ``volatility_pdf(last.pdf)``. A record that is not ``converged`` is a
+    ``ConvergenceError``.
 
     The solver block describes the power iteration that produced the run:
     its last step kept ``eigenvalue`` of the mass and moved the normalised
     density by ``l1_prev``.
     """
-    if not converged:
+    if not last.converged:
         raise ConvergenceError(f"trace did not converge within horizon={last.t}")
     eigenvalue = 1.0 - last.new_truncation
     solver = {

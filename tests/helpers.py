@@ -1,4 +1,4 @@
-"""Density, step, trace, Monte Carlo and narrow-noise helpers that only the tests use."""
+"""Density, step, run, Monte Carlo and narrow-noise helpers that only the tests use."""
 
 import math
 
@@ -56,18 +56,18 @@ def ks_distance(p: GriddedPdf, q: GriddedPdf) -> float:
 
 
 def y_inputs(g: float, noise, horizon: int = 4000, n_points: int | None = None):
-    """``evolve_y``'s (g, noise, grid, horizon) on the reversed variable's default grid."""
+    """``y_steps``' (g, noise, grid, horizon) on the reversed variable's default grid."""
     return g, noise, default_y_grid(g, noise, n_points), horizon
 
 
-def means(trace) -> np.ndarray:
-    """The mean of every step of an ``EvolutionTrace``."""
-    return np.array([s.pdf.mean() for s in trace.steps])
+def means(records) -> np.ndarray:
+    """The mean of every step of a list of ``StepRecord``s."""
+    return np.array([s.pdf.mean() for s in records])
 
 
-def variances(trace) -> np.ndarray:
-    """The variance of every step of an ``EvolutionTrace``."""
-    return np.array([s.pdf.variance() for s in trace.steps])
+def variances(records) -> np.ndarray:
+    """The variance of every step of a list of ``StepRecord``s."""
+    return np.array([s.pdf.variance() for s in records])
 
 
 def block_draws(noise, t_max: int, n_paths: int, seed: int) -> np.ndarray:

@@ -17,13 +17,13 @@ import numpy as np
 import cumvol as cv
 from cumvol import (
     default_z_grid,
-    evolve_y,
-    evolve_z,
     gaussian,
     lorentzian,
     sigma_y_fixed_point,
     simulate_stream,
     steady_state_volatility,
+    y_steps,
+    z_steps,
 )
 from helpers import (block_draws, interp_at, reciprocal_increment_gap, sigma_dz_narrow, variances,
                      y_inputs)
@@ -81,8 +81,8 @@ def test_criterion_2_ratio_sweep_shape():
 
 def test_criterion_3_fixed_point_variance():
     g, sig = 0.2, 0.05
-    tr = evolve_y(*y_inputs(g, gaussian(sig)), tol=1e-9)
-    got = tr.final().pdf.variance()
+    tr = list(y_steps(*y_inputs(g, gaussian(sig)), tol=1e-9))
+    got = tr[-1].pdf.variance()
     target = sig**2 / math.expm1(2.0 * g)
     rel = abs(got - target) / target
     ok = rel <= 0.02
@@ -104,7 +104,7 @@ def test_criterion_4_fixed_point_ties_to_volatility_width():
 def test_criterion_5_explicit_variance_value():
     g, sig, t = 0.2, 0.1, 10
     noise = gaussian(sig)
-    got = variances(evolve_z(g, noise, default_z_grid(g, noise, t), t))[-1]
+    got = variances(list(z_steps(g, noise, default_z_grid(g, noise, t), t)))[-1]
     # Finite-t leading order, 0.052932. The large-t asymptote var_logZ_saddle
     # gives 0.0300 here (and is negative for t <= 7 at g = 0.2); the reference
     # must reduce to it at large t.
@@ -128,9 +128,9 @@ def test_criterion_6_oracle_equivalence():
     for label, noise in (("gaussian sigma=1", gaussian(1.0)),
                          ("lorentzian gamma=1", lorentzian(1.0))):
         t0 = time.perf_counter()
-        tr = evolve_z(g, noise, default_z_grid(g, noise, 20), 20)
+        tr = list(z_steps(g, noise, default_z_grid(g, noise, 20), 20))
         ks = simulate_stream(g, noise, t_max=20, n_paths=100_000, seed=42,
-                             targets={t: tr.density(t) for t in (1, 5, 20)}).ks
+                             targets={t: tr[t - 1].pdf for t in (1, 5, 20)}).ks
         elapsed = time.perf_counter() - t0
         ok = max(ks.values()) < 0.01 and elapsed < 60.0
         ok_all = ok_all and ok
@@ -154,14 +154,14 @@ def test_criterion_8_invariant_suite():
 
     # normalisation, non-negativity, support for both noise families
     for noise in (gaussian(1.0), lorentzian(1.0)):
-        for rec in evolve_z(0.2, noise, default_z_grid(0.2, noise, 8), 8).steps:
+        for rec in z_steps(0.2, noise, default_z_grid(0.2, noise, 8), 8):
             assert abs(rec.pdf.integral() - 1.0) <= 1e-6
             assert np.all(rec.pdf.values >= 0.0)
             assert rec.pdf.grid.x_min > 0.0
     checks.append("normalisation 1e-6 + non-negativity + z support > 0")
 
     # growth increments live strictly above zero
-    dz = cv.volatility_pdf(evolve_y(*y_inputs(0.2, gaussian(0.3)), tol=1e-9).final().pdf)
+    dz = cv.volatility_pdf(list(y_steps(*y_inputs(0.2, gaussian(0.3)), tol=1e-9))[-1].pdf)
     assert dz.grid.x_min > 0.0
     assert interp_at(dz, -0.01) == 0.0 and interp_at(dz, 0.0) == 0.0
     checks.append("dz support > 0")
@@ -169,10 +169,10 @@ def test_criterion_8_invariant_suite():
     # mirror identity: reversed evolution equals negated-drift mirrored-noise evolution
     noise = cv.tabulated([(-0.6, 0.3), (0.0, 1.0), (0.9, 0.5)])
     grid = cv.cell_grid(6.0, 1500)
-    ty = evolve_y(0.25, noise, grid, 10, tol=1e-300)
-    tz = evolve_z(-0.25, noise.mirror(), grid, 10)
+    ty = list(y_steps(0.25, noise, grid, 10, tol=1e-300))
+    tz = list(z_steps(-0.25, noise.mirror(), grid, 10))
     worst = max(np.max(np.abs(a.pdf.values - b.pdf.values))
-                for a, b in zip(ty.steps, tz.steps))
+                for a, b in zip(ty, tz))
     assert worst <= 1e-12
     checks.append(f"mirror identity (max gap {worst:.1e})")
 

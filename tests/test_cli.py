@@ -15,8 +15,8 @@ import cumvol.cli as cli
 import cumvol.evolution as evolution
 import cumvol.montecarlo as mc
 from cumvol import (GriddedPdf, GridSpec, MassDefectError, cell_grid, default_y_grid,
-                    evolve_y, evolve_z, gaussian, lorentzian, parse_noise_spec,
-                    steady_state_volatility, tabulated, trace_volatility, volatility_pdf)
+                    gaussian, lorentzian, parse_noise_spec, power_volatility,
+                    steady_state_volatility, tabulated, volatility_pdf, y_steps, z_steps)
 from cumvol.cli import main
 from cumvol.pdfgrid import csv_text
 from helpers import sample_ks
@@ -50,7 +50,7 @@ def test_evolve_writes_densities_and_manifest(tmp_path):
     # prefix of the manifest's grid
     assert manifest["grid"]["n_points"] == 2048
     grid = cell_grid(30.0, 2048)
-    values = evolve_z(0.2, gaussian(1.0), grid, 4).steps[0].pdf.values
+    values = next(z_steps(0.2, gaussian(1.0), grid, 4)).pdf.values
     last = np.flatnonzero(values)[-1]
     assert last + 2 < 2048
     assert len(first) - 1 == max(16, last + 2)
@@ -126,17 +126,18 @@ def test_volatility_builds_each_step_density_once(tmp_path, monkeypatch):
     assert run(["volatility", "--g", "0.2", "--noise", "gaussian:sigma=0.1",
                 "--until-converged", "--out", str(out)]) == 0
     monkeypatch.undo()
-    trace = evolve_y(0.2, gaussian(0.1), default_y_grid(0.2, gaussian(0.1), n_points=8192),
-                     10_000, tol=1e-8)
-    assert len(calls) == len(trace.steps) == read_manifest(out)["convergence"]["converged_at"]
+    trace = list(y_steps(0.2, gaussian(0.1), default_y_grid(0.2, gaussian(0.1), n_points=8192),
+                     10_000, tol=1e-8))
+    assert len(calls) == len(trace) == read_manifest(out)["convergence"]["converged_at"]
     ref = tmp_path / "ref"
     ref.mkdir()
-    for rec in trace.steps:
+    for rec in trace:
         name = f"rho_dz_t{rec.t:04d}.csv"
         (ref / name).write_bytes(volatility_pdf(rec.pdf).csv_bytes())
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     (ref / "volatility_report.json").write_bytes(
-        cli._json_text(asdict(trace_volatility(trace)[0]), "volatility_report.json"))
+        cli._json_text(asdict(power_volatility(0.2, gaussian(0.1), trace[-1])[0]),
+                       "volatility_report.json"))
     assert ((out / "volatility_report.json").read_bytes()
             == (ref / "volatility_report.json").read_bytes())
 
@@ -147,10 +148,10 @@ def test_volatility_csv_and_dz_grid_rebuild_the_full_density(tmp_path):
     out = tmp_path / "v"
     assert run(["volatility", "--g", "0.2", "--noise", "lorentzian:gamma=1", "--steps", "3",
                 "--grid", "0,20,1024", "--out", str(out)]) == 0
-    trace = evolve_y(0.2, lorentzian(1.0), cell_grid(20.0, 1024), 3)
+    trace = list(y_steps(0.2, lorentzian(1.0), cell_grid(20.0, 1024), 3))
     rows = read_manifest(out)["steps"]
-    assert len(rows) == len(trace.steps) == 3
-    for row, rec in zip(rows, trace.steps):
+    assert len(rows) == len(trace) == 3
+    for row, rec in zip(rows, trace):
         dz = volatility_pdf(rec.pdf)
         grid = GridSpec(**row["dz_grid"])
         assert grid == dz.grid
@@ -220,7 +221,7 @@ def test_no_steady_state_where_y_has_no_stationary_law(tmp_path, capsys, monkeyp
     def no_step(*args, **kwargs):
         raise AssertionError("the reversed recursion started")
 
-    monkeypatch.setattr(cli, "_evolve", no_step)
+    monkeypatch.setattr(cli, "y_steps", no_step)
     monkeypatch.setattr(evolution, "_perron_density", no_step)
     table = tmp_path / "uniform.csv"
     table.write_text("x,density\n-0.65,1\n0.35,1\n", encoding="utf-8")
@@ -349,8 +350,8 @@ def test_simulate_against_evolve_run(tmp_path, monkeypatch):
                                   truncated_mass=step["truncated_mass"])
         assert row["ks"] == sample_ks(z[:, row["t"]], pdf)
     # the trimmed files give the KS of the untrimmed in-memory densities
-    trace = evolve_z(0.2, gaussian(1.0), cell_grid(40.0, 4096), 5)
-    for row, rec in zip(ks["ks_per_step"], trace.steps):
+    trace = list(z_steps(0.2, gaussian(1.0), cell_grid(40.0, 4096), 5))
+    for row, rec in zip(ks["ks_per_step"], trace):
         assert rec.pdf.grid.n_points == 4096
         assert row["ks"] == pytest.approx(sample_ks(z[:, rec.t], rec.pdf), abs=1e-12)
 
@@ -852,15 +853,15 @@ def _nonfinite_second_row(monkeypatch, command, out):
         object.__setattr__(pdf, "_mean", math.nan)  # where mean() keeps it
 
     if command == "evolve":
-        evolve = cli._evolve
+        stream = cli.z_steps
 
         def records(*args):
-            for rec in evolve(*args):
+            for rec in stream(*args):
                 if rec.t == 2:
                     poison(rec.pdf)
                 yield rec
 
-        monkeypatch.setattr(cli, "_evolve", records)
+        monkeypatch.setattr(cli, "z_steps", records)
     else:
         dz_of, calls = cli.volatility_pdf, itertools.count(1)
 
@@ -1036,7 +1037,7 @@ def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking --out")
 
-    for name in ("_evolve", "steady_state_volatility", "simulate_stream"):
+    for name in ("z_steps", "y_steps", "steady_state_volatility", "simulate_stream"):
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n", encoding="utf-8")

@@ -14,17 +14,17 @@ from cumvol import (
     cell_grid,
     default_y_grid,
     default_z_grid,
-    evolve_y,
-    evolve_z,
     gaussian,
     lorentzian,
+    power_volatility,
     sigma_y_fixed_point,
     steady_state_volatility,
     tabulated,
     tail_exponent,
-    trace_volatility,
     volatility_pdf,
+    y_steps,
     ybar,
+    z_steps,
 )
 from cumvol.cli import DEFAULT_GRID_POINTS
 from cumvol.evolution import (_ARNOLDI_NCV, _KERNEL_MARGIN, _RESTART_BLOCK, StepOperator, _assemble,
@@ -39,7 +39,7 @@ SPIKE = gaussian(1e-12)  # deterministic sigma -> 0 limit
 
 def first_step(noise, g, grid):
     """The exact density one step from z_0 = 0: step 1 of a run."""
-    return evolve_z(g, noise, grid, 1).density(1)
+    return next(z_steps(g, noise, grid, 1)).pdf
 
 
 def softplus(x):
@@ -124,7 +124,7 @@ def test_assemble_raises_on_mass_defect():
 def test_evolve_z_deterministic_means_match_geometric_sum():
     g = 0.2
     grid = default_z_grid(g, gaussian(0.01), 10)
-    tr = evolve_z(g, SPIKE, grid, 10)
+    tr = list(z_steps(g, SPIKE, grid, 10))
     for t, mean in enumerate(means(tr), start=1):
         exact = math.log(sum(math.exp(g * j) for j in range(t + 1)))
         assert mean == pytest.approx(exact, abs=5 * grid.h)
@@ -133,7 +133,7 @@ def test_evolve_z_deterministic_means_match_geometric_sum():
 def test_evolve_z_variance_tracks_monte_carlo():
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
-    tr = evolve_z(g, noise, default_z_grid(g, noise, 10), 10)
+    tr = list(z_steps(g, noise, default_z_grid(g, noise, 10), 10))
     var_z = cv.simulate_stream(g, noise, t_max=10, n_paths=400_000, seed=91).summary["var_z"]
     for t in (1, 5, 10):
         mc = var_z[t - 1]
@@ -144,23 +144,23 @@ def test_evolve_z_variance_reaches_closed_form_asymptote():
     # the leading-order variance formula is a large-t asymptote
     g, sig = 0.2, 0.1
     noise = gaussian(sig)
-    tr = evolve_z(g, noise, default_z_grid(g, noise, 40), 40)
+    tr = list(z_steps(g, noise, default_z_grid(g, noise, 40), 40))
     assert variances(tr)[-1] == pytest.approx(cv.var_logZ_saddle(g, sig, 40), rel=0.01)
 
 
 def test_evolve_z_mean_increment_approaches_drift():
     g = 0.2
     noise = gaussian(0.1)
-    m = means(evolve_z(g, noise, default_z_grid(g, noise, 40), 40))
+    m = means(list(z_steps(g, noise, default_z_grid(g, noise, 40), 40)))
     assert m[-1] - m[-2] == pytest.approx(g, abs=1e-3)
 
 
 def test_evolve_y_equals_mirrored_negated_evolve_z():
     noise = tabulated([(-0.5, 0.2), (0.1, 1.0), (0.8, 0.4)])
     grid = cell_grid(6.0, 2000)
-    ty = evolve_y(0.25, noise, grid, 12, tol=1e-300)
-    tz = evolve_z(-0.25, noise.mirror(), grid, 12)
-    for a, b in zip(ty.steps, tz.steps):
+    ty = list(y_steps(0.25, noise, grid, 12, tol=1e-300))
+    tz = list(z_steps(-0.25, noise.mirror(), grid, 12))
+    for a, b in zip(ty, tz):
         assert np.array_equal(a.pdf.values, b.pdf.values)
 
 
@@ -168,30 +168,30 @@ def test_evolve_y_spike_noise_fixed_point_location():
     g = 0.2
     target = -math.log1p(-math.exp(-g))  # 1.70777
     grid = cell_grid(3.0, 3000)
-    tr = evolve_y(g, SPIKE, grid, 300, tol=1e-10)
-    assert tr.converged_at is not None
-    final = tr.final().pdf
+    tr = list(y_steps(g, SPIKE, grid, 300, tol=1e-10))
+    assert tr[-1].converged
+    final = tr[-1].pdf
     assert final.mean() == pytest.approx(target, abs=0.01)
 
 
 def test_evolve_y_fixed_point_variance_matches_narrow_formula():
     g, sig = 0.2, 0.05
-    tr = evolve_y(*y_inputs(g, gaussian(sig)), tol=1e-9)
-    assert tr.converged_at is not None
+    tr = list(y_steps(*y_inputs(g, gaussian(sig)), tol=1e-9))
+    assert tr[-1].converged
     target = sig**2 / math.expm1(2 * g)
-    assert tr.final().pdf.variance() == pytest.approx(target, rel=0.02)
+    assert tr[-1].pdf.variance() == pytest.approx(target, rel=0.02)
 
 
 def test_densities_are_normalised_and_supported_on_positive_axis():
     noise = lorentzian(1.0)
-    tr = evolve_z(0.2, noise, default_z_grid(0.2, noise, 8), 8)
-    for rec in tr.steps:
+    tr = list(z_steps(0.2, noise, default_z_grid(0.2, noise, 8), 8))
+    for rec in tr:
         assert rec.pdf.integral() == pytest.approx(1.0, abs=1e-6)
         assert np.all(rec.pdf.values >= 0.0)
         assert rec.pdf.grid.x_min > 0.0
         assert interp_at(rec.pdf, -0.5) == 0.0
         assert rec.mass_defect < 1e-3
-    truncs = [rec.pdf.truncated_mass for rec in tr.steps]
+    truncs = [rec.pdf.truncated_mass for rec in tr]
     assert all(b >= a for a, b in zip(truncs, truncs[1:]))
 
 
@@ -210,15 +210,15 @@ def test_volatility_pdf_spike_maps_fixed_point_to_drift():
 
 def test_volatility_pdf_narrow_noise_variance():
     g, sig = 0.2, 0.01
-    tr = evolve_y(*y_inputs(g, gaussian(sig)), tol=1e-9)
-    dz = volatility_pdf(tr.final().pdf)
+    tr = list(y_steps(*y_inputs(g, gaussian(sig)), tol=1e-9))
+    dz = volatility_pdf(tr[-1].pdf)
     assert dz.variance() == pytest.approx(sig**2 * math.tanh(g / 2), rel=0.01)
     assert dz.grid.x_min > 0.0
 
 
 def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
-    tr = evolve_y(*y_inputs(0.2, gaussian(1.0)), tol=1e-9)
-    dz = volatility_pdf(tr.final().pdf)
+    tr = list(y_steps(*y_inputs(0.2, gaussian(1.0)), tol=1e-9))
+    dz = volatility_pdf(tr[-1].pdf)
     # density rises toward the origin but the total mass stays 1
     assert dz.values[0] > interp_at(dz, 0.05) > 0.0
     assert dz.integral() == pytest.approx(1.0, abs=1e-6)
@@ -249,10 +249,10 @@ def test_steady_state_refuses_noise_with_no_stationary_law(monkeypatch, g, noise
     monkeypatch.setattr(evolution, "_perron_density", no_solve)
     with pytest.raises(DomainError, match="y has no stationary law"):
         steady_state_volatility(g, noise)
-    trace = evolve_y(g, noise, cell_grid(20.0, 256), 50, tol=0.5)
-    assert trace.converged_at is not None
+    trace = list(y_steps(g, noise, cell_grid(20.0, 256), 50, tol=0.5))
+    assert trace[-1].converged
     with pytest.raises(DomainError, match="y has no stationary law"):
-        trace_volatility(trace)
+        power_volatility(g, noise, trace[-1])
 
 
 @pytest.mark.parametrize("g, m", [(0.2, -0.15), (0.05, 0.15), (0.2, 0.15)])
@@ -293,7 +293,7 @@ def test_steady_state_volatility_domain_and_convergence_errors(monkeypatch):
     with pytest.raises(DomainError):
         steady_state_volatility(-0.2, gaussian(0.1), grid=default_y_grid(0.2, gaussian(0.1)))
     with pytest.raises(ValueError, match="tol must be positive"):
-        evolve_y(*y_inputs(0.2, gaussian(0.1), horizon=3), tol=0.0)
+        y_steps(*y_inputs(0.2, gaussian(0.1), horizon=3), tol=0.0)
     monkeypatch.setattr(evolution, "_MAX_APPLICATIONS", 3)
     with pytest.raises(ConvergenceError):
         steady_state_volatility(0.2, gaussian(0.1))
@@ -305,7 +305,7 @@ def test_hand_built_grid_keeps_drift_cap(g):
     # the reversed variable's grid was defaulted or given
     noise, grid = gaussian(1.0), cell_grid(10.0, 1000)
     with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
-        evolve_y(g, noise, grid, 2)
+        y_steps(g, noise, grid, 2)
     with pytest.raises(DomainError, match="beyond the dz grid's cap of 60"):
         steady_state_volatility(g, noise, grid=grid)
 
@@ -316,10 +316,10 @@ def test_hand_built_grid_must_resolve_steady_centre():
     # every route to dz refuses the grid; 200 cells of width 2.5e-4 resolve it
     g, noise, grid = 3.0, gaussian(1.0), cell_grid(10.0, 100)
     with pytest.raises(DomainError, match="dz is not resolved there"):
-        evolve_y(g, noise, grid, 3)
+        y_steps(g, noise, grid, 3)
     with pytest.raises(DomainError, match="dz is not resolved there"):
         steady_state_volatility(g, noise, grid=grid)
-    dz = volatility_pdf(evolve_y(g, noise, cell_grid(10.0, 40_000), 3).density(3))
+    dz = volatility_pdf(list(y_steps(g, noise, cell_grid(10.0, 40_000), 3))[2].pdf)
     assert dz.mean() == pytest.approx(3.0, abs=0.01)
 
 
@@ -368,20 +368,32 @@ def test_default_grid_whose_extent_overflows_is_a_domain_error(noise):
         default_y_grid(0.2, noise, n_points=DEFAULT_GRID_POINTS)
 
 
-def test_per_step_runs_keep_their_inputs_and_need_a_step():
+def test_per_step_runs_take_their_inputs_and_need_a_step():
     noise, grid = gaussian(0.3), cell_grid(10.0, 500)
-    for run in (evolve_z, evolve_y):
-        tr = run(0.2, noise, grid, 2)
-        assert (tr.g, tr.noise, len(tr.steps)) == (0.2, noise, 2)
+    for run in (z_steps, y_steps):
+        assert [rec.t for rec in run(0.2, noise, grid, 2)] == [1, 2]
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             run(0.2, noise, grid, 0)
+
+
+@pytest.mark.parametrize("run", [z_steps, y_steps], ids=["z", "y"])
+@pytest.mark.parametrize("grid, match", [
+    (cv.GridSpec(0.1, 0.02, 500), r"must tile \[0, upper\]"),
+    (cell_grid(1e-8, 16), "needs a kernel of"),
+], ids=["grid-not-from-0", "kernel-over-cap"])
+def test_per_step_runs_check_their_inputs_when_called(run, grid, match):
+    # the stream checks its inputs and builds its step operator when called,
+    # not at the first record; the horizon, tol, drift-cap and steady-centre
+    # tests above call the streams bare too
+    with pytest.raises(DomainError, match=match):
+        run(0.2, gaussian(1.0), grid, 2)
 
 
 def test_default_z_grid_follows_a_tables_mean():
     # the uniform density on [0.5, 1.5] moves z at 1.2 a step, not at g = 0.2
     g, noise, t = 0.2, tabulated([(0.5, 1.0), (1.5, 1.0)]), 30
-    tr = evolve_z(g, noise, default_z_grid(g, noise, t), t)
-    final = tr.final().pdf
+    tr = list(z_steps(g, noise, default_z_grid(g, noise, t), t))
+    final = tr[-1].pdf
     assert final.truncated_mass < 1e-6
     summary = cv.simulate_stream(g, noise, t_max=t, n_paths=20_000, seed=25).summary
     stderr = math.sqrt(summary["var_z"][t - 1] / 20_000)
@@ -426,26 +438,26 @@ def test_ratio_crossover_location_at_small_drift():
 
 
 def test_per_step_reporting():
-    tr = evolve_y(*y_inputs(0.2, gaussian(0.1), horizon=500), tol=1e-6)
-    rep = trace_volatility(tr)[0]
-    assert tr.converged_at == len(tr.steps)
-    l1 = [rec.l1_prev for rec in tr.steps if rec.l1_prev is not None]
+    tr = list(y_steps(*y_inputs(0.2, gaussian(0.1), horizon=500), tol=1e-6))
+    rep = power_volatility(0.2, gaussian(0.1), tr[-1])[0]
+    assert tr[-1].converged and tr[-1].t == len(tr)
+    l1 = [rec.l1_prev for rec in tr if rec.l1_prev is not None]
     # early steps change a lot, later steps barely at all
     assert l1[0] > 10 * l1[-1]
     solver = rep.solver
     assert solver["method"] == "power"
-    assert solver["applications"] == len(tr.steps) - 1
-    assert solver["residual_l1"] == pytest.approx(tr.final().l1_prev, rel=1e-6)
+    assert solver["applications"] == len(tr) - 1
+    assert solver["residual_l1"] == pytest.approx(tr[-1].l1_prev, rel=1e-6)
 
 
 def test_evolve_z_runs_every_step():
     # z has no fixed point: the run does not stop when the later steps' L1
     # gaps are small
     noise = gaussian(0.3)
-    tr = evolve_z(0.3, noise, default_z_grid(0.3, noise, 12), 12)
-    assert tr.converged_at is None
-    assert [rec.t for rec in tr.steps] == list(range(1, 13))
-    assert tr.final().l1_prev < 0.5
+    tr = list(z_steps(0.3, noise, default_z_grid(0.3, noise, 12), 12))
+    assert not tr[-1].converged
+    assert [rec.t for rec in tr] == list(range(1, 13))
+    assert tr[-1].l1_prev < 0.5
 
 
 # ----------------------------------------------------------------------
@@ -591,16 +603,16 @@ def test_eigensolve_matches_power_iteration(case):
     g, noise, grid = _SOLVER_CASES[case]
     if noise.kind != "lorentzian":
         g, noise = _stationary(g, noise)
-    tr = evolve_y(g, noise, grid, 5000, tol=1e-12)
-    assert tr.converged_at is not None
+    tr = list(y_steps(g, noise, grid, 5000, tol=1e-12))
+    assert tr[-1].converged
     p_y, solver = _perron_density(g, noise, grid)
-    solved, power = volatility_pdf(p_y), volatility_pdf(tr.final().pdf)
+    solved, power = volatility_pdf(p_y), volatility_pdf(tr[-1].pdf)
     assert solved.variance() == pytest.approx(power.variance(), rel=1e-6)
     iqr = [np.subtract(*dz.quantiles((0.75, 0.25))) for dz in (solved, power)]
     assert iqr[0] == pytest.approx(iqr[1], rel=1e-6)
     assert solver["method"] == "arnoldi"
-    assert solver["applications"] < tr.converged_at
-    assert solver["eigenvalue"] == pytest.approx(1.0 - tr.final().new_truncation, abs=1e-10)
+    assert solver["applications"] < tr[-1].t
+    assert solver["eigenvalue"] == pytest.approx(1.0 - tr[-1].new_truncation, abs=1e-10)
     assert solver["residual_l1"] < 1e-9
     # 1 - lambda is the per-step leak: none for the compact table, but
     # positive through the grid's edges for the other noises
@@ -997,9 +1009,9 @@ def _fftconvolve_step(p, noise, g):
 @pytest.mark.parametrize("noise", [gaussian(0.5), lorentzian(1.0)], ids=["gaussian", "lorentzian"])
 def test_evolve_z_matches_fftconvolve_steps(noise):
     g = 0.2
-    tr = evolve_z(g, noise, default_z_grid(g, noise, 6, n_points=2048), 6)
-    ref = tr.density(1)
-    for rec in tr.steps[1:]:
+    tr = list(z_steps(g, noise, default_z_grid(g, noise, 6, n_points=2048), 6))
+    ref = tr[0].pdf
+    for rec in tr[1:]:
         ref = _fftconvolve_step(ref, noise, g)
         assert np.max(np.abs(rec.pdf.values - ref.values)) <= 1e-12 * ref.values.max()
         assert rec.pdf.truncated_mass == pytest.approx(ref.truncated_mass, rel=1e-9, abs=1e-15)

@@ -64,6 +64,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str, module: str) -> set:
+    """(importer, source module, name) for each private name that a package
+    module ``module`` imports from another; dunders are not private."""
+    return {(module, node.module, alias.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")}
+
+
+# The private names one module may take from another, each with the reason
+# its decision is shared rather than kept in the module that makes it.
+SHARED_PRIVATE = {
+    # volatility --until-converged sizes its default grid at the drift
+    # g + E[a] that steps y, and refuses noise with no stationary law first
+    ("cli", "evolution", "_stationary"),
+    # evolve's manifest rows carry the steady-state report's quantile fields
+    ("cli", "evolution", "_quantile_fields"),
+}
+
+
+def test_private_import_guard_sees_a_private_name():
+    source = "from . import __version__\nfrom .evolution import _evolve, run\nimport _x\n"
+    assert private_imports(source, "cli") == {("cli", "evolution", "_evolve")}
+
+
+def test_modules_share_only_the_listed_private_names():
+    # a private name imported across modules is a decision made in two
+    # places: the command line reads the per-step runs, their stopping rule
+    # and the power report only through the public step streams
+    found = set()
+    for path in sorted((ROOT / "src" / "cumvol").glob("*.py")):
+        found |= private_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found == SHARED_PRIVATE
+
+
 def referenced_names(source: str) -> set:
     """Names that code loads, as a name or as an attribute, outside the
     ``def`` or ``class`` that defines them."""

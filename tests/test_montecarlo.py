@@ -283,8 +283,8 @@ def test_stream_reductions_match_whole_ensemble(monkeypatch):
     import cumvol.montecarlo as mc
     monkeypatch.setattr(mc, "BLOCK_PATHS", 1000)
     g, noise, n = 0.2, gaussian(1.0), 12_345
-    tr = cv.evolve_z(g, noise, cv.default_z_grid(g, noise, 4), 4)
-    targets = {t: tr.density(t) for t in (4, 1, 3)}
+    tr = list(cv.z_steps(g, noise, cv.default_z_grid(g, noise, 4), 4))
+    targets = {t: tr[t - 1].pdf for t in (4, 1, 3)}
     run = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, targets=targets,
                              head_paths=2500)
     full = mc.simulate_stream(g, noise, t_max=4, n_paths=n, seed=77, head_paths=n)
@@ -362,8 +362,8 @@ def test_ks_spike_versus_spike_density():
 def test_finite_time_volatility_variance_dual_engine():
     # variance of the t=20 growth increment: path oracle vs recursion engine
     g, noise = 0.2, gaussian(1.0)
-    tr = cv.evolve_y(g, noise, cv.default_y_grid(g, noise), 20, tol=1e-300)  # all 20 steps
-    engine_var = cv.volatility_pdf(tr.density(20)).variance()
+    tr = list(cv.y_steps(g, noise, cv.default_y_grid(g, noise), 20, tol=1e-300))  # all 20 steps
+    engine_var = cv.volatility_pdf(tr[19].pdf).variance()
     mc_var, se = dz_variance(g, noise, 20, n_paths=100_000, seed=19)
     assert abs(mc_var - engine_var) < 3 * se
 
@@ -381,9 +381,9 @@ def test_steady_state_volatility_dual_engine_tabulated():
 
 def test_ks_dual_engine_gaussian():
     g, noise = 0.2, gaussian(1.0)
-    tr = cv.evolve_z(g, noise, cv.default_z_grid(g, noise, 10), 10)
+    tr = list(cv.z_steps(g, noise, cv.default_z_grid(g, noise, 10), 10))
     run = simulate_stream(g, noise, t_max=10, n_paths=100_000, seed=17,
-                          targets={10: tr.density(10)})
+                          targets={10: tr[9].pdf})
     assert run.ks[10] < 0.01
 
 
@@ -391,9 +391,9 @@ def test_ks_dual_engine_tabulated_asymmetric():
     # third noise family against the oracle, with an asymmetric table
     noise = cv.tabulated([(-0.8, 0.2), (-0.1, 1.0), (0.3, 0.7), (1.2, 0.05)])
     g = 0.15
-    tr = cv.evolve_z(g, noise, cv.default_z_grid(g, noise, 10), 10)
+    tr = list(cv.z_steps(g, noise, cv.default_z_grid(g, noise, 10), 10))
     run = simulate_stream(g, noise, t_max=10, n_paths=50_000, seed=21,
-                          targets={t: tr.density(t) for t in (1, 5, 10)})
+                          targets={t: tr[t - 1].pdf for t in (1, 5, 10)})
     for t in (1, 5, 10):
         assert run.ks[t] < 0.012
 
@@ -401,9 +401,9 @@ def test_ks_dual_engine_tabulated_asymmetric():
 def test_ks_dual_engine_negative_drift():
     # the forward recursion stays valid for g < 0 (totals saturate)
     g, noise = -0.15, gaussian(0.5)
-    tr = cv.evolve_z(g, noise, cv.default_z_grid(g, noise, 12), 12)
+    tr = list(cv.z_steps(g, noise, cv.default_z_grid(g, noise, 12), 12))
     run = simulate_stream(g, noise, t_max=12, n_paths=50_000, seed=22,
-                          targets={12: tr.density(12)})
+                          targets={12: tr[11].pdf})
     assert run.ks[12] < 0.012
     assert means(tr)[-1] < math.log(1.0 / (1.0 - math.exp(g))) + 1.0
 

@@ -16,12 +16,12 @@ from cumvol import (
     GridSpec,
     cell_grid,
     default_z_grid,
-    evolve_z,
     gaussian,
     lorentzian,
     simulate_stream,
     tabulated,
     volatility_pdf,
+    z_steps,
 )
 from helpers import warp_step
 
@@ -54,7 +54,7 @@ dz_grids = st.one_of(st.none(), st.builds(cell_grid, st.floats(2.0, 10.0), st.in
 
 def reversed_density(g, noise, grid, steps):
     """A reversed-variable density ``steps`` steps after the first."""
-    p_y = evolve_z(-g, noise.mirror(), grid, 1).density(1)
+    p_y = next(z_steps(-g, noise.mirror(), grid, 1)).pdf
     for _ in range(steps):
         p_y = warp_step(p_y, noise.mirror(), -g)
     return p_y
@@ -130,9 +130,9 @@ def test_exact_z_density_agrees_with_monte_carlo(g, noise, t_max):
     # every step's exact density against 20 000 simulated paths: the largest
     # KS stays within 3/sqrt(n), the bound the benchmark's oracle check uses
     n = 20_000
-    tr = evolve_z(g, noise, default_z_grid(g, noise, t_max, n_points=8192), t_max)
+    tr = list(z_steps(g, noise, default_z_grid(g, noise, t_max, n_points=8192), t_max))
     run = simulate_stream(g, noise, t_max=t_max, n_paths=n, seed=2024,
-                          targets={t: tr.density(t) for t in range(1, t_max + 1)})
+                          targets={t: tr[t - 1].pdf for t in range(1, t_max + 1)})
     assert max(run.ks.values()) < 3.0 / math.sqrt(n)
 
 
