@@ -8,7 +8,8 @@ reversed recursion's fixed point, and cross-validates everything against
 closed-form narrow-noise formulas and a Monte Carlo path simulator.
 """
 
-from .analytic import sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle, ybar
+from .analytic import (dz_of_y, sigma_y_fixed_point, tail_exponent, var_dz_saddle,
+                       var_logZ_saddle, ybar)
 from .errors import ConvergenceError, CumvolError, DomainError, MassDefectError
 from .evolution import (
     StepRecord,
@@ -42,6 +43,6 @@ __all__ = [
     "StepRecord", "VolatilityReport",
     "z_steps", "y_steps", "volatility_pdf",
     "steady_state_volatility", "power_volatility", "default_z_grid", "default_y_grid",
-    "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
+    "dz_of_y", "ybar", "var_logZ_saddle", "var_dz_saddle", "sigma_y_fixed_point", "tail_exponent",
     "McEnsemble", "simulate_stream",
 ]

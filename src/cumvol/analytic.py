@@ -1,5 +1,5 @@
-"""Closed-form references for narrow (small-variance) noise, and the
-reversed variable's exponential tail for any noise.
+"""The one y <-> dz map, closed-form references for narrow (small-variance)
+noise, and the reversed variable's exponential tail for any noise.
 
 The narrow-noise results are leading order in the noise variance, used to
 size grids, to cross-check the exact engine, and to form the
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "dz_of_y",
     "ybar",
     "var_logZ_saddle",
     "var_dz_saddle",
@@ -25,14 +26,26 @@ __all__ = [
 ]
 
 
+def dz_of_y(y):
+    """-log(1 - e^{-y}) elementwise for y >= 0, +inf at 0 and 0 at +inf: the
+    involution between y and dz, within an ulp at every y as -log(-expm1(-y))
+    up to ln 2 and -log1p(-exp(-y)) above it, each form on its own elements
+    (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    small = y <= math.log(2.0)
+    with np.errstate(divide="ignore"):
+        out[small] = -np.log(-np.expm1(-y[small]))
+        out[~small] = -np.log1p(-np.exp(-y[~small]))
+    return out[()]
+
+
 def ybar(g: float, t) -> float:
     """log sum_{j=0..t} exp(-j*g); with t = inf, -log(1 - exp(-g)) for g > 0."""
     if t == math.inf:
         if not g > 0.0:
             raise DomainError("ybar at t = inf requires g > 0 (divergent sum otherwise)")
-        # below g ~ 5.6e-17 exp(-g) rounds to 1: there 1 - exp(-g) is -expm1(-g)
-        e = math.exp(-g)
-        return -math.log1p(-e) if e < 1.0 else -math.log(-math.expm1(-g))
+        return float(dz_of_y(g))
     t = int(t)
     if t < 0:
         raise DomainError("ybar requires t >= 0")

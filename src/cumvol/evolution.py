@@ -17,8 +17,9 @@ The same machinery with g -> -g and mirrored noise evolves the reversed
 variable y = log(Z_t / (Z_t - Z_{t-1})) whose density converges to a genuine
 fixed point when g + E[a] > 0 (``_stationary``); dz then follows from
 
-    rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0.
+    rho_dz(x) = rho_y(-log(1 - e^{-x})) / (e^x - 1),  x > 0,
 
+with -log(1 - e^{-x}) from ``analytic.dz_of_y``, as in the step's warp.
 One step is a linear map P on node masses (``StepOperator``), built once
 per run; its convolution is numpy's real FFT at a 2-3-5-smooth length. The
 per-step runs ``z_steps`` and ``y_steps`` take (g, noise, grid, horizon),
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (sigma_y_fixed_point, tail_exponent, var_dz_saddle, var_logZ_saddle,
-                       ybar)
+from .analytic import (dz_of_y, sigma_y_fixed_point, tail_exponent, var_dz_saddle,
+                       var_logZ_saddle, ybar)
 from .errors import ConvergenceError, DomainError, MassDefectError
 from .noise import KernelCells, NoiseModel
 from .pdfgrid import GriddedPdf, GridSpec, cell_grid
@@ -157,18 +158,6 @@ def _quantile_fields(pdf: GriddedPdf) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _growth_edges(edges: np.ndarray, g: float) -> np.ndarray:
-    """u = log(e^b - 1) - g at the cell edges; -inf at b = 0."""
-    with np.errstate(divide="ignore"):
-        return edges + np.log1p(-np.exp(-edges)) - g
-
-
-def _reciprocal_edges(edges: np.ndarray) -> np.ndarray:
-    """v = -log(1 - e^{-b}) at the cell edges; +inf at b = 0 (involution)."""
-    with np.errstate(divide="ignore"):
-        return -np.log1p(-np.exp(-edges))
-
-
 def _validated_edges(grid: GridSpec) -> np.ndarray:
     """Cell edges of a grid whose domain must start exactly at 0."""
     if grid.x_min != 0.5 * grid.h:
@@ -178,17 +167,12 @@ def _validated_edges(grid: GridSpec) -> np.ndarray:
     return grid.cell_edges()
 
 
-def _node_cum(masses: np.ndarray) -> np.ndarray:
-    """The node CDF of per-node masses at the nodes: half of each node's own
-    mass counts as below the node."""
+def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Linear interpolation at ``at`` of the node CDF of per-node masses,
+    which counts half of each node's own mass as below the node."""
     cum = np.cumsum(masses)
     cum -= 0.5 * masses
-    return cum
-
-
-def _node_cdf(masses: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the node CDF (``_node_cum``) at ``at``."""
-    return np.interp(at, nodes, _node_cum(masses), left=0.0, right=float(masses.sum()))
+    return np.interp(at, nodes, cum, left=0.0, right=float(masses.sum()))
 
 
 def _check_normalized(p: GriddedPdf) -> None:
@@ -262,7 +246,8 @@ class StepOperator:
         self._fft_len = _fast_len(self._conv_len)
         self._kernel_fft = np.fft.rfft(kern.masses, self._fft_len)
         self._nodes = grid.x_min - kern.halfcells * h + h * np.arange(self._conv_len)
-        self._warped = _growth_edges(edges, g)
+        # u = log(e^b - 1) - g at the cell edges b; -inf at b = 0
+        self._warped = edges - dz_of_y(edges) - g
         # The share of each convolved node's mass that the CDF interpolated at
         # the top warped edge w leaves above it, so that the leak past w is
         # summed directly: as the total minus the CDF at w, a difference of
@@ -317,24 +302,21 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     """
     _check_normalized(p_y)
     masses = p_y.node_masses()
-    cum = np.cumsum(masses)  # y's CDF at its cells' upper edges
     if grid is None:
-        grid = _default_dz_grid(p_y, masses, cum)
-    cum -= 0.5 * masses  # y's node CDF (``_node_cum``)
-    # v = +inf at x = 0, where the CDF is the total mass
-    cv = np.interp(_reciprocal_edges(_validated_edges(grid)), p_y.grid.points(), cum,
-                   left=0.0, right=float(masses.sum()))
-    cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # v decreases with x
+        grid = _default_dz_grid(p_y, masses)
+    # y's node CDF at the dz cell edges' images: the total mass at x = 0's, +inf
+    cv = _node_cdf(masses, p_y.grid.points(), dz_of_y(_validated_edges(grid)))
+    cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # the image decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
     return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
 
 
-def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray, cum: np.ndarray) -> GridSpec:
-    """The dz grid for a reversed-variable density with node masses ``masses``
-    and their cumulative sum ``cum``: cells of width upper/n sized from its
-    moments and tails, ending two cells past the cell that holds the image
-    -log(1 - e^{-y_k}) of y_k, the highest y node at which y's node CDF is
-    below 1e-11 of y's mass (y's first node y_1 when none is).
+def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
+    """The dz grid for a reversed-variable density with node masses
+    ``masses``: cells of width upper/n sized from its moments and tails,
+    ending two cells past the cell that holds the image dz_of_y(y_k) of y_k,
+    the highest y node at which y's node CDF is below 1e-11 of y's mass (y's
+    first node y_1 when none is).
 
     ``volatility_pdf`` interpolates that node CDF, with 0 below y_1, so the
     cells past the end hold less than 1e-11 of the mass between them, and
@@ -347,20 +329,20 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray, cum: np.ndarray) -> Gr
         raise DomainError(_NONFINITE_Y)
     if not mean_y > 0.0:
         raise DomainError("reversed-variable density must have positive mean")
-    center = float(-math.log1p(-math.exp(-mean_y)))
+    center = ybar(mean_y, math.inf)
     if center > _DZ_CAP:
         raise DomainError(f"the growth increment's centre {center:g} lies beyond the dz "
                           f"grid's cap of {_DZ_CAP:g}")
     width = max((math.exp(center) - 1.0) * std_y, p_y.grid.h)
     upper = center + 30.0 * width
+    cum = np.cumsum(masses)  # y's CDF at its cells' upper edges
     # The map swaps dz -> infinity with the reversed variable's lower range,
     # so the domain must reach the image of y's low quantile: find the lowest
     # cell edge below which y carries essentially no mass (edge k + 1 has
     # cum[k] below it; the mass is positive, so edge 0 never qualifies).
     idx = int(np.searchsorted(cum, 1e-11 * cum[-1])) + 1
     y_lo = float(p_y.grid.cell_edges()[min(idx, masses.size)])
-    with np.errstate(divide="ignore"):
-        upper = max(upper, float(-np.log1p(-np.exp(-max(y_lo, 1e-26)))))
+    upper = max(upper, float(dz_of_y(max(y_lo, 1e-26))))
     # Integrable spike at 0 maps from y's far upper tail; give its own
     # exponential dz-tail room when that tail carries weight.
     d0 = float(p_y.values[0])
@@ -372,7 +354,7 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray, cum: np.ndarray) -> Gr
     grid = cell_grid(upper, n)
     # the first node past the cut
     above = int(np.argmax(cum - 0.5 * masses >= 1e-11 * masses.sum()))
-    x_end = -math.log1p(-math.exp(-float(p_y.grid.points()[max(above - 1, 0)])))
+    x_end = float(dz_of_y(p_y.grid.points()[max(above - 1, 0)]))
     end = max(int(x_end / grid.h) + 3, 64) if x_end < upper else n
     return GridSpec(grid.x_min, grid.h, min(end, n))
 
@@ -547,7 +529,7 @@ def _limit_log_masses(g: float, sigma_sq: float, grid: GridSpec, above: bool) ->
     if not (0.0 < kappa < math.inf and theta < math.inf):
         return None
     y = np.append(grid.points(), grid.cell_edges()[-1]) if above else grid.points()
-    x = -np.log1p(-np.exp(-y))
+    x = dz_of_y(y)
     log_x = np.log(x, out=-y, where=x > 0.0)  # x rounds to 0 only where log x = -y
     with np.errstate(over="ignore", invalid="ignore"):  # past float64: inf or nan
         logs = (kappa - 1.0) * log_x - x / theta - y + x + math.log(grid.h)
@@ -837,6 +819,9 @@ def default_y_grid(g: float, noise: NoiseModel, n_points: int | None = None) -> 
     error: narrow noise, wide noise, or a small drift with its long tail.
     """
     _check_drift(g)  # the sizing below overflows long before float64 does
+    if not g > 0.0:
+        raise DomainError(f"g={g:g}: the default y grid is sized at the reversed variable's "
+                          "fixed point, which needs g > 0; give a grid instead")
     center = ybar(g, math.inf)
     if noise.kind == "lorentzian":
         upper = center + 12.0 * noise.gamma + 60.0 * noise.gamma / g

@@ -1,9 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
-from cumvol import (DomainError, gaussian, lorentzian, sigma_y_fixed_point, tabulated,
+from cumvol import (DomainError, dz_of_y, gaussian, lorentzian, sigma_y_fixed_point, tabulated,
                     tail_exponent, var_dz_saddle, var_logZ_saddle, ybar)
 from helpers import sigma_dz_narrow, sigma_recursion_step
 
@@ -25,9 +26,49 @@ def test_ybar_of_a_drift_whose_exp_rounds_to_one():
     # error"; there 1 - exp(-g) = g to double precision
     for g in (1e-17, 1e-300, 5e-324):
         assert ybar(g, math.inf) == -math.log(g)
-    # every drift whose exp(-g) is below 1 keeps the log1p form bit for bit
-    for g in (5.6e-17, 1e-16, 1e-9, 0.1, 0.2, 1.0, 30.0, 700.0):
+    # above ln 2 ybar keeps the log1p form bit for bit
+    for g in (1.0, 30.0, 700.0):
         assert ybar(g, math.inf) == -math.log1p(-math.exp(-g))
+    # at and below ln 2 it loses digits as g falls (0.28% at g = 1e-16), and
+    # ybar is right to an ulp instead
+    for g in (5.6e-17, 1e-16, 1e-9, 0.1, 0.2, math.log(2.0)):
+        assert ybar(g, math.inf) == pytest.approx(exact_dz_of_y(g), rel=2.3e-16, abs=0.0)
+    assert ybar(1e-16, math.inf) == 36.841361487904734
+
+
+def exact_dz_of_y(y: float) -> float:
+    """-log(1 - e^{-y}) at 400 digits, rounded to the nearest double."""
+    with decimal.localcontext(decimal.Context(prec=400)):
+        y = decimal.Decimal(y)
+        return float(-(1 - (-y).exp()).ln())
+
+
+LN2 = math.log(2.0)
+
+
+@pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-16, 1e-9, 1e-3, 0.1,
+                               math.nextafter(LN2, 0.0), LN2, math.nextafter(LN2, 1.0),
+                               1.0, 30.0, 700.0, 745.0])
+def test_dz_of_y_is_right_to_an_ulp(y):
+    # within an ulp of the correctly rounded value (745 is subnormal there:
+    # the reference is the subnormal nearest the exact value)
+    exact = exact_dz_of_y(y)
+    assert abs(dz_of_y(y) - exact) <= 2.3e-16 * exact
+    # the array form is the scalar form elementwise
+    assert dz_of_y(np.array([y, 2.0 * y]))[0] == dz_of_y(y)
+
+
+def test_dz_of_y_ends_and_involution():
+    assert dz_of_y(0.0) == math.inf
+    assert dz_of_y(math.inf) == 0.0
+    y = np.geomspace(1e-3, 30.0, 2001)
+    np.testing.assert_allclose(dz_of_y(dz_of_y(y)), y, rtol=1e-14, atol=0.0)
+
+
+def test_ybar_of_zero_drift_counts_its_terms():
+    # sum_{j=0..t} e^0 = t + 1
+    for t in (0, 1, 30):
+        assert ybar(0.0, t) == pytest.approx(math.log(t + 1), rel=1e-15, abs=0.0)
 
 
 def test_ybar_domain():

@@ -650,6 +650,31 @@ def test_drift_whose_exp_rounds_to_one_is_no_math_domain_error(tmp_path, capsys,
     assert out.exists() == (code == 0)
 
 
+def test_evolve_at_zero_drift(tmp_path):
+    # z's grid is sized by the finite sum ybar(0, t) = log(t + 1), which needs no g > 0
+    out = tmp_path / "zero"
+    assert run(["evolve", "--g", "0", "--noise", "gaussian:sigma=1", "--steps", "3",
+                "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("rho_z_t*.csv")) == [
+        "rho_z_t0001.csv", "rho_z_t0002.csv", "rho_z_t0003.csv"]
+
+
+@pytest.mark.parametrize("g, noise", [("-0.2", "gaussian:sigma=1"), ("0", "gaussian:sigma=1"),
+                                      ("-0.2", "lorentzian:gamma=1")])
+def test_default_y_grid_refuses_a_drift_with_no_fixed_point(tmp_path, capsys, g, noise):
+    # the default y grid is sized at y's fixed point, which needs g > 0; the
+    # refusal names that cause, not an internal function, and writes nothing
+    out = tmp_path / "x"
+    argv = ["volatility", "--g", g, "--noise", noise, "--steps", "2"]
+    assert run(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "default y grid" in err[0] and "g > 0" in err[0], err
+    assert "ybar" not in err[0]
+    assert not out.exists()
+    # a given grid runs
+    assert run(argv + ["--grid", "0,20,1024", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["evolve", "volatility"])
 @pytest.mark.parametrize("noise", ["gaussian:sigma=1e200", "table"])
 def test_default_grid_whose_extent_overflows_is_domain_error(tmp_path, capsys, command, noise):

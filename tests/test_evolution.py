@@ -197,7 +197,7 @@ def test_densities_are_normalised_and_supported_on_positive_axis():
 
 def test_volatility_pdf_spike_maps_fixed_point_to_drift():
     g = 0.2
-    ybar_inf = -math.log1p(-math.exp(-g))
+    ybar_inf = ybar(g, math.inf)
     grid = cell_grid(3.0, 3000)
     values = np.zeros(grid.n_points)
     i = int(round((ybar_inf - grid.x_min) / grid.h))
