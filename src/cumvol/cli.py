@@ -11,13 +11,17 @@ Exit codes: 0 success, 2 usage error, 3 numerical-invariant failure,
 4 domain-validity failure. Every run writes a manifest.json listing the
 produced files plus convergence and truncation diagnostics.
 
-Every file goes through one writer, ``_Staged``, which renames the staged
-files into place, the manifest last, only once the run has succeeded: a
-run that fails, a non-converging ``--until-converged`` run included, leaves
-``--out`` as it found it. ``evolve`` and ``volatility`` iterate the public
-streams ``z_steps`` and ``y_steps``: each step's manifest row is built and
-checked, its CSV text is staged, and its density is dropped, so besides its
-manifest rows a run holds O(grid) memory whatever ``--steps`` is.
+``main`` opens the run's one writer, ``_Staged``, and hands it to the
+command. Its ``commit`` builds the manifest from what was staged: the
+echoed arguments, every file as ``outputs`` and, for a per-step run, each
+step's row as ``steps``. It renames the staged files into place, the
+manifest last, only once the run has succeeded: a run that fails, a
+non-converging ``--until-converged`` run included, leaves ``--out`` as it
+found it. ``evolve`` and ``volatility`` iterate the public streams
+``z_steps`` and ``y_steps`` and hand each step to ``_Staged.step``, which
+checks its manifest row and stages its CSV text, so the density is dropped
+and besides its manifest rows a run holds O(grid) memory whatever
+``--steps`` is.
 """
 
 from __future__ import annotations
@@ -172,35 +176,27 @@ def _json_text(payload: dict, name: str) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
-def _manifest(command: str, args_dict: dict, outputs: list, extra: dict) -> dict:
-    payload = {
-        "command": command,
-        "tool": "cumvol",
-        "version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": args_dict,
-        "outputs": outputs,
-    }
-    payload.update(extra)
-    return payload
-
-
 class _Staged:
-    """The files of a run, staged in its output directory and put in place
-    together by ``commit``.
+    """The one writer of a run: ``main`` opens it for every command, and
+    ``commit`` puts the staged files in place together, the manifest last.
 
-    ``add`` holds a file's text in memory, and writes all the held text to
-    temp files in the output directory, which the first such burst creates,
-    once one more file of the same size would take it past
-    ``_STAGE_BYTES``. ``commit`` stages the manifest last and renames the
-    staged files into place in the order they were added. Used as a context
-    manager, a run that raises unlinks its temp files and removes the
-    directories it created, so the output directory is left as it was found.
+    Opening it refuses an ``--out`` whose nearest existing path is not a
+    directory, before any work. ``add`` holds a file's text in memory, and
+    writes all the held text to temp files in the output directory, which
+    the first such burst creates, once one more file of the same size would
+    take it past ``_STAGE_BYTES``. Used as a context manager, a run that
+    raises unlinks its temp files and removes the directories it created,
+    so the output directory is left as it was found.
     """
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self, args):
+        self.args = args
+        self.out_dir = Path(args.out)
+        found = next((p for p in (self.out_dir, *self.out_dir.parents) if p.exists()), None)
+        if found is not None and not found.is_dir():
+            raise ValueError(f"--out {args.out}: {found} is not a directory")
         self.names: list[str] = []  # every file added, in order
+        self.rows: list[dict] = []  # a per-step run's manifest rows, in step order
         self._held: list[bytes] = []  # text of the last names, not yet written
         self._held_bytes = 0
         self._temps: list[str] = []  # temp files of the first names
@@ -226,6 +222,14 @@ class _Staged:
         if self._held_bytes + len(data) > _STAGE_BYTES:
             self._write_held()
 
+    def step(self, name: str, row: dict, pdf: GriddedPdf) -> None:
+        """Keep a step's manifest row, naming its file, and stage ``pdf`` as
+        that file; the row is checked finite before the file is staged."""
+        row["file"] = name
+        _check_finite(row, f"manifest.json.steps[{len(self.rows)}]")
+        self.rows.append(row)
+        self.add(name, pdf.csv_bytes())
+
     def _write_held(self) -> None:
         if self._made is None:
             self._made = []
@@ -242,19 +246,28 @@ class _Staged:
         self._held.clear()
         self._held_bytes = 0
 
-    def commit(self, manifest: dict) -> None:
-        """Stage ``manifest`` as manifest.json and put every staged file in
-        place, the manifest last. Nothing is put in place unless every output
-        the manifest lists, and vouches for, is staged and non-empty."""
+    def commit(self, extra: dict) -> int:
+        """Stage manifest.json, which echoes the run's arguments, lists every
+        file staged so far as ``outputs``, holds a per-step run's rows as
+        ``steps`` and adds ``extra``; then put every staged file in place, the
+        manifest last, unless an output is empty. Returns the output count."""
+        outputs = list(self.names)
+        config = {key: value.label() if hasattr(value, "label") else value
+                  for key, value in vars(self.args).items() if key != "func"}
+        manifest = {"command": self.args.command, "tool": "cumvol", "version": __version__,
+                    "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                    "config": config, "outputs": outputs, **extra}
+        if self.rows:
+            manifest["steps"] = self.rows
         self.add("manifest.json", _json_text(manifest, "manifest.json"))
         self._write_held()
-        sizes = {name: os.path.getsize(tmp) for tmp, name in zip(self._temps, self.names)}
-        for name in manifest["outputs"]:
-            if not sizes.get(name):
+        for tmp, name in zip(self._temps, outputs):
+            if not os.path.getsize(tmp):
                 raise MassDefectError(f"output file {name} missing or empty")
         for tmp, name in zip(self._temps, self.names):
             os.replace(tmp, self.out_dir / name)
         self._temps.clear()
+        return len(outputs)
 
 
 # ----------------------------------------------------------------------
@@ -262,68 +275,39 @@ class _Staged:
 # ----------------------------------------------------------------------
 
 
-def cmd_evolve(args) -> int:
-    out_dir = Path(args.out)
-    if args.grid is not None:
-        grid = cell_grid(*args.grid[1:])
-    else:
-        grid = default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS)
-
-    rows = []
-    with _Staged(out_dir) as staged:
-        for rec in z_steps(args.g, args.noise, grid, args.steps):
-            name = f"rho_z_t{rec.t:04d}.csv"
-            row = {"t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
-                   "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
-                   "l1_prev": rec.l1_prev, **_quantile_fields(rec.pdf), "file": name}
-            _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
-            rows.append(row)
-            staged.add(name, rec.pdf.csv_bytes())
-        outputs = list(staged.names)  # commit adds the manifest to staged.names
-        staged.commit(_manifest("evolve", _echo(args), outputs,
-                                {"grid": asdict(grid), "steps": rows}))
-    print(f"evolve: wrote {len(outputs)} density files to {out_dir}")
+def cmd_evolve(args, staged: _Staged) -> int:
+    grid = (cell_grid(*args.grid[1:]) if args.grid is not None
+            else default_z_grid(args.g, args.noise, args.steps, n_points=DEFAULT_GRID_POINTS))
+    for rec in z_steps(args.g, args.noise, grid, args.steps):
+        staged.step(f"rho_z_t{rec.t:04d}.csv", {
+            "t": rec.t, "mean": rec.pdf.mean(), "variance": rec.pdf.variance(),
+            "truncated_mass": rec.pdf.truncated_mass, "mass_defect": rec.mass_defect,
+            "l1_prev": rec.l1_prev, **_quantile_fields(rec.pdf)}, rec.pdf)
+    count = staged.commit({"grid": asdict(grid)})
+    print(f"evolve: wrote {count} density files to {staged.out_dir}")
     return 0
 
 
-def cmd_volatility(args) -> int:
+def cmd_volatility(args, staged: _Staged) -> int:
     if args.steps is None:  # resolved before the config is echoed
         args.steps = 10_000 if args.until_converged else 50
     # no step where y has no stationary law; a steady state's grid is sized at g + E[a]
     pair = _stationary(args.g, args.noise) if args.until_converged else (args.g, args.noise)
-    out_dir = Path(args.out)
     grid = (cell_grid(*args.grid[1:]) if args.grid is not None
             else default_y_grid(*pair, n_points=DEFAULT_GRID_POINTS))
-
-    rows = []
-    with _Staged(out_dir) as staged:
-        for rec in y_steps(args.g, args.noise, grid, args.steps, args.tol):
-            dz = volatility_pdf(rec.pdf)
-            name = f"rho_dz_t{rec.t:04d}.csv"
-            row = {
-                "t": rec.t,
-                "file": name,
-                "dz_grid": asdict(dz.grid),
-                "dz_mean": dz.mean(),
-                "dz_variance": dz.variance(),
-                "truncated_mass": dz.truncated_mass,
-                "y_l1_prev": rec.l1_prev,
-            }
-            _check_finite(row, f"manifest.json.steps[{len(rows)}]")  # before its file
-            rows.append(row)
-            staged.add(name, dz.csv_bytes())
-        if args.until_converged:
-            # read from the final step's density, so each step's is built once
-            report = power_volatility(args.g, args.noise, rec, dz)[0]
-            staged.add("volatility_report.json",
-                       _json_text(asdict(report), "volatility_report.json"))
-        outputs = list(staged.names)  # commit adds the manifest to staged.names
-        staged.commit(_manifest("volatility", _echo(args), outputs, {
-            "grid": asdict(grid),
-            "convergence": {"converged_at": rec.t if rec.converged else None},
-            "steps": rows,
-        }))
-    print(f"volatility: wrote {len(outputs)} files to {out_dir}")
+    for rec in y_steps(args.g, args.noise, grid, args.steps, args.tol):
+        dz = volatility_pdf(rec.pdf)
+        staged.step(f"rho_dz_t{rec.t:04d}.csv", {
+            "t": rec.t, "dz_grid": asdict(dz.grid), "dz_mean": dz.mean(),
+            "dz_variance": dz.variance(), "truncated_mass": dz.truncated_mass,
+            "y_l1_prev": rec.l1_prev}, dz)
+    if args.until_converged:
+        # read from the final step's density, so each step's is built once
+        report = power_volatility(args.g, args.noise, rec, dz)[0]
+        staged.add("volatility_report.json", _json_text(asdict(report), "volatility_report.json"))
+    count = staged.commit({"grid": asdict(grid),
+                           "convergence": {"converged_at": rec.t if rec.converged else None}})
+    print(f"volatility: wrote {count} files to {staged.out_dir}")
     return 0
 
 
@@ -340,17 +324,13 @@ def _sweep_point(g: float, sigma_sq: float) -> dict:
     }
 
 
-def cmd_compare_saddle(args) -> int:
-    out_dir = Path(args.out)
-
+def cmd_compare_saddle(args, staged: _Staged) -> int:
     rows = [_sweep_point(args.g, s2) for s2 in args.sigma_sweep]
     columns = ("sigma_a_sq", "ratio", "variance", "narrow_variance", "truncated_mass")
-    with _Staged(out_dir) as staged:
-        staged.add("saddle_ratio.csv", csv_text(",".join(columns),
-                                                [[r[c] for c in columns] for r in rows]))
-        staged.commit(_manifest("compare-saddle", _echo(args), ["saddle_ratio.csv"],
-                                {"points": rows}))
-    print(f"compare-saddle: wrote saddle_ratio.csv to {out_dir}")
+    staged.add("saddle_ratio.csv", csv_text(",".join(columns),
+                                            [[r[c] for c in columns] for r in rows]))
+    staged.commit({"points": rows})
+    print(f"compare-saddle: wrote saddle_ratio.csv to {staged.out_dir}")
     return 0
 
 
@@ -394,38 +374,25 @@ def _load_against(args) -> dict:
                           f"grid: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, staged: _Staged) -> int:
     targets = None if args.against is None else _load_against(args)
-    out_dir = Path(args.out)
     cap = min(args.paths, 10_000) if args.paths_csv else 0
     run = simulate_stream(args.g, args.noise, t_max=args.steps, n_paths=args.paths,
                           seed=args.seed, targets=targets, head_paths=cap)
     extra: dict = {"paths_csv_capped_at": 10_000 if args.paths_csv else None}
-    with _Staged(out_dir) as staged:
-        staged.add("summary.json", _json_text(run.summary, "summary.json"))
-        if args.paths_csv:
-            header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
-            index = np.arange(run.head.shape[0], dtype=float)  # '%.17g' of i is str(i)
-            staged.add("paths.csv", csv_text(header, np.column_stack((index, run.head))))
-        if targets is not None:
-            ks_rows = [{"t": t, "ks": ks} for t, ks in run.ks.items()]
-            staged.add("ks_report.json", _json_text({"against": str(args.against),
-                                                     "ks_per_step": ks_rows}, "ks_report.json"))
-            extra["ks_max"] = max((r["ks"] for r in ks_rows), default=None)
-        outputs = list(staged.names)  # commit adds the manifest to staged.names
-        staged.commit(_manifest("simulate", _echo(args), outputs, extra))
-    print(f"simulate: wrote {len(outputs)} files to {out_dir}")
+    staged.add("summary.json", _json_text(run.summary, "summary.json"))
+    if args.paths_csv:
+        header = "path," + ",".join(f"z{t}" for t in range(args.steps + 1))
+        index = np.arange(run.head.shape[0], dtype=float)  # '%.17g' of i is str(i)
+        staged.add("paths.csv", csv_text(header, np.column_stack((index, run.head))))
+    if targets is not None:
+        ks_rows = [{"t": t, "ks": ks} for t, ks in run.ks.items()]
+        staged.add("ks_report.json", _json_text({"against": str(args.against),
+                                                 "ks_per_step": ks_rows}, "ks_report.json"))
+        extra["ks_max"] = max((r["ks"] for r in ks_rows), default=None)
+    count = staged.commit(extra)
+    print(f"simulate: wrote {count} files to {staged.out_dir}")
     return 0
-
-
-def _echo(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = value.label() if hasattr(value, "label") else value
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -490,19 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(text: str) -> None:
-    """Refuse an --out whose nearest existing path is not a directory."""
-    path = Path(text)
-    found = next((p for p in (path, *path.parents) if p.exists()), None)
-    if found is not None and not found.is_dir():
-        raise ValueError(f"--out {text}: {found} is not a directory")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_out(args.out)  # before any work
-        return args.func(args)
+        with _Staged(args) as staged:  # refuses a bad --out before any work
+            return args.func(args, staged)
     except DomainError as exc:
         print(f"cumvol: domain error: {exc}", file=sys.stderr)
         return 4

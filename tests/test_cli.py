@@ -1074,6 +1074,24 @@ def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_manifest_lists_what_the_run_wrote(tmp_path, command):
+    # the manifest is built from what was staged: its outputs are the files
+    # in --out, and a per-step run has one row per density file, in file order
+    out = tmp_path / "run"
+    assert run(_SMALL_RUNS[command] + ["--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    listing = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == listing
+    assert manifest["command"] == manifest["config"]["command"] == command
+    if command in ("evolve", "volatility"):
+        densities = sorted(p.name for p in out.glob("rho_*.csv"))
+        assert [row["file"] for row in manifest["steps"]] == densities == listing
+        assert [row["t"] for row in manifest["steps"]] == [1, 2]
+    else:
+        assert "steps" not in manifest
+
+
 def test_table_noise_that_is_a_directory_is_usage_error(tmp_path, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking --noise")

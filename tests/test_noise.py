@@ -1,11 +1,13 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from cumvol import DomainError, NoiseModel, gaussian, lorentzian, parse_noise_spec, tabulated
-from cumvol.noise import _ERFC_TWO_UPTO, _ERFC_ZERO_FROM, TAIL_TOL, load_tabulated_csv
+from cumvol.noise import (_ERFC_TWO_UPTO, _ERFC_ZERO_FROM, _GAUSS_TAIL_Z, TAIL_TOL,
+                          load_tabulated_csv)
 from helpers import pdf_at
 
 
@@ -187,6 +189,11 @@ def test_cdf_of_subnormal_width_saturates_without_warning(noise):
 def test_gaussian_tail_halfwidth_matches_scipy_ndtri(sigma):
     ref = sigma * float(special.ndtri(1.0 - 0.5 * TAIL_TOL))
     assert gaussian(sigma).tail_halfwidth() == pytest.approx(ref, rel=1e-14)
+
+
+def test_gaussian_tail_quantile_literal_is_normal_dist_s():
+    # a literal keeps statistics off the import path; it is this quantile exactly
+    assert _GAUSS_TAIL_Z == NormalDist().inv_cdf(1.0 - 0.5 * TAIL_TOL)
 
 
 def test_sampling_is_deterministic_per_seed():
