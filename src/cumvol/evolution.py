@@ -302,6 +302,7 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     """
     _check_normalized(p_y)
     masses = p_y.node_masses()
+    _validated_edges(p_y.grid)  # y lives on [0, upper], like every evolution grid
     if grid is None:
         grid = _default_dz_grid(p_y, masses)
     # y's node CDF at the dz cell edges' images: the total mass at x = 0's, +inf
@@ -327,8 +328,6 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
         raise DomainError(_NONFINITE_Y)
-    if not mean_y > 0.0:
-        raise DomainError("reversed-variable density must have positive mean")
     center = ybar(mean_y, math.inf)
     if center > _DZ_CAP:
         raise DomainError(f"the growth increment's centre {center:g} lies beyond the dz "
@@ -343,8 +342,8 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
     idx = int(np.searchsorted(cum, 1e-11 * cum[-1])) + 1
     y_lo = float(p_y.grid.cell_edges()[min(idx, masses.size)])
     upper = max(upper, float(dz_of_y(max(y_lo, 1e-26))))
-    # Integrable spike at 0 maps from y's far upper tail; give its own
-    # exponential dz-tail room when that tail carries weight.
+    # y -> 0 maps to dz -> infinity, where rho_dz(x) ~ d0 e^{-x} with d0 y's
+    # density at its first node: extend the grid until that tail is below 1e-14.
     d0 = float(p_y.values[0])
     if d0 > 1e-12:
         upper = max(upper, math.log(d0 / 1e-14))

@@ -8,15 +8,14 @@ that leaves that range raises ``DomainError``. The recurrence applies
 ufuncs that numpy runs as SIMD loops, so paths differ from a ``np.logaddexp``
 loop by a few ulp (at most 4).
 
-Paths are generated in fixed-size blocks, each from a seed derived from the
-block index, so the ensemble is reproducible and independent of how blocks
-are scheduled. A block is produced in tiles of TILE_PATHS paths, each the
-next part of the block's draw stream: a tile's draws are sampled in chunks
-into one step-major buffer; the recurrence then produces z_t of every path in
-the tile one step row at a time, and ``simulate_stream`` folds each row,
-while it is still in cache, into per-step moments, KS counts and the kept
-head paths. It holds one tile of draws plus a few rows of TILE_PATHS values,
-whatever the number of paths.
+Paths are generated in blocks of BLOCK_PATHS; block i draws from the i-th
+child of SeedSequence(seed), so the ensemble is reproducible and independent
+of how blocks are scheduled. ``simulate_stream`` is one loop over tiles of
+TILE_PATHS paths, each the next part of its block's stream, drawn path-major
+in chunks (as one whole-block draw would be) into a step-major buffer. One
+step row at a time, the loop sums the draws, runs the recurrence to z_t and
+folds that row, still in cache, into per-step moments, KS counts and the kept
+head paths: it holds one tile of draws and three rows, whatever the paths.
 
 A KS count needs, for each sample, only its number of cell edges at or below
 it. On a uniform grid that is the sample's scaled offset (x - x_min)/h + 1
@@ -62,9 +61,9 @@ class _Moments:
     """Per-step count, mean and sum of squared deviations of a tile stream.
 
     Each step's row of a tile (one column per path) is reduced two-pass by
-    ``row``, in step order; the tile's last row merges its row moments into
-    the running totals with the pairwise update of Chan, Golub & LeVeque
-    (1983), so the result does not lose precision with the number of paths.
+    ``row``; ``merge`` then adds the tile's row moments to the running totals
+    with the pairwise update of Chan, Golub & LeVeque (1983), so the result
+    does not lose precision with the number of paths.
     """
 
     def __init__(self, k: int):
@@ -82,12 +81,14 @@ class _Moments:
         # np.add.reduce is x.mean()'s and x.sum()'s own pairwise sum, without their call layers
         self._mb[i] = mb = np.add.reduce(x) / x.size
         self._m2b[i] = np.add.reduce(np.square(np.subtract(x, mb, out=dev), out=dev))
-        if i == self.mean.size - 1:
-            nb, n = x.size, self.n + x.size
-            delta = self._mb - self.mean
-            self.mean = self.mean + delta * (nb / n)
-            self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
-            self.n = n
+
+    def merge(self, nb: int) -> None:
+        """Add the current tile's rows, of ``nb`` paths each, to the totals."""
+        n = self.n + nb
+        delta = self._mb - self.mean
+        self.mean = self.mean + delta * (nb / n)
+        self.m2 = self.m2 + self._m2b + np.square(delta) * (self.n * nb / n)
+        self.n = n
 
     def variance(self) -> np.ndarray:
         return self.m2 / (self.n - 1)
@@ -180,50 +181,6 @@ def _logaddexp_into(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> None:
     np.add(y, buf, out=y)
 
 
-def _rows(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int):
-    """Yield (lo, t, z_{t-1}, z_t, spare) for each tile of paths lo.. and step t = 1..t_max.
-
-    Block i holds paths i*BLOCK_PATHS onwards and takes its noise from the
-    i-th child of SeedSequence(seed). Its paths are produced in tiles of
-    TILE_PATHS (the last tile of a partial block is shorter): each tile's
-    draws are the next part of the block's stream, drawn path-major in chunks
-    (the stream of one whole-block draw) and copied step-major into a buffer
-    reused across tiles. The rows are reused buffers: z_t is valid until the
-    next yield, and the caller may overwrite z_{t-1} and the recurrence's
-    scratch row ``spare``. Run under ``np.errstate`` that ignores overflow
-    and invalid values: a non-finite path fails the finiteness check.
-    """
-    children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
-    jg = g * np.arange(1, t_max + 1)
-    width = min(TILE_PATHS, BLOCK_PATHS, n_paths)
-    a_buf = np.empty((t_max, width))  # row t - 1: t-th draws, then sums
-    rows = np.empty((3, width))
-
-    for bi, child in enumerate(children):
-        block_lo = bi * BLOCK_PATHS
-        block_n = min(BLOCK_PATHS, n_paths - block_lo)
-        rng = np.random.default_rng(child)
-        for tile_lo in range(0, block_n, width):
-            n = min(width, block_n - tile_lo)
-            a = a_buf[:, :n]
-            for c in range(0, n, _CHUNK_PATHS):
-                chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
-                a[:, c:c + chunk.shape[0]] = chunk.T
-            prev, cur, buf = rows[:, :n]
-            prev.fill(0.0)
-            for t in range(1, t_max + 1):
-                if t > 1:
-                    np.add(a[t - 1], a[t - 2], out=a[t - 1])  # running sum, as np.cumsum adds
-                np.add(a[t - 1], jg[t - 1], out=cur)  # log of every path's t-th term
-                _logaddexp_into(prev, cur, buf)
-                if not np.isfinite(cur).all():
-                    raise DomainError(
-                        f"path accumulation overflowed for g={g:g} with {noise.label()} noise: "
-                        "log cumulative production exceeds the float64 range")
-                yield block_lo + tile_lo, t, prev, cur, buf
-                prev, cur = cur, prev
-
-
 def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed: int,
                     targets: dict | None = None, head_paths: int = 0) -> McEnsemble:
     """Simulate ``n_paths`` paths of z for ``t_max`` steps, one tile at a time.
@@ -255,15 +212,42 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
               for t, p in targets.items()}
     zm, dzm = _Moments(t_max), _Moments(t_max)
     head = np.zeros((min(head_paths, n_paths), t_max + 1))
+    width = min(TILE_PATHS, BLOCK_PATHS, n_paths)
+    a_buf = np.empty((t_max, width))  # row t - 1: t-th draws, then sums
+    rows = np.empty((3, width))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
-        for lo, t, zp, zt, spare in _rows(g, noise, t_max, n_paths, seed):
-            # zp is scratch once dz_t = z_t - z_{t-1} is reduced
-            dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
-            zm.row(t - 1, zt, zp)
-            if t in counts:
-                counts[t].add(zt, zp, spare)
-            if lo < head.shape[0]:
-                head[lo:lo + zt.size, t] = zt[:head.shape[0] - lo]
+        jg = g * np.arange(1, t_max + 1)
+        children = np.random.SeedSequence(seed).spawn(-(-n_paths // BLOCK_PATHS))
+        for block_lo, child in zip(range(0, n_paths, BLOCK_PATHS), children):
+            block_n = min(BLOCK_PATHS, n_paths - block_lo)
+            rng = np.random.default_rng(child)
+            for tile_lo in range(0, block_n, width):
+                lo, n = block_lo + tile_lo, min(width, block_n - tile_lo)
+                a = a_buf[:, :n]
+                for c in range(0, n, _CHUNK_PATHS):
+                    chunk = noise.sample_with(rng, (min(_CHUNK_PATHS, n - c), t_max))
+                    a[:, c:c + chunk.shape[0]] = chunk.T
+                zp, zt, spare = rows[:, :n]  # z_{t-1}, z_t and the recurrence's scratch
+                zp.fill(0.0)
+                for t in range(1, t_max + 1):
+                    if t > 1:
+                        np.add(a[t - 1], a[t - 2], out=a[t - 1])  # running sum, as np.cumsum adds
+                    np.add(a[t - 1], jg[t - 1], out=zt)  # log of every path's t-th term
+                    _logaddexp_into(zp, zt, spare)
+                    if not np.isfinite(zt).all():
+                        raise DomainError(
+                            f"path accumulation overflowed for g={g:g} with {noise.label()} "
+                            "noise: log cumulative production exceeds the float64 range")
+                    # zp is scratch once dz_t = z_t - z_{t-1} is reduced
+                    dzm.row(t - 1, np.subtract(zt, zp, out=zp), zp)
+                    zm.row(t - 1, zt, zp)
+                    if t in counts:
+                        counts[t].add(zt, zp, spare)
+                    if lo < head.shape[0]:
+                        head[lo:lo + n, t] = zt[:head.shape[0] - lo]
+                    zp, zt = zt, zp
+                zm.merge(n)
+                dzm.merge(n)
     return McEnsemble(
         summary={
             "g": g,

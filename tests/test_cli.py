@@ -581,8 +581,12 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, argv):
     # float64 overflow of its nan moments
     (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "1", "--steps", "2"],
      2, "invalid input: n_paths must be >= 2: one path has no sample variance"),
+    # the drift warps every cell edge below the convolved density's nodes: the
+    # step leaks all of its mass past the grid's top
+    (["evolve", "--g", "1e6", "--noise", "gaussian:sigma=1", "--steps", "2",
+      "--grid", "0,20,64"], 3, "numerical failure: no probability mass fell inside the grid"),
 ], ids=["volatility-unconverged", "volatility-report", "compare-saddle-inf",
-        "compare-saddle-zero", "volatility-zero", "simulate-one-path"])
+        "compare-saddle-zero", "volatility-zero", "simulate-one-path", "evolve-all-leaked"])
 def test_failed_result_check_creates_no_output_directory(tmp_path, capsys, monkeypatch, recwarn,
                                                          argv, code, cause):
     # the results are checked before the first file is written. At these
@@ -702,7 +706,17 @@ def test_default_grid_whose_extent_overflows_is_domain_error(tmp_path, capsys, c
       "--seed", "-1"], "--seed"),
     (["simulate", "--g", "0.2", "--noise", "gaussian:sigma=1", "--paths", "10", "--steps", "2",
       "--seed", "-1", "--against", "missing"], "--seed"),
-], ids=["sweep-inf", "sweep-nan", "seed", "seed-against"])
+    (["compare-saddle", "--g", "0.1", "--sigma-sweep", "0.01,abc"], "--sigma-sweep"),
+    (["compare-saddle", "--g", "abc", "--sigma-sweep", "0.01"], "--g"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "x"], "--steps"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2", "--grid", "0,20"],
+     "--grid"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2", "--grid", "0,a,64"],
+     "--grid"),
+    (["evolve", "--g", "0.2", "--noise", "gaussian:sigma=1", "--steps", "2", "--grid", "0,0,64"],
+     "--grid"),
+], ids=["sweep-inf", "sweep-nan", "seed", "seed-against", "sweep-word", "g-word", "steps-word",
+        "grid-two-fields", "grid-word", "grid-empty"])
 def test_bad_numeric_value_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                                        option):
     # a non-finite variance used to be found after the earlier points were
@@ -710,7 +724,7 @@ def test_bad_numeric_value_is_refused_before_any_work(tmp_path, capsys, monkeypa
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("steady_state_volatility", "simulate_stream", "_load_against"):
+    for name in ("steady_state_volatility", "simulate_stream", "_load_against", "z_steps"):
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "x"
     assert run(argv + ["--out", str(out)]) == 2

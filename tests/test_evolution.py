@@ -224,6 +224,29 @@ def test_volatility_pdf_wide_noise_diverges_integrably_at_zero():
     assert dz.integral() == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x_min", [-0.995, 0.3], ids=["below-0", "above-0"])
+def test_volatility_pdf_refuses_a_y_grid_that_does_not_tile_from_0(recwarn, x_min):
+    # y's grid tiles [0, upper], like every evolution grid. Below 0, this
+    # density put 2.3% of its mass at y <= 0, where dz_of_y takes a nan log,
+    # and that mass came back as truncated mass; at 0.3 it was taken silently
+    grid = cv.GridSpec(x_min, 0.01, 600)
+    x = grid.points()
+    p_y = normalized(GriddedPdf(grid, np.exp(-0.5 * ((x - 1.0) / 0.5) ** 2)))
+    with pytest.raises(DomainError, match="must tile"):
+        volatility_pdf(p_y)
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+@pytest.mark.parametrize("upper, cause", [
+    (1e200, "mean or width is not finite"),  # the variance overflows
+    (1e-26, "centre 60.56.* lies beyond the dz grid's cap of 60"),  # -log(5e-27)
+], ids=["nonfinite-moments", "centre-past-cap"])
+def test_default_dz_grid_refuses_a_y_density_it_cannot_size(upper, cause):
+    grid = cell_grid(upper, 16)
+    with pytest.raises(DomainError, match=cause):
+        volatility_pdf(normalized(GriddedPdf(grid, np.ones(grid.n_points))))
+
+
 def test_steady_state_volatility_report_gaussian():
     rep = steady_state_volatility(0.1, gaussian(0.05))
     assert rep.solver["method"] == "arnoldi" and rep.solver["applications"] > 0

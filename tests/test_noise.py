@@ -67,6 +67,8 @@ def test_invalid_tables_rejected():
         tabulated([(0.0, 1.0), (1.0, math.nan)])
     with pytest.raises(ValueError):
         tabulated([(0.0, 0.0), (1.0, 0.0)])  # zero mass
+    with pytest.raises(ValueError, match="pairs"):
+        tabulated([(1.0, 2.0, 3.0)])
 
 
 def test_mirror_is_pointwise_reflection_and_involution():
@@ -300,9 +302,28 @@ def test_parse_noise_spec_and_csv(tmp_path):
     assert n.kind == "tabulated"
     assert pdf_at(n, 0.0) == pytest.approx(1.0 / 1.5)
     headerless = tmp_path / "bare.csv"
-    headerless.write_text("-1,0.5\n0,1.0\n1,0.5\n", encoding="utf-8")
+    headerless.write_text("-1,0.5\n\n0,1.0\n  \n1,0.5\n\n", encoding="utf-8")  # blank lines skipped
     assert pdf_at(load_tabulated_csv(headerless), 0.0) == pytest.approx(1.0 / 1.5)
-    with pytest.raises(ValueError):
-        parse_noise_spec("gaussian:width=1")
-    with pytest.raises(ValueError):
-        parse_noise_spec("pareto:alpha=2")
+
+
+@pytest.mark.parametrize("spec, cause", [
+    ("gaussian:width=1", "gaussian:sigma=S"),
+    ("lorentzian:sigma=1", "lorentzian:gamma=G"),
+    ("gaussian", "needs form kind:params"),
+    ("pareto:alpha=2", "unknown noise kind"),
+])
+def test_malformed_noise_spec_is_refused(spec, cause):
+    with pytest.raises(ValueError, match=cause):
+        parse_noise_spec(spec)
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("x,density\n-1\n1,0.5\n", "line 2: expected two columns"),
+    ("x,density\n-1,0.5\n0,abc\n1,0.5\n", "line 3: could not parse numbers"),
+    ("x,density\n\n0,1\n", "need at least two data rows"),
+], ids=["one-column", "unparsable", "one-row"])
+def test_malformed_noise_table_is_refused(tmp_path, text, cause):
+    path = tmp_path / "noise.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=cause):
+        load_tabulated_csv(path)
