@@ -301,29 +301,27 @@ def volatility_pdf(p_y: GriddedPdf, grid: GridSpec | None = None) -> GriddedPdf:
     mass. When no grid is given one is sized from the input's moments.
     """
     _check_normalized(p_y)
-    masses = p_y.node_masses()
     _validated_edges(p_y.grid)  # y lives on [0, upper], like every evolution grid
     if grid is None:
-        grid = _default_dz_grid(p_y, masses)
+        grid = _default_dz_grid(p_y)
     # y's node CDF at the dz cell edges' images: the total mass at x = 0's, +inf
-    cv = _node_cdf(masses, p_y.grid.points(), dz_of_y(_validated_edges(grid)))
+    cv = _node_cdf(p_y.node_masses(), p_y.grid.points(), dz_of_y(_validated_edges(grid)))
     cells = np.maximum(cv[:-1] - cv[1:], 0.0)  # the image decreases with x
     new_trunc = float(cv[-1])  # reversed-variable mass mapping beyond the top edge
     return _assemble(grid, cells, p_y.truncated_mass, new_trunc)[0]
 
 
-def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
-    """The dz grid for a reversed-variable density with node masses
-    ``masses``: cells of width upper/n sized from its moments and tails,
-    ending two cells past the cell that holds the image dz_of_y(y_k) of y_k,
-    the highest y node at which y's node CDF is below 1e-11 of y's mass (y's
-    first node y_1 when none is).
+def _default_dz_grid(p_y: GriddedPdf) -> GridSpec:
+    """The dz grid for a reversed-variable density: cells of width upper/n
+    sized from its moments and ``cdf()``, ending two cells past the cell that
+    holds dz_of_y(y_k), y_k the highest y node at which y's node CDF is below
+    1e-11 of y's mass (y's first node y_1 when none is), or at the sizing's
+    upper end when that image lies beyond it.
 
     ``volatility_pdf`` interpolates that node CDF, with 0 below y_1, so the
     cells past the end hold less than 1e-11 of the mass between them, and
     none when y_k = y_1. The kept nodes, cell edges and cell masses are the
-    uncut grid's. The grid ends at the sizing's upper end when the image of
-    y_k lies beyond it.
+    uncut grid's.
     """
     mean_y, std_y = p_y.mean(), p_y.std()
     if not (math.isfinite(mean_y) and math.isfinite(std_y)):
@@ -334,13 +332,11 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
                           f"grid's cap of {_DZ_CAP:g}")
     width = max((math.exp(center) - 1.0) * std_y, p_y.grid.h)
     upper = center + 30.0 * width
-    cum = np.cumsum(masses)  # y's CDF at its cells' upper edges
-    # The map swaps dz -> infinity with the reversed variable's lower range,
-    # so the domain must reach the image of y's low quantile: find the lowest
-    # cell edge below which y carries essentially no mass (edge k + 1 has
-    # cum[k] below it; the mass is positive, so edge 0 never qualifies).
-    idx = int(np.searchsorted(cum, 1e-11 * cum[-1])) + 1
-    y_lo = float(p_y.grid.cell_edges()[min(idx, masses.size)])
+    cdf, masses = p_y.cdf(), p_y.node_masses()
+    # The map swaps dz -> infinity with y's lower range, so the domain must
+    # reach the image of the lowest cell edge below which y carries 1e-11 of
+    # its mass (never edge 0, as the mass is positive).
+    y_lo = float(p_y.grid.cell_edges()[np.searchsorted(cdf, 1e-11 * cdf[-1])])
     upper = max(upper, float(dz_of_y(max(y_lo, 1e-26))))
     # y -> 0 maps to dz -> infinity, where rho_dz(x) ~ d0 e^{-x} with d0 y's
     # density at its first node: extend the grid until that tail is below 1e-14.
@@ -352,7 +348,7 @@ def _default_dz_grid(p_y: GriddedPdf, masses: np.ndarray) -> GridSpec:
     n = int(np.clip(math.ceil(upper / h), 64, 1 << 20))
     grid = cell_grid(upper, n)
     # the first node past the cut
-    above = int(np.argmax(cum - 0.5 * masses >= 1e-11 * masses.sum()))
+    above = int(np.argmax(cdf[1:] - 0.5 * masses >= 1e-11 * masses.sum()))
     x_end = float(dz_of_y(p_y.grid.points()[max(above - 1, 0)]))
     end = max(int(x_end / grid.h) + 3, 64) if x_end < upper else n
     return GridSpec(grid.x_min, grid.h, min(end, n))

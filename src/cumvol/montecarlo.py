@@ -17,12 +17,13 @@ step row at a time, the loop sums the draws, runs the recurrence to z_t and
 folds that row, still in cache, into per-step moments, KS counts and the kept
 head paths: it holds one tile of draws and three rows, whatever the paths.
 
-A KS count needs, for each sample, only its number of cell edges at or below
-it. On a uniform grid that is the sample's scaled offset (x - x_min)/h + 1
-rounded to the nearest integer, found with one multiply and one subtract per
-sample; only the few samples whose scaled offset lies within the rounding
-error of an edge are placed again with a binary search over the edges. So a
-row's counts cost O(n), not the O(n log n) of a sort, and are exact.
+The KS model of a target is its own CDF, ``GriddedPdf.cdf()``, the one its
+quantiles invert. A KS count needs, for each sample, only its number of cell
+edges at or below it. On a uniform grid that is the sample's scaled offset
+(x - x_min)/h + 1 rounded to the nearest integer, found with one multiply and
+one subtract per sample; only the few samples whose scaled offset lies within
+the rounding error of an edge are placed again with a binary search over the
+edges. So a row's counts cost O(n), not the O(n log n) of a sort, and are exact.
 """
 
 from __future__ import annotations
@@ -95,11 +96,9 @@ class _Moments:
 
 
 def _ks_model(p: GriddedPdf) -> np.ndarray:
-    """The model CDF of a gridded density at its cell edges: its node masses
-    accumulated cell by cell, exact for densities built by conservative
-    (cell-mass) operations, and scaled by 1 - truncated_mass."""
-    cum = np.concatenate(([0.0], np.cumsum(p.node_masses())))
-    return (1.0 - p.truncated_mass) * cum / cum[-1]
+    """The model CDF of a gridded density at its cell edges: ``p.cdf()``
+    normalised and scaled by 1 - truncated_mass."""
+    return (1.0 - p.truncated_mass) * p.cdf() / p.cdf()[-1]
 
 
 class _EdgeCounts:
@@ -187,10 +186,9 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
 
     Each step row of a tile is folded into per-step moments of z and dz and,
     for each step t in ``targets`` (a dict t -> GriddedPdf of z_t), into the
-    counts of z_t samples strictly below that density's cell edges. The
-    gridded CDF is evaluated at those edges (the resolution at which a binned
-    density makes claims) and scaled by 1 - truncated_mass, so runs with
-    recorded truncation are compared fairly against full samples; a value
+    counts of z_t samples strictly below that density's cell edges, where
+    its ``cdf()``, scaled by 1 - truncated_mass, is the KS model: runs with
+    recorded truncation are judged fairly against full samples. A value
     that rounds onto an edge belongs to the cell above it. The first
     ``head_paths`` paths of z are kept, path-major: ``head_paths=n_paths``
     keeps every path.
@@ -248,6 +246,7 @@ def simulate_stream(g: float, noise: NoiseModel, t_max: int, n_paths: int, seed:
                     zp, zt = zt, zp
                 zm.merge(n)
                 dzm.merge(n)
+    del a_buf, a, chunk, rows, zp, zt, spare  # freed before the targets' CDFs are kept
     return McEnsemble(
         summary={
             "g": g,

@@ -17,7 +17,10 @@ equal cells of width h, so a grid built by ``cell_grid(upper, n)`` has its
 first node at h/2 and its cells tile [0, upper] exactly. Because trapezoidal
 quadrature gives the two boundary nodes only half weight, conservative
 operations store cell mass divided by the node's quadrature weight; all
-integrals, CDFs and moments then see the full mass.
+integrals and moments then see the full mass. A density has one CDF,
+``cdf()``, its node masses summed at the cell edges, which its quantiles
+invert (a cell's mass read as uniform across it) and the KS oracle and the dz
+grid's sizing read. Arrays derived from a grid or density are kept read-only.
 """
 
 from __future__ import annotations
@@ -57,12 +60,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """The nodes, computed once per grid and returned read-only."""
-        pts = self.__dict__.get("_points")
-        if pts is None:
-            pts = self.x_min + self.h * np.arange(self.n_points)
-            pts.setflags(write=False)
-            object.__setattr__(self, "_points", pts)
-        return pts
+        return _once(self, "_points", lambda: self.x_min + self.h * np.arange(self.n_points))
 
     def csv_fields(self, rows: int) -> np.ndarray:
         """The first ``rows`` nodes' ``'%.17g,'`` text as NUL-padded 'S32'
@@ -83,18 +81,26 @@ class GridSpec:
     def cell_edges(self) -> np.ndarray:
         """n_points + 1 edges of the cells whose centres are the nodes,
         computed once per grid and returned read-only."""
-        edges = self.__dict__.get("_edges")
-        if edges is None:
-            edges = self.x_min + self.h * (np.arange(self.n_points + 1) - 0.5)
-            edges.setflags(write=False)
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        return _once(self, "_edges",
+                     lambda: self.x_min + self.h * (np.arange(self.n_points + 1) - 0.5))
 
     def node_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights (h/2 at the ends, h inside)."""
-        w = np.full(self.n_points, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        return w
+        """Trapezoidal quadrature weights (h/2 at the ends, h inside),
+        computed once per grid and returned read-only."""
+        end = [0.5 * self.h]
+        return _once(self, "_weights",
+                     lambda: np.concatenate((end, np.full(self.n_points - 2, self.h), end)))
+
+
+def _once(obj, name: str, build):
+    """Attribute ``name`` of a frozen ``obj``, built once by ``build()`` (arrays read-only)."""
+    value = obj.__dict__.get(name)
+    if value is None:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return value
 
 
 def cell_grid(upper: float, n_points: int) -> GridSpec:
@@ -138,8 +144,13 @@ class GriddedPdf:
         return float(np.trapezoid(self.values, self.grid.points()))
 
     def node_masses(self) -> np.ndarray:
-        """Per-node mass = value * quadrature weight; sums to integral()."""
-        return self.values * self.grid.node_weights()
+        """Per-node mass = value * quadrature weight, kept read-only; sums to integral()."""
+        return _once(self, "_masses", lambda: self.values * self.grid.node_weights())
+
+    def cdf(self) -> np.ndarray:
+        """The CDF at the n + 1 cell edges: the node masses accumulated from 0 to
+        the density's mass, exact for conservative (cell-mass) densities; kept read-only."""
+        return _once(self, "_cdf", lambda: np.concatenate(([0.0], np.cumsum(self.node_masses()))))
 
     # ------------------------------------------------------------------
     # statistics
@@ -147,13 +158,11 @@ class GriddedPdf:
 
     def mean(self) -> float:
         """Trapezoidal mean, computed once per density."""
-        mean = self.__dict__.get("_mean")
-        if mean is None:
+        def mean():
             x = self.grid.points()
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments fail at output
-                mean = float(np.trapezoid(x * self.values, x))
-            object.__setattr__(self, "_mean", mean)
-        return mean
+                return float(np.trapezoid(x * self.values, x))
+        return _once(self, "_mean", mean)
 
     def variance(self) -> float:
         """Trapezoidal central second moment."""
@@ -165,23 +174,18 @@ class GriddedPdf:
         return math.sqrt(max(self.variance(), 0.0))
 
     def quantiles(self, probs) -> np.ndarray:
-        """Inverse of the piecewise-linear node CDF.
-
-        probs must lie strictly inside (0, 1); they are taken relative to the
-        grid's own mass, so a just-normalised density behaves as expected.
-        """
+        """Inverse of ``cdf()``, linear between cell edges (a cell's mass read
+        as uniform across it, as conservative transport stores it), at probs
+        strictly inside (0, 1) taken relative to the density's own mass."""
         probs = np.atleast_1d(np.asarray(probs, dtype=float))
         if np.any(probs <= 0.0) or np.any(probs >= 1.0):
             raise ValueError("probs must lie strictly inside (0, 1)")
-        pts = self.grid.points()
-        cells = 0.5 * (self.values[1:] + self.values[:-1]) * self.grid.h
-        cdf = np.concatenate(([0.0], np.cumsum(cells)))  # cumulative trapezoid at the nodes
+        cdf = self.cdf()
         targets = probs * cdf[-1]
-        idx = np.clip(np.searchsorted(cdf, targets, side="left"), 1, cdf.size - 1)
-        c0, c1 = cdf[idx - 1], cdf[idx]
-        gap = np.where(c1 > c0, c1 - c0, 1.0)
-        w = np.clip(np.where(c1 > c0, (targets - c0) / gap, 0.0), 0.0, 1.0)
-        return pts[idx - 1] + w * (pts[idx] - pts[idx - 1])
+        k = np.searchsorted(cdf, targets).clip(1, cdf.size - 1)  # cdf[k - 1] < target <= cdf[k]
+        gap = cdf[k] - cdf[k - 1]  # positive unless the density has no mass
+        w = (targets - cdf[k - 1]) / np.where(gap > 0.0, gap, np.inf)
+        return self.grid.x_min + self.grid.h * (k - 1.5 + w)  # edge k at w = 1, bit for bit
 
     def distance(self, other: "GriddedPdf") -> float:
         """L1 distance: the trapezoidal integral of |p - q|."""

@@ -88,6 +88,19 @@ def test_first_step_mass_accounting_is_tight():
     assert p.truncated_mass < 1e-6
 
 
+def test_first_cell_quantile_of_a_heavy_tailed_first_step():
+    # Lorentzian z_1 holds 12% of its mass in the first cell of the default
+    # 30-step grid. Read as uniform across that cell, its 5% quantile lies
+    # 0.05/m_0 of the cell's width above 0 (0.0390 here); a trapezoid between
+    # nodes, which put no mass below the first node, read 0.0801
+    noise = lorentzian(1.0)
+    grid = default_z_grid(0.2, noise, 30, n_points=DEFAULT_GRID_POINTS)
+    p = first_step(noise, 0.2, grid)
+    m0 = p.node_masses()[0]
+    assert m0 > 0.1
+    assert p.quantiles([0.05])[0] == pytest.approx(0.05 / m0 * grid.h, abs=1e-12)
+
+
 def test_warp_step_moves_interior_spike_through_softplus():
     grid = cell_grid(6.0, 6000)
     h = grid.h

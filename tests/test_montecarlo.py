@@ -194,6 +194,15 @@ def _every_step_target(t_max):
     return {t: p for t in range(1, t_max + 1)}
 
 
+def test_ks_model_is_the_targets_own_cdf():
+    # the oracle checks the CDF that the target's quantiles invert, scaled by
+    # the mass the target keeps; Lorentzian z_1 has truncated mass
+    import cumvol.montecarlo as mc
+    p = next(cv.z_steps(0.2, lorentzian(1.0), cell_grid(20.0, 1024), 1)).pdf
+    assert p.truncated_mass > 0.0
+    assert np.array_equal(mc._ks_model(p), (1 - p.truncated_mass) * p.cdf() / p.cdf()[-1])
+
+
 def test_stream_holds_one_tile_of_draws():
     # two full blocks and a partial one, 30 steps, every step a KS target: the
     # stream keeps one step-major tile of draws plus a few rows, where a

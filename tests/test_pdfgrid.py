@@ -9,7 +9,7 @@ from scipy import special
 
 import cumvol.pdfgrid as pdfgrid
 from cumvol import GriddedPdf, GridSpec, NoiseModel, cell_grid
-from cumvol import gaussian, lorentzian
+from cumvol import gaussian, lorentzian, tabulated
 from cumvol.pdfgrid import _CSV_BLOCK_VALUES, csv_text
 from helpers import interp_at, ks_distance, normalized, pdf_at
 
@@ -84,6 +84,16 @@ def test_grid_points_computed_once_and_read_only():
     with pytest.raises(ValueError):
         pts[0] = 0.0
     assert g == GridSpec(-1.0, 0.01, 301)  # the cached array is not a field
+
+
+def test_density_arrays_computed_once_and_read_only():
+    p = from_function(GridSpec(-5.0, 0.02, 501), gauss_fn(1.0))
+    for get in (p.grid.node_weights, p.node_masses, p.cdf):
+        a = get()
+        assert get() is a and not a.flags.writeable
+    cdf = p.cdf()
+    assert cdf.size == 502 and cdf[0] == 0.0
+    assert np.array_equal(cdf[1:], np.cumsum(p.node_masses()))
 
 
 def test_cell_grid_tiles_domain_exactly():
@@ -174,6 +184,26 @@ def test_quantiles_examples():
     assert lor.quantiles([0.5])[0] == pytest.approx(0.0, abs=lor.grid.h)
     with pytest.raises(ValueError):
         u.quantiles([0.0, 0.5])
+
+
+def test_quantiles_invert_the_cell_edge_cdf():
+    # each cell's mass is read as uniform across it, so the probability
+    # cdf()[k] / cdf()[-1] of an edge with mass on both sides maps back to
+    # that edge, up to the rounding of the probability: a few ulp of the edge
+    # plus the cell width times a few ulp of cdf()[k] over the smaller mass
+    grid = GridSpec(-12.0, 0.01, 2401)
+    table = tabulated([(-0.5, 0.2), (0.1, 1.0), (0.8, 0.4)])
+    eps = np.finfo(float).eps
+    for source in (gauss_fn(1.0), lorentzian(1.0), table):
+        for scale in (1.0, 3.0):  # probs are relative to the density's own mass
+            p = GriddedPdf(grid, scale * from_function(grid, source).values)
+            cdf, m, edges = p.cdf(), p.node_masses(), grid.cell_edges()
+            probs = cdf / cdf[-1]
+            k = np.flatnonzero((m[:-1] > 0.0) & (m[1:] > 0.0) & (probs[1:-1] < 1.0)) + 1
+            assert k.size > 100
+            err = np.abs(p.quantiles(probs[k]) - edges[k])
+            slack = 4 * eps * (np.abs(edges[k]) + grid.h * cdf[k] / np.minimum(m[k - 1], m[k]))
+            assert np.all(err <= slack)
 
 
 def test_distance_identity_and_disjoint_spikes():
